@@ -1,60 +1,18 @@
 #include "proto/fault_experiment.h"
 
-#include <memory>
-
-#include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "net/churn.h"
-#include "net/sensor_network.h"
-#include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "runtime/trial_runner.h"
 #include "util/check.h"
-#include "util/stats.h"
 
 namespace prlc::proto {
 
 namespace {
 
-std::unique_ptr<net::Overlay> make_overlay(const FaultSweepParams& params,
-                                           std::size_t locations, std::uint64_t seed) {
-  switch (params.overlay) {
-    case OverlayKind::kSensor: {
-      net::SensorParams sp;
-      sp.nodes = params.nodes;
-      sp.locations = locations;
-      sp.seed = seed;
-      sp.two_choices = params.two_choices;
-      return std::make_unique<net::SensorNetwork>(sp);
-    }
-    case OverlayKind::kChord: {
-      net::ChordParams cp;
-      cp.nodes = params.nodes;
-      cp.locations = locations;
-      cp.seed = seed;
-      cp.two_choices = params.two_choices;
-      return std::make_unique<net::ChordNetwork>(cp);
-    }
-  }
-  PRLC_ASSERT(false, "unknown overlay kind");
-}
-
-/// One trial's contribution, slotted by trial index for the ordered
-/// merge (see runtime/trial_runner.h).
-struct TrialOutcome {
-  std::vector<double> levels;  ///< per fault-scale point
-  std::vector<double> blocks;
-  std::vector<double> retrieved;
-  std::vector<double> lost;
-  std::vector<double> retries;
-  std::vector<double> hedges;
-  std::vector<double> wire_errors;
-  std::vector<double> timeouts;
-  std::vector<double> transients;
-  std::vector<double> crashes;
-  std::vector<double> blacklisted;
-  std::vector<double> degraded;
+/// Per-point statistics, in SweepTable column order.
+enum Column {
+  kLevels, kBlocks, kRetrieved, kLost, kRetries, kHedges,
+  kWireErrors, kTimeouts, kTransients, kCrashes, kBlacklisted, kDegraded
 };
 
 }  // namespace
@@ -72,17 +30,7 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
                  "fault scales must be ascending");
   }
 
-  const codes::PrioritySpec spec = params.experiment.spec();
-  const codes::PriorityDistribution dist = params.experiment.distribution();
-  const std::size_t locations =
-      params.locations > 0 ? params.locations : 2 * spec.total();
-
-  ProtocolParams proto = params.protocol;
-  proto.scheme = params.experiment.scheme;
-
   const std::size_t points = params.fault_scales.size();
-
-  static obs::Counter& trials_run = obs::counter("fault_experiment.trials");
 
   // Retry/hedge pressure and decode outcome per fault-scale step; logical
   // time is the step index of the sweep.
@@ -101,44 +49,34 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
     ts.hedges = obs::timeseries("fault.hedges");
   }
 
-  runtime::TrialRunner runner(params.experiment.threads);
-  const auto outcomes = runner.run(
-      params.experiment.trials, params.experiment.root_seed,
-      [&](std::size_t t, Rng& rng) {
-        trials_run.add();
-        obs::ScopedSpan trial_span("trial", "fault_experiment",
-                                   {{"trial", static_cast<double>(t)}});
-        auto overlay = make_overlay(params, locations, rng());
-        Predistribution predist(*overlay, spec, dist, proto);
-        const auto source =
-            codes::SourceData<Field>::random(spec.total(), proto.block_size, rng);
-        predist.disseminate(source, rng);
+  const SweepStats stats = run_sweep(
+      params, points, "fault_experiment", [&](Deployment& d, Rng& rng) {
         if (params.churn_fraction > 0) {
-          net::kill_uniform_fraction(*overlay, params.churn_fraction, rng);
+          net::kill_uniform_fraction(d.overlay(), params.churn_fraction, rng);
         }
-
-        TrialOutcome outcome;
+        SweepTable rows;
+        rows.reserve(points);
         for (std::size_t point = 0; point < points; ++point) {
           const double scale = params.fault_scales[point];
           obs::set_logical_time(point);
-          net::FaultPlan plan(params.faults.scaled(scale), overlay->nodes(), rng);
-          FaultyChannel channel(predist, std::move(plan));
-          codes::PriorityDecoder<Field> decoder(proto.scheme, spec, proto.block_size);
+          net::FaultPlan plan(params.faults.scaled(scale), d.overlay().nodes(), rng);
+          FaultyChannel channel(d.predist(), std::move(plan));
+          auto decoder = d.decoder();
           CollectorOptions options;
           options.retry = params.retry;
           const CollectionOutcome c = collect(channel, decoder, options, rng);
-          outcome.levels.push_back(static_cast<double>(c.result.decoded_levels));
-          outcome.blocks.push_back(static_cast<double>(c.result.decoded_blocks));
-          outcome.retrieved.push_back(static_cast<double>(c.result.blocks_retrieved));
-          outcome.lost.push_back(static_cast<double>(c.blocks_lost));
-          outcome.retries.push_back(static_cast<double>(c.retries));
-          outcome.hedges.push_back(static_cast<double>(c.hedges));
-          outcome.wire_errors.push_back(static_cast<double>(c.faults.wire_errors));
-          outcome.timeouts.push_back(static_cast<double>(c.faults.timeouts));
-          outcome.transients.push_back(static_cast<double>(c.faults.transient_errors));
-          outcome.crashes.push_back(static_cast<double>(c.faults.crashes));
-          outcome.blacklisted.push_back(static_cast<double>(c.blacklisted_nodes));
-          outcome.degraded.push_back(c.degraded ? 1.0 : 0.0);
+          rows.push_back({static_cast<double>(c.result.decoded_levels),
+                          static_cast<double>(c.result.decoded_blocks),
+                          static_cast<double>(c.result.blocks_retrieved),
+                          static_cast<double>(c.blocks_lost),
+                          static_cast<double>(c.retries),
+                          static_cast<double>(c.hedges),
+                          static_cast<double>(c.faults.wire_errors),
+                          static_cast<double>(c.faults.timeouts),
+                          static_cast<double>(c.faults.transient_errors),
+                          static_cast<double>(c.faults.crashes),
+                          static_cast<double>(c.blacklisted_nodes),
+                          c.degraded ? 1.0 : 0.0});
           if (want_timeseries) {
             obs::sample(ts.decoded_levels, static_cast<double>(c.result.decoded_levels));
             obs::sample(ts.blocks_lost, static_cast<double>(c.blocks_lost));
@@ -153,47 +91,26 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
                  {"blocks_lost", static_cast<double>(c.blocks_lost)}});
           }
         }
-        return outcome;
+        return rows;
       });
-
-  // Ordered merge: accumulate in trial order so the floating-point sums
-  // are identical regardless of how many threads ran the trials.
-  std::vector<RunningStats> levels(points), blocks(points), retrieved(points), lost(points),
-      retries(points), hedges(points), wire_errors(points), timeouts(points),
-      transients(points), crashes(points), blacklisted(points), degraded(points);
-  for (const TrialOutcome& outcome : outcomes) {
-    for (std::size_t point = 0; point < points; ++point) {
-      levels[point].add(outcome.levels[point]);
-      blocks[point].add(outcome.blocks[point]);
-      retrieved[point].add(outcome.retrieved[point]);
-      lost[point].add(outcome.lost[point]);
-      retries[point].add(outcome.retries[point]);
-      hedges[point].add(outcome.hedges[point]);
-      wire_errors[point].add(outcome.wire_errors[point]);
-      timeouts[point].add(outcome.timeouts[point]);
-      transients[point].add(outcome.transients[point]);
-      crashes[point].add(outcome.crashes[point]);
-      blacklisted[point].add(outcome.blacklisted[point]);
-      degraded[point].add(outcome.degraded[point]);
-    }
-  }
 
   std::vector<FaultPoint> out(points);
   for (std::size_t i = 0; i < points; ++i) {
+    const auto& s = stats[i];
     out[i].fault_scale = params.fault_scales[i];
-    out[i].mean_decoded_levels = levels[i].mean();
-    out[i].ci95_decoded_levels = levels[i].ci95_halfwidth();
-    out[i].mean_decoded_blocks = blocks[i].mean();
-    out[i].mean_blocks_retrieved = retrieved[i].mean();
-    out[i].mean_blocks_lost = lost[i].mean();
-    out[i].mean_retries = retries[i].mean();
-    out[i].mean_hedges = hedges[i].mean();
-    out[i].mean_wire_errors = wire_errors[i].mean();
-    out[i].mean_timeouts = timeouts[i].mean();
-    out[i].mean_transient_errors = transients[i].mean();
-    out[i].mean_crashes = crashes[i].mean();
-    out[i].mean_blacklisted = blacklisted[i].mean();
-    out[i].degraded_fraction = degraded[i].mean();
+    out[i].mean_decoded_levels = s[kLevels].mean();
+    out[i].ci95_decoded_levels = s[kLevels].ci95_halfwidth();
+    out[i].mean_decoded_blocks = s[kBlocks].mean();
+    out[i].mean_blocks_retrieved = s[kRetrieved].mean();
+    out[i].mean_blocks_lost = s[kLost].mean();
+    out[i].mean_retries = s[kRetries].mean();
+    out[i].mean_hedges = s[kHedges].mean();
+    out[i].mean_wire_errors = s[kWireErrors].mean();
+    out[i].mean_timeouts = s[kTimeouts].mean();
+    out[i].mean_transient_errors = s[kTransients].mean();
+    out[i].mean_crashes = s[kCrashes].mean();
+    out[i].mean_blacklisted = s[kBlacklisted].mean();
+    out[i].degraded_fraction = s[kDegraded].mean();
   }
   return out;
 }

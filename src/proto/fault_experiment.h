@@ -10,8 +10,8 @@
 // self-healing ledger (retries, hedges, per-class fault counts, blocks
 // written off).
 //
-// Trials run through runtime::TrialRunner with counter-based seed
-// streams; results are bit-identical at any thread count.
+// Trials run through proto::run_sweep (proto/deployment.h); results are
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -19,20 +19,11 @@
 
 #include "net/fault_model.h"
 #include "proto/collector.h"
-#include "proto/experiment_config.h"
-#include "proto/persistence_experiment.h"
-#include "proto/predistribution.h"
+#include "proto/deployment.h"
 
 namespace prlc::proto {
 
-struct FaultSweepParams {
-  OverlayKind overlay = OverlayKind::kSensor;
-  std::size_t nodes = 200;
-  std::size_t locations = 0;  ///< 0 = auto: 2x the source-block count
-  bool two_choices = false;
-  /// Monte-Carlo execution: trials, root seed, threads, scheme, spec.
-  ExperimentConfig experiment;
-  ProtocolParams protocol;  ///< scheme field is overwritten from experiment.scheme
+struct FaultSweepParams : DeploymentParams {
   /// Mass-failure fraction applied once, before collection starts.
   double churn_fraction = 0.0;
   /// Base fault profile; each sweep point collects under

@@ -15,8 +15,8 @@
 // from the source — must be 0: the acceptance criterion that the decoder
 // never returns wrong bytes under any injected silent-corruption mix).
 //
-// Trials run through runtime::TrialRunner with counter-based seed
-// streams; results are bit-identical at any thread count.
+// Trials run through proto::run_sweep (proto/deployment.h); results are
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +24,7 @@
 
 #include "net/fault_model.h"
 #include "proto/collector.h"
-#include "proto/experiment_config.h"
-#include "proto/persistence_experiment.h"
-#include "proto/predistribution.h"
+#include "proto/deployment.h"
 
 namespace prlc::proto {
 
@@ -36,14 +34,7 @@ struct IntegrityMix {
   double byzantine_fraction = 0.0;  ///< FaultSpec::byzantine_fraction
 };
 
-struct IntegritySweepParams {
-  OverlayKind overlay = OverlayKind::kSensor;
-  std::size_t nodes = 200;
-  std::size_t locations = 0;  ///< 0 = auto: 2x the source-block count
-  bool two_choices = false;
-  /// Monte-Carlo execution: trials, root seed, threads, scheme, spec.
-  ExperimentConfig experiment;
-  ProtocolParams protocol;  ///< scheme field is overwritten from experiment.scheme
+struct IntegritySweepParams : DeploymentParams {
   /// Loud-fault backdrop applied at every point (timeouts, CRC-caught
   /// corruption, ...); the silent knobs inside it are overwritten per
   /// point from `mixes`.

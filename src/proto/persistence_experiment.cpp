@@ -1,82 +1,32 @@
 #include "proto/persistence_experiment.h"
 
-#include <memory>
-
-#include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "proto/collector.h"
-#include "net/sensor_network.h"
 #include "sim/failure_process.h"
-#include "runtime/trial_runner.h"
 #include "util/check.h"
 
 namespace prlc::proto {
 
-const char* to_string(OverlayKind kind) {
-  switch (kind) {
-    case OverlayKind::kSensor:
-      return "sensor";
-    case OverlayKind::kChord:
-      return "chord";
-  }
-  PRLC_ASSERT(false, "unknown overlay kind");
-}
-
 namespace {
 
-std::unique_ptr<net::Overlay> make_overlay(const PersistenceParams& params,
-                                           std::size_t locations, std::uint64_t seed) {
-  switch (params.overlay) {
-    case OverlayKind::kSensor: {
-      net::SensorParams sp;
-      sp.nodes = params.nodes;
-      sp.locations = locations;
-      sp.seed = seed;
-      sp.two_choices = params.two_choices;
-      return std::make_unique<net::SensorNetwork>(sp);
-    }
-    case OverlayKind::kChord: {
-      net::ChordParams cp;
-      cp.nodes = params.nodes;
-      cp.locations = locations;
-      cp.seed = seed;
-      cp.two_choices = params.two_choices;
-      return std::make_unique<net::ChordNetwork>(cp);
-    }
-  }
-  PRLC_ASSERT(false, "unknown overlay kind");
-}
-
-/// Everything one trial contributes to the sweep, slotted by trial index
-/// so aggregation can happen in trial order after the parallel section.
-struct TrialOutcome {
-  double hops_per_msg = 0;
-  std::vector<double> survivors;  ///< per failure-fraction point
-  std::vector<double> levels;
-  std::vector<double> blocks;
-};
+/// Per-point statistics, in SweepTable column order.
+enum Column { kSurvivors, kLevels, kBlocks, kHops };
 
 }  // namespace
 
 std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams& params) {
   params.experiment.validate();
   PRLC_REQUIRE(!params.failure_fractions.empty(), "need at least one failure fraction");
-  for (std::size_t i = 1; i < params.failure_fractions.size(); ++i) {
-    PRLC_REQUIRE(params.failure_fractions[i - 1] <= params.failure_fractions[i],
+  for (std::size_t i = 0; i < params.failure_fractions.size(); ++i) {
+    const double f = params.failure_fractions[i];
+    PRLC_REQUIRE(f >= 0.0 && f <= 1.0, "failure fractions must be in [0,1]");
+    PRLC_REQUIRE(i == 0 || params.failure_fractions[i - 1] <= f,
                  "failure fractions must be ascending");
   }
 
   const codes::PrioritySpec spec = params.experiment.spec();
-  const codes::PriorityDistribution dist = params.experiment.distribution();
-  const std::size_t locations =
-      params.locations > 0 ? params.locations : 2 * spec.total();
-
-  ProtocolParams proto = params.protocol;
-  proto.scheme = params.experiment.scheme;
-
   const std::size_t points = params.failure_fractions.size();
 
   // Translate the cumulative failure-fraction sweep into a wave schedule
@@ -102,7 +52,6 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
     }
   }
 
-  static obs::Counter& trials_run = obs::counter("persistence.trials");
   static obs::Gauge& survivors_gauge = obs::gauge("persistence.last_survivors");
   static obs::LatencyHistogram& survivors_hist = obs::histogram("persistence.survivors");
 
@@ -127,34 +76,19 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
     }
   }
 
-  runtime::TrialRunner runner(params.experiment.threads);
-  const auto outcomes = runner.run(
-      params.experiment.trials, params.experiment.root_seed,
-      [&](std::size_t t, Rng& rng) {
-        trials_run.add();
-        obs::ScopedSpan trial_span(
-            "trial", "persistence",
-            {{"trial", static_cast<double>(t)},
-             {"scheme",
-              static_cast<double>(static_cast<int>(params.experiment.scheme))}});
-        auto overlay = make_overlay(params, locations, rng());
-        Predistribution predist(*overlay, spec, dist, proto);
-        const auto source =
-            codes::SourceData<Field>::random(spec.total(), proto.block_size, rng);
-        const auto stats = predist.disseminate(source, rng);
-
-        TrialOutcome outcome;
-        outcome.hops_per_msg =
-            stats.messages > stats.failed_routes
-                ? static_cast<double>(stats.total_hops) /
-                      static_cast<double>(stats.messages - stats.failed_routes)
+  const SweepStats stats = run_sweep(
+      params, points, "persistence", [&](Deployment& d, Rng& rng) {
+        const DisseminationStats& dissem = d.stats();
+        const double hops_per_msg =
+            dissem.messages > dissem.failed_routes
+                ? static_cast<double>(dissem.total_hops) /
+                      static_cast<double>(dissem.messages - dissem.failed_routes)
                 : 0.0;
-        outcome.survivors.reserve(points);
-        outcome.levels.reserve(points);
-        outcome.blocks.reserve(points);
-
+        Predistribution& predist = d.predist();
+        SweepTable rows;
+        rows.reserve(points);
         sim::WaveFailureProcess churn(waves);
-        sim::FailureDriver churn_driver(churn, *overlay);
+        sim::FailureDriver churn_driver(churn, d.overlay());
         for (std::size_t point = 0; point < points; ++point) {
           // Logical time for telemetry = churn-point index of the sweep.
           obs::set_logical_time(point);
@@ -162,7 +96,7 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
           if (wave_fires[point]) {
             churn_driver.advance_to(static_cast<double>(point), rng);
           }
-          codes::PriorityDecoder<Field> decoder(proto.scheme, spec, proto.block_size);
+          auto decoder = d.decoder();
           const auto result = collect(predist, decoder, {}, rng).result;
           survivors_gauge.set(static_cast<std::int64_t>(result.surviving_locations));
           survivors_hist.record(result.surviving_locations);
@@ -193,36 +127,22 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
                                             static_cast<double>(spec.level_end(l)));
             }
           }
-          outcome.survivors.push_back(static_cast<double>(result.surviving_locations));
-          outcome.levels.push_back(static_cast<double>(result.decoded_levels));
-          outcome.blocks.push_back(static_cast<double>(result.decoded_blocks));
+          rows.push_back({static_cast<double>(result.surviving_locations),
+                          static_cast<double>(result.decoded_levels),
+                          static_cast<double>(result.decoded_blocks), hops_per_msg});
         }
-        return outcome;
+        return rows;
       });
-
-  // Ordered merge: accumulate in trial order so the floating-point sums
-  // are identical regardless of how many threads ran the trials.
-  std::vector<RunningStats> surviving(points);
-  std::vector<RunningStats> levels(points);
-  std::vector<RunningStats> blocks(points);
-  std::vector<RunningStats> hops(points);
-  for (const TrialOutcome& outcome : outcomes) {
-    for (std::size_t point = 0; point < points; ++point) {
-      surviving[point].add(outcome.survivors[point]);
-      levels[point].add(outcome.levels[point]);
-      blocks[point].add(outcome.blocks[point]);
-      hops[point].add(outcome.hops_per_msg);
-    }
-  }
 
   std::vector<PersistencePoint> out(points);
   for (std::size_t i = 0; i < points; ++i) {
+    const auto& s = stats[i];
     out[i].failure_fraction = params.failure_fractions[i];
-    out[i].mean_surviving_blocks = surviving[i].mean();
-    out[i].mean_decoded_levels = levels[i].mean();
-    out[i].ci95_decoded_levels = levels[i].ci95_halfwidth();
-    out[i].mean_decoded_blocks = blocks[i].mean();
-    out[i].mean_dissemination_hops = hops[i].mean();
+    out[i].mean_surviving_blocks = s[kSurvivors].mean();
+    out[i].mean_decoded_levels = s[kLevels].mean();
+    out[i].ci95_decoded_levels = s[kLevels].ci95_halfwidth();
+    out[i].mean_decoded_blocks = s[kBlocks].mean();
+    out[i].mean_dissemination_hops = s[kHops].mean();
   }
   return out;
 }

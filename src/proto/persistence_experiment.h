@@ -12,25 +12,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "proto/experiment_config.h"
-#include "proto/predistribution.h"
-#include "util/stats.h"
+#include "proto/deployment.h"
 
 namespace prlc::proto {
 
-enum class OverlayKind { kSensor, kChord };
-
-const char* to_string(OverlayKind kind);
-
-struct PersistenceParams {
-  OverlayKind overlay = OverlayKind::kSensor;
-  std::size_t nodes = 300;
-  std::size_t locations = 0;  ///< 0 = auto: 2x the source-block count
-  bool two_choices = false;
-  /// Monte-Carlo execution: trials, root seed, threads, scheme, spec.
-  ExperimentConfig experiment;
-  ProtocolParams protocol;  ///< scheme field is overwritten from experiment.scheme
-  std::vector<double> failure_fractions;  ///< ascending sweep
+struct PersistenceParams : DeploymentParams {
+  std::vector<double> failure_fractions;  ///< ascending, each in [0,1]
 };
 
 struct PersistencePoint {

@@ -1,16 +1,14 @@
 #include "proto/refresh.h"
 
 #include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "net/churn.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "proto/collector.h"
-#include "runtime/trial_runner.h"
+#include "proto/deployment.h"
 #include "util/check.h"
-#include "util/stats.h"
 
 namespace prlc::proto {
 
@@ -110,14 +108,8 @@ RefreshResult refresh(Predistribution& dist, net::NodeId maintainer, Rng& rng) {
 
 namespace {
 
-/// Per-trial wave series, fixed-size so trials merge slot-by-slot in
-/// trial order after the parallel section.
-struct RefreshTrialOutcome {
-  std::vector<double> levels;
-  std::vector<double> blocks;
-  std::vector<double> surviving;
-  std::vector<double> rebuilt;
-};
+/// Per-wave statistics, in SweepTable column order.
+enum Column { kLevels, kBlocks, kSurviving, kRebuilt };
 
 }  // namespace
 
@@ -127,10 +119,9 @@ std::vector<RefreshWavePoint> run_refresh_experiment(const RefreshExperimentPara
   PRLC_REQUIRE(params.kill_fraction > 0 && params.kill_fraction < 1,
                "kill fraction must be in (0, 1)");
 
-  const codes::PrioritySpec spec = params.experiment.spec();
-  const codes::PriorityDistribution dist = params.experiment.distribution();
-  ProtocolParams proto = params.protocol;
-  proto.scheme = params.experiment.scheme;
+  const DeploymentParams deployment{OverlayKind::kChord, params.nodes, params.locations,
+                                    /*two_choices=*/false, params.experiment,
+                                    params.protocol};
 
   // Per-wave health series; logical time is the churn-wave index.
   struct SeriesIds {
@@ -146,70 +137,43 @@ std::vector<RefreshWavePoint> run_refresh_experiment(const RefreshExperimentPara
     ts.rebuilt = obs::timeseries("refresh.rebuilt_locations");
   }
 
-  runtime::TrialRunner runner(params.experiment.threads);
-  const auto outcomes = runner.run(
-      params.experiment.trials, params.experiment.root_seed,
-      [&](std::size_t, Rng& rng) {
-        net::ChordParams np;
-        np.nodes = params.nodes;
-        np.locations = params.locations;
-        np.seed = rng();
-        net::ChordNetwork overlay(np);
-        Predistribution pd(overlay, spec, dist, proto);
-        const auto source =
-            codes::SourceData<Field>::random(spec.total(), proto.block_size, rng);
-        pd.disseminate(source, rng);
-
-        RefreshTrialOutcome outcome;
-        outcome.levels.reserve(params.waves);
-        outcome.blocks.reserve(params.waves);
-        outcome.surviving.reserve(params.waves);
-        outcome.rebuilt.reserve(params.waves);
+  const SweepStats stats = run_sweep(
+      deployment, params.waves, {}, [&](Deployment& d, Rng& rng) {
+        net::Overlay& overlay = d.overlay();
+        SweepTable rows;
+        rows.reserve(params.waves);
         for (std::size_t wave = 0; wave < params.waves; ++wave) {
           obs::set_logical_time(wave);
           net::kill_uniform_fraction(overlay, params.kill_fraction, rng);
           std::size_t rebuilt = 0;
           if (params.use_refresh && overlay.alive_count() > 0) {
-            rebuilt = refresh(pd, overlay.random_alive_node(rng), rng).rebuilt_locations;
+            rebuilt =
+                refresh(d.predist(), overlay.random_alive_node(rng), rng).rebuilt_locations;
           }
-          codes::PriorityDecoder<Field> dec(proto.scheme, spec, proto.block_size);
-          const auto result = collect(pd, dec, {}, rng).result;
+          auto dec = d.decoder();
+          const auto result = collect(d.predist(), dec, {}, rng).result;
           if (want_timeseries) {
             obs::sample(ts.decoded_levels, static_cast<double>(result.decoded_levels));
             obs::sample(ts.surviving, static_cast<double>(result.surviving_locations));
             obs::sample(ts.rebuilt, static_cast<double>(rebuilt));
           }
-          outcome.levels.push_back(static_cast<double>(result.decoded_levels));
-          outcome.blocks.push_back(static_cast<double>(result.decoded_blocks));
-          outcome.surviving.push_back(static_cast<double>(result.surviving_locations));
-          outcome.rebuilt.push_back(static_cast<double>(rebuilt));
+          rows.push_back({static_cast<double>(result.decoded_levels),
+                          static_cast<double>(result.decoded_blocks),
+                          static_cast<double>(result.surviving_locations),
+                          static_cast<double>(rebuilt)});
         }
-        return outcome;
+        return rows;
       });
-
-  // Ordered merge — see runtime/trial_runner.h for why this is not done
-  // with per-thread accumulators.
-  std::vector<RunningStats> levels(params.waves);
-  std::vector<RunningStats> blocks(params.waves);
-  std::vector<RunningStats> surviving(params.waves);
-  std::vector<RunningStats> rebuilt(params.waves);
-  for (const RefreshTrialOutcome& outcome : outcomes) {
-    for (std::size_t wave = 0; wave < params.waves; ++wave) {
-      levels[wave].add(outcome.levels[wave]);
-      blocks[wave].add(outcome.blocks[wave]);
-      surviving[wave].add(outcome.surviving[wave]);
-      rebuilt[wave].add(outcome.rebuilt[wave]);
-    }
-  }
 
   std::vector<RefreshWavePoint> out(params.waves);
   for (std::size_t wave = 0; wave < params.waves; ++wave) {
+    const auto& s = stats[wave];
     out[wave].wave = wave + 1;
-    out[wave].mean_decoded_levels = levels[wave].mean();
-    out[wave].ci95_decoded_levels = levels[wave].ci95_halfwidth();
-    out[wave].mean_decoded_blocks = blocks[wave].mean();
-    out[wave].mean_surviving_locations = surviving[wave].mean();
-    out[wave].mean_rebuilt_locations = rebuilt[wave].mean();
+    out[wave].mean_decoded_levels = s[kLevels].mean();
+    out[wave].ci95_decoded_levels = s[kLevels].ci95_halfwidth();
+    out[wave].mean_decoded_blocks = s[kBlocks].mean();
+    out[wave].mean_surviving_locations = s[kSurviving].mean();
+    out[wave].mean_rebuilt_locations = s[kRebuilt].mean();
   }
   return out;
 }

@@ -16,9 +16,10 @@
 //     thread.
 //
 // Contract: run(trials, root_seed, fn) returns exactly the same bytes for
-// threads = 1 and threads = N. The experiment drivers
-// (proto/persistence_experiment, proto/refresh, codes/decoding_curve)
-// and their tests rely on this.
+// threads = 1 and threads = N. proto::run_sweep (proto/deployment, under
+// the persistence, fault, integrity and refresh experiments),
+// codes/decoding_curve, the cluster simulator and their tests rely on
+// this.
 #pragma once
 
 #include <cstdint>

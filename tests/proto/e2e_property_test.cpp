@@ -7,11 +7,9 @@
 #include <memory>
 
 #include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "net/churn.h"
-#include "net/sensor_network.h"
 #include "proto/collector.h"
-#include "proto/persistence_experiment.h"
+#include "proto/deployment.h"
 #include "proto/predistribution.h"
 
 namespace prlc::proto {
@@ -36,21 +34,6 @@ class EndToEnd : public ::testing::TestWithParam<E2eCase> {
   static constexpr std::size_t kNodes = 120;
   static constexpr std::size_t kLocations = 72;  // 3x the data volume
 
-  std::unique_ptr<net::Overlay> make_overlay(std::uint64_t seed) const {
-    if (GetParam().overlay == OverlayKind::kSensor) {
-      net::SensorParams p;
-      p.nodes = kNodes;
-      p.locations = kLocations;
-      p.seed = seed;
-      return std::make_unique<net::SensorNetwork>(p);
-    }
-    net::ChordParams p;
-    p.nodes = kNodes;
-    p.locations = kLocations;
-    p.seed = seed;
-    return std::make_unique<net::ChordNetwork>(p);
-  }
-
   ProtocolParams make_params() const {
     ProtocolParams params;
     params.scheme = GetParam().scheme;
@@ -66,7 +49,7 @@ TEST_P(EndToEnd, CleanNetworkRecoversAndVerifiesEverything) {
   const PrioritySpec spec({4, 8, 12});  // N = 24
   const PriorityDistribution dist({0.3, 0.3, 0.4});
   Rng rng(1000 + static_cast<std::uint64_t>(GetParam().overlay));
-  auto overlay = make_overlay(rng());
+  auto overlay = make_overlay(GetParam().overlay, kNodes, kLocations, false, rng());
   Predistribution pd(*overlay, spec, dist, make_params());
   const auto source = codes::SourceData<Field>::random(spec.total(), 6, rng);
   const auto stats = pd.disseminate(source, rng);
@@ -85,7 +68,7 @@ TEST_P(EndToEnd, ChurnNeverProducesWrongData) {
   const PrioritySpec spec({4, 8, 12});
   const PriorityDistribution dist = PriorityDistribution::uniform(3);
   Rng rng(2000 + static_cast<std::uint64_t>(GetParam().scheme));
-  auto overlay = make_overlay(rng());
+  auto overlay = make_overlay(GetParam().overlay, kNodes, kLocations, false, rng());
   Predistribution pd(*overlay, spec, dist, make_params());
   const auto source = codes::SourceData<Field>::random(spec.total(), 6, rng);
   pd.disseminate(source, rng);
@@ -106,7 +89,7 @@ TEST_P(EndToEnd, DecodedLevelsMonotoneUnderIncreasingChurn) {
   const PrioritySpec spec({4, 8, 12});
   const PriorityDistribution dist = PriorityDistribution::uniform(3);
   Rng rng(3000);
-  auto overlay = make_overlay(rng());
+  auto overlay = make_overlay(GetParam().overlay, kNodes, kLocations, false, rng());
   Predistribution pd(*overlay, spec, dist, make_params());
   const auto source = codes::SourceData<Field>::random(spec.total(), 6, rng);
   pd.disseminate(source, rng);

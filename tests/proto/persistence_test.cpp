@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/check.h"
 
 namespace prlc::proto {
@@ -75,6 +78,21 @@ TEST(Persistence, Validation) {
   params = base_params();
   params.experiment.trials = 0;
   EXPECT_THROW(run_persistence_experiment(params), PreconditionError);
+  // Every fraction must be a fraction: a negative one used to run with no
+  // failures applied, one above 1 tripped only an internal wave check.
+  for (const std::vector<double>& fractions :
+       {std::vector<double>{-0.5, 0.2}, std::vector<double>{0.5, 1.5}}) {
+    params = base_params();
+    params.failure_fractions = fractions;
+    try {
+      run_persistence_experiment(params);
+      ADD_FAILURE() << "fractions out of [0,1] must be rejected";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("failure fractions must be in [0,1]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Persistence, ThreadCountDoesNotChangeResults) {

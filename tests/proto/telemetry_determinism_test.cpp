@@ -16,6 +16,7 @@
 #include "obs/timeseries.h"
 #include "proto/fault_experiment.h"
 #include "proto/persistence_experiment.h"
+#include "proto/refresh.h"
 
 namespace prlc::proto {
 namespace {
@@ -77,6 +78,30 @@ TEST(TelemetryDeterminism, FaultSweepJournalsIdenticallyAcrossThreads) {
   });
   ASSERT_EQ(exports.size(), 3u);
   EXPECT_FALSE(exports[0].first.empty());
+  EXPECT_FALSE(exports[0].second.empty());
+  EXPECT_EQ(exports[0].first, exports[1].first);
+  EXPECT_EQ(exports[0].first, exports[2].first);
+  EXPECT_EQ(exports[0].second, exports[1].second);
+  EXPECT_EQ(exports[0].second, exports[2].second);
+}
+
+TEST(TelemetryDeterminism, RefreshExperimentJournalsIdenticallyAcrossThreads) {
+  RefreshExperimentParams params;
+  params.nodes = 60;
+  params.locations = 40;
+  params.experiment.trials = 6;
+  params.experiment.root_seed = 5;
+  params.experiment.level_sizes = {4, 8};
+  params.protocol.block_size = 4;
+  params.waves = 3;
+  params.kill_fraction = 0.3;
+  const auto exports = telemetry_across_threads([&](std::size_t threads) {
+    params.experiment.threads = threads;
+    run_refresh_experiment(params);
+  });
+  ASSERT_EQ(exports.size(), 3u);
+  // Churn journals node_failed and every wave journals its refresh round.
+  EXPECT_NE(exports[0].first.find("refresh_round"), std::string::npos);
   EXPECT_FALSE(exports[0].second.empty());
   EXPECT_EQ(exports[0].first, exports[1].first);
   EXPECT_EQ(exports[0].first, exports[2].first);

@@ -75,16 +75,16 @@ codes::PrioritySpec spec_from(const Flags& flags, const char* fallback = "50,100
   return *std::move(spec);
 }
 
-std::size_t threads_from(const Flags& flags) {
-  const auto threads = flags.get_int("threads", 0);
-  if (threads < 0) throw UsageError("--threads wants a nonnegative integer");
-  return static_cast<std::size_t>(threads);
-}
-
-std::size_t trials_from(const Flags& flags, std::int64_t fallback) {
-  const auto trials = flags.get_int("trials", fallback);
-  if (trials <= 0) throw UsageError("--trials wants a positive integer");
-  return static_cast<std::size_t>(trials);
+/// A count flag: an integer of at least `min`. Checked before the cast, so
+/// a negative value is a usage error instead of a wrapped huge size.
+std::size_t count_from(const Flags& flags, const std::string& name, std::int64_t fallback,
+                       std::int64_t min) {
+  const auto value = flags.get_int(name, fallback);
+  if (value < min) {
+    throw UsageError("--" + name + " wants an integer >= " + std::to_string(min) + ", got " +
+                     std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
 }
 
 codes::PriorityDistribution dist_from(const Flags& flags, std::size_t levels) {
@@ -94,10 +94,9 @@ codes::PriorityDistribution dist_from(const Flags& flags, std::size_t levels) {
 }
 
 std::vector<std::size_t> grid_from(const Flags& flags, std::size_t total) {
-  const auto from = static_cast<std::size_t>(flags.get_int("from", 1));
-  const auto to =
-      static_cast<std::size_t>(flags.get_int("to", static_cast<std::int64_t>(2 * total)));
-  const auto points = static_cast<std::size_t>(flags.get_int("points", 12));
+  const auto from = count_from(flags, "from", 1, 1);
+  const auto to = count_from(flags, "to", static_cast<std::int64_t>(2 * total), 1);
+  const auto points = count_from(flags, "points", 12, 1);
   return codes::make_block_counts(from, to, points);
 }
 
@@ -106,9 +105,9 @@ int cmd_curve(const Flags& flags) {
   const auto scheme = scheme_from(flags);
   codes::CurveOptions opt;
   opt.block_counts = grid_from(flags, spec.total());
-  opt.trials = trials_from(flags, 30);
+  opt.trials = count_from(flags, "trials", 30, 1);
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  opt.threads = threads_from(flags);
+  opt.threads = count_from(flags, "threads", 0, 0);
   if (flags.get_bool("sparse", false)) {
     opt.encoder.model = codes::CoefficientModel::kSparse;
     opt.encoder.sparsity_factor = flags.get_double("sparsity-factor", 3.0);
@@ -129,7 +128,7 @@ int cmd_analyze(const Flags& flags) {
   const auto scheme = scheme_from(flags);
   const auto dist = dist_from(flags, spec.levels());
   analysis::AnalysisCurveOptions opt;
-  opt.mc_trials = static_cast<std::size_t>(flags.get_int("mc-trials", 20000));
+  opt.mc_trials = count_from(flags, "mc-trials", 20000, 1);
   opt.mc_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto grid = grid_from(flags, spec.total());
   const auto curve = analysis::analysis_curve(scheme, spec, dist, grid, opt);
@@ -194,8 +193,8 @@ int cmd_persist(const Flags& flags) {
   }
   params.overlay =
       overlay == "chord" ? proto::OverlayKind::kChord : proto::OverlayKind::kSensor;
-  params.nodes = static_cast<std::size_t>(flags.get_int("nodes", 300));
-  params.locations = static_cast<std::size_t>(flags.get_int("locations", 0));
+  params.nodes = count_from(flags, "nodes", 300, 2);
+  params.locations = count_from(flags, "locations", 0, 0);
   params.two_choices = flags.get_bool("two-choices", false);
   params.protocol.sparse = flags.get_bool("sparse", false);
   for (double f : flags.get_double_list("failures", {0.0, 0.25, 0.5, 0.75, 0.9})) {
@@ -204,9 +203,9 @@ int cmd_persist(const Flags& flags) {
   const auto spec = spec_from(flags, "20,40,60");
   params.experiment.level_sizes.assign(spec.level_sizes().begin(), spec.level_sizes().end());
   params.experiment.scheme = scheme_from(flags);
-  params.experiment.trials = trials_from(flags, 10);
+  params.experiment.trials = count_from(flags, "trials", 10, 1);
   params.experiment.root_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  params.experiment.threads = threads_from(flags);
+  params.experiment.threads = count_from(flags, "threads", 0, 0);
   const auto points = proto::run_persistence_experiment(params);
   TablePrinter table({"failure fraction", "surviving blocks", "decoded levels (95% CI)",
                       "decoded block prefix"});
@@ -222,20 +221,20 @@ int cmd_persist(const Flags& flags) {
 int cmd_timeline(const Flags& flags) {
   const auto spec = spec_from(flags, "10,20,30");
   const auto dist = dist_from(flags, spec.levels());
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 8));
+  const auto rounds = count_from(flags, "rounds", 8, 1);
   const double churn = flags.get_double("churn", 0.1);
   if (churn < 0.0 || churn >= 1.0) throw UsageError("--churn must be in [0,1)");
 
   net::ChordParams np;
-  np.nodes = static_cast<std::size_t>(flags.get_int("nodes", 300));
-  np.locations = static_cast<std::size_t>(
-      flags.get_int("locations", static_cast<std::int64_t>(4 * spec.total())));
+  np.nodes = count_from(flags, "nodes", 300, 2);
+  np.locations =
+      count_from(flags, "locations", static_cast<std::int64_t>(4 * spec.total()), 1);
   np.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   net::ChordNetwork overlay(np);
 
   proto::TimelineParams params;
   params.scheme = scheme_from(flags);
-  params.window = static_cast<std::size_t>(flags.get_int("window", 4));
+  params.window = count_from(flags, "window", 4, 1);
   const std::string policy = flags.get_string("policy", "window");
   if (policy != "window" && policy != "decay") {
     throw UsageError("--policy must be window|decay, got '" + policy + "'");
@@ -276,7 +275,7 @@ int cmd_metrics(const Flags& flags) {
 
   const auto spec = spec_from(flags, "8,16,24");
   const auto scheme = scheme_from(flags);
-  const auto block_size = static_cast<std::size_t>(flags.get_int("block-size", 64));
+  const auto block_size = count_from(flags, "block-size", 64, 1);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
 
   auto& ts = obs::TimeSeriesRecorder::global();
