@@ -28,6 +28,8 @@
 #include "obs/timeseries.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
+#include "util/crc32.h"
+#include "util/gf64_fingerprint.h"
 #include "util/random.h"
 
 namespace {
@@ -250,6 +252,35 @@ void BM_GfAxpyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GfAxpyBatch)->Arg(4096)->Arg(65536);
 
+// Integrity-check tiers: the wire CRC and the homomorphic fingerprint
+// each read every payload byte of a fetched frame.
+void BM_Crc32Kernel(benchmark::State& state, Crc32Kernel kernel) {
+  const auto& ops = crc32_kernel_ops(kernel);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  std::vector<std::uint8_t> data(n);
+  for (auto& v : data) v = static_cast<std::uint8_t>(rng.uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops.crc32(data, 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_FingerprintKernel(benchmark::State& state, util::FingerprintKernel kernel) {
+  const auto& ops = util::fingerprint_kernel_ops(kernel);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<std::uint8_t> data(n);
+  for (auto& v : data) v = static_cast<std::uint8_t>(rng.uniform(256));
+  const util::Fingerprinter fp(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops.fingerprint(fp, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 void register_kernel_benchmarks() {
   for (gf::Gf256Kernel k : gf::gf256_compiled_kernels()) {
     if (!gf256_kernel_runtime_ok(k)) continue;
@@ -259,6 +290,23 @@ void register_kernel_benchmarks() {
           ->Arg(n);
       benchmark::RegisterBenchmark(("BM_GfKernelMulRegion/" + suffix).c_str(),
                                    BM_GfKernelMulRegion, k)
+          ->Arg(n);
+    }
+  }
+  for (Crc32Kernel k : crc32_compiled_kernels()) {
+    if (!crc32_kernel_runtime_ok(k)) continue;
+    const std::string suffix = crc32_kernel_name(k);
+    for (long n : {1024L, 4096L, 32768L}) {
+      benchmark::RegisterBenchmark(("BM_Crc32Kernel/" + suffix).c_str(), BM_Crc32Kernel, k)
+          ->Arg(n);
+    }
+  }
+  for (util::FingerprintKernel k : util::fingerprint_compiled_kernels()) {
+    if (!util::fingerprint_kernel_runtime_ok(k)) continue;
+    const std::string suffix = util::fingerprint_kernel_name(k);
+    for (long n : {1024L, 4096L, 32768L}) {
+      benchmark::RegisterBenchmark(("BM_FingerprintKernel/" + suffix).c_str(),
+                                   BM_FingerprintKernel, k)
           ->Arg(n);
     }
   }
@@ -426,11 +474,17 @@ int main(int argc, char** argv) {
                 gf::gf256_kernel_runtime_ok(k) ? "" : "[no-cpu]");
   }
   std::printf(")\n");
+  std::printf("integrity kernel dispatch: crc32 %s, fingerprint %s\n",
+              crc32_kernel_name(crc32_active_kernel()),
+              util::fingerprint_kernel_name(util::fingerprint_active_kernel()));
   register_kernel_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   bench::BenchReport report("perf_codec");
   report.set_config("dispatch", json::Value(gf::gf256_active_ops().name));
+  report.set_config("crc32_dispatch", json::Value(crc32_kernel_name(crc32_active_kernel())));
+  report.set_config("fingerprint_dispatch",
+                    json::Value(util::fingerprint_kernel_name(util::fingerprint_active_kernel())));
   report.set_config("gf_tile_bytes",
                     json::Value(static_cast<std::int64_t>(gf::gf256_tile_bytes())));
   // The payload sweep goes first so its series lands at series[0] of the

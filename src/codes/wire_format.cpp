@@ -1,6 +1,7 @@
 #include "codes/wire_format.h"
 
 #include <cstring>
+#include <limits>
 
 #include "util/check.h"
 #include "util/crc32.h"
@@ -13,6 +14,7 @@ constexpr std::uint8_t kMagic[4] = {'P', 'R', 'L', 'C'};
 constexpr std::uint8_t kVersion = 1;
 constexpr std::uint32_t kDense = 0;
 constexpr std::uint32_t kSparse = 1;
+constexpr std::size_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -98,6 +100,10 @@ Scheme scheme_from_byte(std::uint8_t b) {
 
 std::vector<std::uint8_t> encode_wire(Scheme scheme, const CodedBlockView& block) {
   PRLC_REQUIRE(!block.coeffs.empty(), "cannot serialize a block with no coefficients");
+  PRLC_REQUIRE(block.coeffs.size() <= kMaxWireCoeffWidth,
+               "coefficient width exceeds what decode_wire_view accepts");
+  PRLC_REQUIRE(block.payload.size() <= kMaxU32, "payload size does not fit the u32 field");
+  PRLC_REQUIRE(block.level <= kMaxU32, "level does not fit the u32 field");
 
   std::size_t nnz = 0;
   for (auto c : block.coeffs) nnz += c != 0 ? 1 : 0;
@@ -186,7 +192,7 @@ WireBlockView decode_wire_view(std::span<const std::uint8_t> bytes) {
   // Allocation guard only — sparse frames legitimately describe widths
   // far larger than the frame itself, and the CRC already vouches for
   // integrity.
-  if (n > (1u << 24)) throw WireFormatError("implausible coefficient width");
+  if (n > kMaxWireCoeffWidth) throw WireFormatError("implausible coefficient width");
   out.coeff_width = n;
   const std::uint32_t encoding = r.u32();
 
@@ -232,6 +238,9 @@ constexpr std::uint8_t kManifestVersion = 1;
 
 std::vector<std::uint8_t> encode_manifest(const util::FingerprintManifest& manifest) {
   PRLC_REQUIRE(manifest.block_size > 0, "manifest block size must be positive");
+  PRLC_REQUIRE(manifest.block_size <= kMaxU32, "manifest block size does not fit the u32 field");
+  PRLC_REQUIRE(manifest.fingerprints.size() <= kMaxU32,
+               "manifest block count does not fit the u32 field");
   std::vector<std::uint8_t> out;
   out.reserve(25 + manifest.fingerprints.size() * 8);
   for (std::uint8_t m : kManifestMagic) out.push_back(m);

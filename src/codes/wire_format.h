@@ -36,6 +36,11 @@
 
 namespace prlc::codes {
 
+/// Widest coefficient vector a frame may describe. decode_wire_view
+/// rejects wider frames as an allocation guard, so encode_wire refuses to
+/// emit them; every other size field is a u32 on both sides.
+inline constexpr std::size_t kMaxWireCoeffWidth = std::size_t{1} << 24;
+
 class WireFormatError : public std::runtime_error {
  public:
   explicit WireFormatError(const std::string& what) : std::runtime_error(what) {}
@@ -57,6 +62,8 @@ struct CodedBlockView {
 };
 
 /// Serialize a coded block (GF(2^8) symbols are bytes on the wire).
+/// Requires a coefficient width in [1, kMaxWireCoeffWidth] and a level and
+/// payload size that fit in 32 bits — never emits a frame decode rejects.
 std::vector<std::uint8_t> encode_wire(Scheme scheme, const CodedBlock<gf::Gf256>& block);
 
 /// Span-based twin of encode_wire: byte-identical output for identical
@@ -104,7 +111,8 @@ WireBlock decode_wire(std::span<const std::uint8_t> bytes);
 /// block size, u32 source-block count, count x u64 fingerprints, and the
 /// same trailing CRC-32 the block frames carry. A manifest is tiny (8
 /// bytes per source block) and independent of how many coded blocks
-/// exist.
+/// exist. Requires a positive block size and a block count that fit in
+/// 32 bits.
 std::vector<std::uint8_t> encode_manifest(const util::FingerprintManifest& manifest);
 
 /// Parse and validate a manifest frame; throws WireFormatError on any

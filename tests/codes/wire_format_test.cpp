@@ -1,6 +1,10 @@
 #include "codes/wire_format.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+
+#include <cstdint>
+#include <limits>
 
 #include "codes/decoder.h"
 #include "codes/encoder.h"
@@ -105,6 +109,60 @@ TEST(WireFormat, DetectsTrailingGarbage) {
 TEST(WireFormat, RejectsEmptyBlock) {
   CodedBlock<F> empty;
   EXPECT_THROW(encode_wire(Scheme::kPlc, empty), PreconditionError);
+}
+
+// The encoders refuse exactly what decode_wire_view / decode_manifest
+// would reject or truncate, rather than emitting an unreadable frame.
+
+constexpr std::size_t kPastU32 = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+
+TEST(WireFormat, EncodesTheWidestDecodableWidth) {
+  std::vector<std::uint8_t> coeffs(kMaxWireCoeffWidth, 0);
+  coeffs.back() = 7;  // one nonzero: a small sparse frame
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  const auto wire = encode_wire(Scheme::kPlc, CodedBlockView{.level = 2, .coeffs = coeffs,
+                                                             .payload = payload});
+  const WireBlockView view = decode_wire_view(wire);
+  EXPECT_EQ(view.coeff_width, kMaxWireCoeffWidth);
+  EXPECT_EQ(view.level, 2u);
+  EXPECT_EQ(view.sparse_count, 1u);
+}
+
+TEST(WireFormat, RefusesWidthsTheDecoderRejects) {
+  std::vector<std::uint8_t> coeffs(kMaxWireCoeffWidth + 1, 0);
+  coeffs[0] = 1;
+  EXPECT_THROW(
+      encode_wire(Scheme::kPlc, CodedBlockView{.level = 0, .coeffs = coeffs, .payload = {}}),
+      PreconditionError);
+}
+
+TEST(WireFormat, RefusesLevelsPastTheU32Field) {
+  const std::vector<std::uint8_t> coeffs = {1, 0, 3};
+  EXPECT_THROW(encode_wire(Scheme::kPlc, CodedBlockView{.level = kPastU32, .coeffs = coeffs,
+                                                             .payload = {}}),
+               PreconditionError);
+}
+
+TEST(WireFormat, RefusesPayloadsOfFourGiBOrMore) {
+  // A read-only anonymous mapping only reserves address space; the guard
+  // fires before a single payload byte is read.
+  void* mem = mmap(nullptr, kPastU32, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                   -1, 0);
+  if (mem == MAP_FAILED) GTEST_SKIP() << "cannot reserve 4 GiB of address space";
+  const std::vector<std::uint8_t> coeffs = {1, 2};
+  const std::span<const std::uint8_t> payload(static_cast<const std::uint8_t*>(mem), kPastU32);
+  EXPECT_THROW(encode_wire(Scheme::kPlc, CodedBlockView{.level = 0, .coeffs = coeffs,
+                                                        .payload = payload}),
+               PreconditionError);
+  munmap(mem, kPastU32);
+}
+
+TEST(WireManifest, RefusesBlockSizesPastTheU32Field) {
+  util::FingerprintManifest manifest;
+  manifest.seed = 1;
+  manifest.block_size = kPastU32;
+  manifest.fingerprints = {5};
+  EXPECT_THROW(encode_manifest(manifest), PreconditionError);
 }
 
 TEST(WireManifest, RoundTrip) {
