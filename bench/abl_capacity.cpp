@@ -10,78 +10,48 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "proto/collector.h"
-#include "proto/predistribution.h"
-#include "runtime/trial_runner.h"
-#include "util/stats.h"
+#include "proto/deployment.h"
 #include "util/table_printer.h"
 
-namespace {
-
-using namespace prlc;
-
-struct TrialOutcome {
-  double max_load = 0;
-  double spills = 0;
-  double overflows = 0;
-  double levels = 0;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace prlc;
   bench::parse_args(argc, argv);
   bench::banner("Ablation — per-node storage capacity",
                 "W = 200 nodes, M = 800 locations, N = 200 source blocks.");
-  const std::size_t trials = bench::options().trials_or(10, 3);
+  proto::DeploymentParams params;
+  params.overlay = proto::OverlayKind::kChord;
+  params.nodes = 200;
+  params.locations = 800;
+  params.experiment.trials = bench::options().trials_or(10, 3);
+  params.experiment.threads = bench::options().threads;
+  params.experiment.level_sizes = {40, 60, 100};
+  params.protocol.block_size = 8;
+  params.protocol.sparse = true;  // keep dissemination cost sane
   const std::uint64_t seed = bench::options().seed_or(0xCA9);
-  const auto spec = codes::PrioritySpec({40, 60, 100});
-  const auto dist = codes::PriorityDistribution::uniform(3);
 
-  runtime::TrialRunner runner(bench::options().threads);
   bench::BenchReport report("abl_capacity");
-  report.set_config("trials", trials);
+  report.set_config("trials", params.experiment.trials);
   report.set_config("seed", static_cast<double>(seed));
 
   TablePrinter table({"capacity d", "max load (95% CI)", "spills", "overflows",
                       "decoded levels", "W*d / M"});
   for (std::size_t d : {4u, 6u, 8u, 16u, 64u, 0u}) {
     // Each capacity gets its own decorrelated stream (offset by d).
-    const auto outcomes = runner.run(trials, seed + d, [&](std::size_t, Rng& rng) {
-      net::ChordParams np;
-      np.nodes = 200;
-      np.locations = 800;
-      np.seed = rng();
-      net::ChordNetwork overlay(np);
-      proto::ProtocolParams params;
-      params.block_size = 8;
-      params.node_capacity = d;
-      params.sparse = true;  // keep dissemination cost sane
-      proto::Predistribution pd(overlay, spec, dist, params);
-      const auto source =
-          codes::SourceData<proto::Field>::random(spec.total(), params.block_size, rng);
-      const auto stats = pd.disseminate(source, rng);
-      TrialOutcome outcome;
-      outcome.max_load = static_cast<double>(stats.max_node_load);
-      outcome.spills = static_cast<double>(stats.capacity_spills);
-      outcome.overflows = static_cast<double>(stats.capacity_overflows);
-      codes::PriorityDecoder<proto::Field> dec(params.scheme, spec, params.block_size);
-      outcome.levels = static_cast<double>(collect(pd, dec, {}, rng).result.decoded_levels);
-      return outcome;
+    params.experiment.root_seed = seed + d;
+    params.protocol.node_capacity = d;
+    const auto stats = proto::run_sweep(params, 1, {}, [](proto::Deployment& dep, Rng& rng) {
+      auto dec = dep.decoder();
+      const double levels =
+          static_cast<double>(collect(dep.predist(), dec, {}, rng).result.decoded_levels);
+      return proto::SweepTable{{static_cast<double>(dep.stats().max_node_load),
+                                static_cast<double>(dep.stats().capacity_spills),
+                                static_cast<double>(dep.stats().capacity_overflows), levels}};
     });
-
-    RunningStats max_load;
-    RunningStats spills;
-    RunningStats overflows;
-    RunningStats levels;
-    for (const TrialOutcome& outcome : outcomes) {
-      max_load.add(outcome.max_load);
-      spills.add(outcome.spills);
-      overflows.add(outcome.overflows);
-      levels.add(outcome.levels);
-    }
+    const RunningStats& max_load = stats[0][0];
+    const RunningStats& spills = stats[0][1];
+    const RunningStats& overflows = stats[0][2];
+    const RunningStats& levels = stats[0][3];
     report.add_point("capacity", {{"d", static_cast<double>(d)},
                                   {"max_load", max_load.mean()},
                                   {"spills", spills.mean()},

@@ -12,13 +12,10 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "net/churn.h"
 #include "proto/collector.h"
+#include "proto/deployment.h"
 #include "proto/refresh.h"
-#include "runtime/trial_runner.h"
-#include "util/stats.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -27,49 +24,29 @@ using namespace prlc;
 
 constexpr std::size_t kNodes = 400;
 constexpr std::size_t kEpochs = 20;
+// Columns of a trial's epoch table.
+constexpr std::size_t kLevels = 0;
+constexpr std::size_t kRepairs = 1;
+constexpr std::size_t kAlive = 2;
 
-/// Fixed-size per-trial epoch series (zeros past network death) so trials
-/// merge slot-by-slot in trial order.
-struct TrialOutcome {
-  std::vector<double> levels;
-  std::vector<double> repair_msgs;
-  std::vector<double> alive_frac;
-};
-
-TrialOutcome run_trial(bool use_refresh, const codes::PrioritySpec& spec,
-                       const codes::PriorityDistribution& dist, Rng& rng) {
-  net::ChordParams np;
-  np.nodes = kNodes;
-  np.locations = 240;
-  np.seed = rng();
-  net::ChordNetwork overlay(np);
-  proto::ProtocolParams params;
-  params.scheme = codes::Scheme::kPlc;
-  params.block_size = 8;
-  proto::Predistribution pd(overlay, spec, dist, params);
-  const auto source =
-      codes::SourceData<proto::Field>::random(spec.total(), params.block_size, rng);
-  pd.disseminate(source, rng);
-
-  TrialOutcome outcome;
-  outcome.levels.assign(kEpochs, 0.0);
-  outcome.repair_msgs.assign(kEpochs, 0.0);
-  outcome.alive_frac.assign(kEpochs, 0.0);
+/// One trial's epoch series: row e holds the decoded levels, repair
+/// messages and alive fraction after epoch e + 1; zeros past network death.
+proto::SweepTable run_epochs(bool use_refresh, proto::Deployment& dep, Rng& rng) {
+  net::Overlay& overlay = dep.overlay();
+  proto::SweepTable rows(kEpochs, std::vector<double>(3, 0.0));
   for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     net::apply_session_churn(overlay, 0.15, 0.30, rng);
     if (overlay.alive_count() == 0) break;
     std::size_t messages = 0;
     if (use_refresh) {
-      messages = refresh(pd, overlay.random_alive_node(rng), rng).messages;
+      messages = refresh(dep.predist(), overlay.random_alive_node(rng), rng).messages;
     }
-    codes::PriorityDecoder<proto::Field> dec(params.scheme, spec, params.block_size);
-    const auto result = collect(pd, dec, {}, rng).result;
-    outcome.levels[epoch] = static_cast<double>(result.decoded_levels);
-    outcome.repair_msgs[epoch] = static_cast<double>(messages);
-    outcome.alive_frac[epoch] =
-        static_cast<double>(overlay.alive_count()) / static_cast<double>(kNodes);
+    auto dec = dep.decoder();
+    const auto result = collect(dep.predist(), dec, {}, rng).result;
+    rows[epoch] = {static_cast<double>(result.decoded_levels), static_cast<double>(messages),
+                   static_cast<double>(overlay.alive_count()) / static_cast<double>(kNodes)};
   }
-  return outcome;
+  return rows;
 }
 
 }  // namespace
@@ -78,54 +55,46 @@ int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
   bench::banner("Ablation — session churn (join/leave) over many epochs",
                 "15% leave / 30% rejoin per epoch; refresh on/off.");
-  const std::size_t trials = bench::options().trials_or(12, 3);
-  const std::uint64_t seed = bench::options().seed_or(0xD1A51C);
-  const auto spec = codes::PrioritySpec({20, 40, 60});  // N = 120
-  const auto dist = codes::PriorityDistribution::uniform(3);
+  proto::DeploymentParams params;
+  params.overlay = proto::OverlayKind::kChord;
+  params.nodes = kNodes;
+  params.locations = 240;
+  params.experiment.trials = bench::options().trials_or(12, 3);
+  params.experiment.root_seed = bench::options().seed_or(0xD1A51C);
+  params.experiment.threads = bench::options().threads;
+  params.experiment.level_sizes = {20, 40, 60};  // N = 120
+  params.protocol.block_size = 8;
 
   // Same root seed for both arms: trial i sees the identical ring and
   // churn schedule with and without maintenance.
-  runtime::TrialRunner runner(bench::options().threads);
-  const auto with = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
-    return run_trial(true, spec, dist, rng);
-  });
-  const auto without = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
-    return run_trial(false, spec, dist, rng);
-  });
-
-  std::vector<RunningStats> alive_frac(kEpochs);
-  std::vector<RunningStats> levels_with(kEpochs);
-  std::vector<RunningStats> levels_without(kEpochs);
-  std::vector<RunningStats> repair_msgs(kEpochs);
-  for (std::size_t t = 0; t < trials; ++t) {
-    for (std::size_t e = 0; e < kEpochs; ++e) {
-      alive_frac[e].add(with[t].alive_frac[e]);
-      levels_with[e].add(with[t].levels[e]);
-      repair_msgs[e].add(with[t].repair_msgs[e]);
-      levels_without[e].add(without[t].levels[e]);
-    }
-  }
+  const auto arm = [&](bool use_refresh) {
+    return proto::run_sweep(params, kEpochs, {}, [=](proto::Deployment& dep, Rng& rng) {
+      return run_epochs(use_refresh, dep, rng);
+    });
+  };
+  const proto::SweepStats with = arm(true);
+  const proto::SweepStats without = arm(false);
 
   bench::BenchReport report("abl_dynamic_membership");
-  report.set_config("trials", trials);
-  report.set_config("seed", static_cast<double>(seed));
+  report.set_config("trials", params.experiment.trials);
+  report.set_config("seed", static_cast<double>(params.experiment.root_seed));
   for (std::size_t e = 0; e < kEpochs; ++e) {
     report.add_point("with_refresh", {{"epoch", static_cast<double>(e + 1)},
-                                      {"alive_frac", alive_frac[e].mean()},
-                                      {"decoded_levels", levels_with[e].mean()},
-                                      {"repair_messages", repair_msgs[e].mean()}});
+                                      {"alive_frac", with[e][kAlive].mean()},
+                                      {"decoded_levels", with[e][kLevels].mean()},
+                                      {"repair_messages", with[e][kRepairs].mean()}});
     report.add_point("without_refresh", {{"epoch", static_cast<double>(e + 1)},
-                                         {"decoded_levels", levels_without[e].mean()}});
+                                         {"decoded_levels", without[e][kLevels].mean()}});
   }
 
   TablePrinter table({"epoch", "alive frac", "levels w/ refresh", "repairs/epoch",
                       "levels w/o refresh"});
   for (std::size_t e = 0; e < kEpochs; e += 2) {
-    table.add_row({std::to_string(e + 1), fmt_double(alive_frac[e].mean(), 2),
-                   fmt_mean_ci(levels_with[e].mean(), levels_with[e].ci95_halfwidth(), 2),
-                   fmt_double(repair_msgs[e].mean(), 0),
-                   fmt_mean_ci(levels_without[e].mean(), levels_without[e].ci95_halfwidth(),
-                               2)});
+    table.add_row({std::to_string(e + 1), fmt_double(with[e][kAlive].mean(), 2),
+                   fmt_mean_ci(with[e][kLevels].mean(), with[e][kLevels].ci95_halfwidth(), 2),
+                   fmt_double(with[e][kRepairs].mean(), 0),
+                   fmt_mean_ci(without[e][kLevels].mean(),
+                               without[e][kLevels].ci95_halfwidth(), 2)});
   }
   table.emit("abl_dynamic_membership");
   std::cout << "\nExpected shape: the population equilibrates at ~2/3 alive, yet the\n"

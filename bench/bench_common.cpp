@@ -1,7 +1,5 @@
 #include "bench_common.h"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -12,6 +10,7 @@
 #include "obs/profile.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 
 namespace prlc::bench {
 
@@ -68,21 +67,6 @@ std::size_t match_flag(std::string_view name, int argc, char** argv, int i,
   return 0;
 }
 
-/// Non-throwing decimal u64 parse; nullopt on garbage or overflow.
-std::optional<std::uint64_t> try_parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return std::nullopt;
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 /// Byte-count parse: decimal digits with an optional single k/m/g suffix
 /// (case-insensitive, binary units). nullopt on garbage, overflow, or
 /// zero — every byte-count flag wants a positive value.
@@ -101,18 +85,6 @@ std::optional<std::size_t> try_parse_bytes(std::string_view text) {
   if (!value || *value == 0) return std::nullopt;
   if (*value > std::numeric_limits<std::uint64_t>::max() / mult) return std::nullopt;
   return static_cast<std::size_t>(*value * mult);
-}
-
-/// Non-throwing finite-double parse; nullopt on garbage, trailing junk,
-/// or non-finite results ("inf", "nan", overflowing exponents).
-std::optional<double> try_parse_double(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  if (errno == ERANGE || !std::isfinite(value)) return std::nullopt;
-  return value;
 }
 
 }  // namespace

@@ -486,7 +486,7 @@ int main(int argc, char** argv) {
   report.set_config("fingerprint_dispatch",
                     json::Value(util::fingerprint_kernel_name(util::fingerprint_active_kernel())));
   report.set_config("gf_tile_bytes",
-                    json::Value(static_cast<std::int64_t>(gf::gf256_tile_bytes())));
+                    json::Value(static_cast<std::int64_t>(gf::kGf256TileBytes)));
   // The payload sweep goes first so its series lands at series[0] of the
   // --json report (smoke_codec's prlc_json_check paths rely on that).
   run_payload_sweep(report);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "gf/gf256_kernels.h"
 #include "linalg/progressive_decoder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,8 +13,7 @@ PayloadCodec::PayloadCodec(codes::Scheme scheme, codes::PrioritySpec spec,
                            CodecOptions options)
     : scheme_(scheme),
       spec_(std::move(spec)),
-      chunk_bytes_(options.chunk_bytes != 0 ? options.chunk_bytes
-                                            : gf::gf256_tile_bytes()),
+      chunk_bytes_(options.chunk_bytes),
       pool_(options.pool) {
   PRLC_REQUIRE(spec_.total() > 0, "priority spec has no source blocks");
   PRLC_REQUIRE(chunk_bytes_ > 0, "chunk size must be positive");

@@ -35,13 +35,14 @@
 #include "codes/scheme.h"
 #include "codes/source_data.h"
 #include "gf/gf256.h"
+#include "gf/gf256_kernels.h"
 #include "runtime/thread_pool.h"
 
 namespace prlc::codec {
 
 struct CodecOptions {
-  /// Tile size for graph nodes; 0 = gf::gf256_tile_bytes() (PRLC_GF_TILE).
-  std::size_t chunk_bytes = 0;
+  /// Tile size for graph nodes (positive); defaults to the gf256 batch tile.
+  std::size_t chunk_bytes = gf::kGf256TileBytes;
   /// Execution substrate; nullptr = serial reference path. The pool must
   /// outlive the codec.
   runtime::ThreadPool* pool = nullptr;

@@ -79,7 +79,11 @@ Gf256::Symbol Gf256::dot(std::span<const Symbol> a, std::span<const Symbol> b) {
   if (a.empty()) return 0;
   static obs::Counter& bytes = obs::counter("gf256.dot_bytes");
   bytes.add(a.size());
-  return gf256_active_ops().dot(a.data(), b.data(), a.size());
+  // Only coefficient vectors (linalg's matrix-vector products) reach
+  // here, never payload spans, so the product-table loop is enough.
+  Symbol acc = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) acc ^= mul(a[i], b[i]);
+  return acc;
 }
 
 void Gf256::axpy_batch(std::span<Symbol* const> ys, std::span<const Symbol> coeffs,

@@ -3,11 +3,12 @@
 // Implementation: exponential/logarithm tables over the primitive
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D, the classic Rijndael-
 // adjacent choice used by most RLNC implementations), plus a full
-// 256x256 product table for scalar lookups. The span operations (axpy,
-// scale, dot, mul_region) route through the vectorized kernel table in
-// gf256_kernels.h, which is dispatched once at runtime to the widest
-// SIMD unit the CPU offers. Tables are built once at first use and are
-// immutable afterwards.
+// 256x256 product table for scalar lookups. The payload span operations
+// (axpy, scale, mul_region, axpy_batch) route through the vectorized
+// kernel table in gf256_kernels.h, which is dispatched once at runtime to
+// the widest SIMD unit the CPU offers; dot, which only ever sees
+// coefficient vectors, is a product-table loop. Tables are built once at
+// first use and are immutable afterwards.
 #pragma once
 
 #include <cstdint>

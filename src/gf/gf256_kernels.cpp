@@ -1,9 +1,8 @@
 #include "gf/gf256_kernels.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "gf/gf256.h"
 #include "obs/metrics.h"
@@ -20,10 +19,43 @@ namespace prlc::gf {
 namespace {
 
 // ---------------------------------------------------------------------------
+// kReference — the seed implementation: one lookup per byte in the 64 KiB
+// product table. Kept verbatim as the oracle the AVX2 tier is
+// differential-tested (and benchmarked) against.
+// ---------------------------------------------------------------------------
+
+void axpy_reference(std::uint8_t* y, const std::uint8_t* x, std::uint8_t a, std::size_t n) {
+  if (a == 0) return;
+  if (a == 1) {
+    for (std::size_t i = 0; i < n; ++i) y[i] ^= x[i];
+    return;
+  }
+  const std::uint8_t* row = Gf256::mul_row(a);
+  for (std::size_t i = 0; i < n; ++i) y[i] ^= row[x[i]];
+}
+
+void mul_region_reference(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
+                          std::size_t n) {
+  if (n == 0) return;
+  if (a == 0) {
+    std::memset(dst, 0, n);
+    return;
+  }
+  if (a == 1) {
+    if (dst != src) std::memcpy(dst, src, n);
+    return;
+  }
+  const std::uint8_t* row = Gf256::mul_row(a);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
+}
+
+#if PRLC_GF256_X86
+
+// ---------------------------------------------------------------------------
 // Split-nibble product tables: lo[a][n] = a * n, hi[a][n] = a * (n << 4), so
-// a * x == lo[a][x & 15] ^ hi[a][x >> 4]. 16-byte alignment lets the SIMD
-// variants load each table with one aligned 128-bit load. Built bit-by-bit
-// so the kernels are independent of the Gf256 product table they are
+// a * x == lo[a][x & 15] ^ hi[a][x >> 4]. 16-byte alignment lets the AVX2
+// tier load each table with one aligned 128-bit load. Built bit-by-bit so
+// the kernels are independent of the Gf256 product table they are
 // differential-tested against.
 // ---------------------------------------------------------------------------
 
@@ -57,154 +89,12 @@ const NibbleTables& nib() {
 }
 
 // ---------------------------------------------------------------------------
-// dot — shared across variants. It only runs over coefficient vectors (the
-// matrix-vector products in linalg), never payload spans, and a variable ×
-// variable SIMD multiply would need a different decomposition entirely, so
-// the product-table loop is kept for every variant.
-// ---------------------------------------------------------------------------
-
-std::uint8_t dot_table(const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc ^= Gf256::mul(a[i], b[i]);
-  return acc;
-}
-
-// ---------------------------------------------------------------------------
-// kReference — the seed implementation: one lookup per byte in the 64 KiB
-// product table. Kept verbatim as the baseline the other variants are
-// differential-tested (and benchmarked) against.
-// ---------------------------------------------------------------------------
-
-void axpy_reference(std::uint8_t* y, const std::uint8_t* x, std::uint8_t a, std::size_t n) {
-  if (a == 0) return;
-  if (a == 1) {
-    for (std::size_t i = 0; i < n; ++i) y[i] ^= x[i];
-    return;
-  }
-  const std::uint8_t* row = Gf256::mul_row(a);
-  for (std::size_t i = 0; i < n; ++i) y[i] ^= row[x[i]];
-}
-
-void mul_region_reference(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
-                          std::size_t n) {
-  if (n == 0) return;
-  if (a == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (a == 1) {
-    if (dst != src) std::memcpy(dst, src, n);
-    return;
-  }
-  const std::uint8_t* row = Gf256::mul_row(a);
-  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
-}
-
-// ---------------------------------------------------------------------------
-// kScalar64 — portable split-nibble kernel, 8 bytes per iteration. The two
-// 16-entry tables (32 bytes per multiplier) replace the 256-byte product
-// row, so the working set stays in L1 even when every row operation uses a
-// different multiplier, as in Gauss-Jordan elimination.
-// ---------------------------------------------------------------------------
-
-void axpy_scalar64(std::uint8_t* y, const std::uint8_t* x, std::uint8_t a, std::size_t n) {
-  if (a == 0) return;
-  const std::uint8_t* lo = nib().lo[a];
-  const std::uint8_t* hi = nib().hi[a];
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t xw;
-    std::uint64_t yw;
-    std::memcpy(&xw, x + i, 8);
-    std::memcpy(&yw, y + i, 8);
-    std::uint64_t prod = 0;
-    for (int b = 0; b < 8; ++b) {
-      const auto xb = static_cast<std::uint8_t>(xw >> (8 * b));
-      prod |= static_cast<std::uint64_t>(lo[xb & 15] ^ hi[xb >> 4]) << (8 * b);
-    }
-    yw ^= prod;
-    std::memcpy(y + i, &yw, 8);
-  }
-  for (; i < n; ++i) y[i] ^= lo[x[i] & 15] ^ hi[x[i] >> 4];
-}
-
-void mul_region_scalar64(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
-                         std::size_t n) {
-  if (n == 0) return;
-  if (a == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  const std::uint8_t* lo = nib().lo[a];
-  const std::uint8_t* hi = nib().hi[a];
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t xw;
-    std::memcpy(&xw, src + i, 8);
-    std::uint64_t prod = 0;
-    for (int b = 0; b < 8; ++b) {
-      const auto xb = static_cast<std::uint8_t>(xw >> (8 * b));
-      prod |= static_cast<std::uint64_t>(lo[xb & 15] ^ hi[xb >> 4]) << (8 * b);
-    }
-    std::memcpy(dst + i, &prod, 8);
-  }
-  for (; i < n; ++i) dst[i] = lo[src[i] & 15] ^ hi[src[i] >> 4];
-}
-
-// ---------------------------------------------------------------------------
-// kSsse3 / kAvx2 — pshufb split-nibble kernels. Both nibble tables fit in
-// one vector register each; shuffle_epi8 then performs a full 16-way table
+// kAvx2 — vpshufb split-nibble kernels. Both nibble tables fit in one
+// vector register each; shuffle_epi8 then performs a full 16-way table
 // lookup per lane per instruction. Compiled with `target` attributes so no
-// global -mssse3/-mavx2 flags are needed and the rest of the binary stays
+// global -mavx2 flag is needed and the rest of the binary stays
 // baseline-ISA; only ever called after a __builtin_cpu_supports check.
 // ---------------------------------------------------------------------------
-
-#if PRLC_GF256_X86
-
-__attribute__((target("ssse3"))) void axpy_ssse3(std::uint8_t* y, const std::uint8_t* x,
-                                                 std::uint8_t a, std::size_t n) {
-  if (a == 0) return;
-  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(nib().lo[a]));
-  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(nib().hi[a]));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i xv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i lo_prod = _mm_shuffle_epi8(lo, _mm_and_si128(xv, mask));
-    const __m128i hi_prod =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(xv, 4), mask));
-    const __m128i yv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i),
-                     _mm_xor_si128(yv, _mm_xor_si128(lo_prod, hi_prod)));
-  }
-  const std::uint8_t* tlo = nib().lo[a];
-  const std::uint8_t* thi = nib().hi[a];
-  for (; i < n; ++i) y[i] ^= tlo[x[i] & 15] ^ thi[x[i] >> 4];
-}
-
-__attribute__((target("ssse3"))) void mul_region_ssse3(std::uint8_t* dst,
-                                                       const std::uint8_t* src,
-                                                       std::uint8_t a, std::size_t n) {
-  if (n == 0) return;
-  if (a == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(nib().lo[a]));
-  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(nib().hi[a]));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i xv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i lo_prod = _mm_shuffle_epi8(lo, _mm_and_si128(xv, mask));
-    const __m128i hi_prod =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(xv, 4), mask));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(lo_prod, hi_prod));
-  }
-  const std::uint8_t* tlo = nib().lo[a];
-  const std::uint8_t* thi = nib().hi[a];
-  for (; i < n; ++i) dst[i] = tlo[src[i] & 15] ^ thi[src[i] >> 4];
-}
 
 __attribute__((target("avx2"))) void axpy_avx2(std::uint8_t* y, const std::uint8_t* x,
                                                std::uint8_t a, std::size_t n) {
@@ -271,50 +161,29 @@ __attribute__((target("avx2"))) void mul_region_avx2(std::uint8_t* dst,
 #endif  // PRLC_GF256_X86
 
 // ---------------------------------------------------------------------------
-// Variant registry + one-time dispatch.
+// Tier registry + one-time dispatch.
 // ---------------------------------------------------------------------------
 
-constexpr Gf256KernelOps kReferenceOps = {"reference", axpy_reference, mul_region_reference,
-                                          dot_table};
-constexpr Gf256KernelOps kScalar64Ops = {"scalar64", axpy_scalar64, mul_region_scalar64,
-                                         dot_table};
+constexpr Gf256KernelOps kReferenceOps = {"reference", axpy_reference, mul_region_reference};
 #if PRLC_GF256_X86
-constexpr Gf256KernelOps kSsse3Ops = {"ssse3", axpy_ssse3, mul_region_ssse3, dot_table};
-constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2, dot_table};
+constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2};
 #endif
 
-/// Best runtime-supported variant, before any env override.
-Gf256Kernel pick_auto() {
+constexpr Gf256Kernel kCompiledKernels[] = {
+    Gf256Kernel::kReference,
 #if PRLC_GF256_X86
-  if (__builtin_cpu_supports("avx2")) return Gf256Kernel::kAvx2;
-  if (__builtin_cpu_supports("ssse3")) return Gf256Kernel::kSsse3;
+    Gf256Kernel::kAvx2,
 #endif
-  return Gf256Kernel::kScalar64;
-}
+};
 
-Gf256Kernel resolve_dispatch() {
-  const char* want = std::getenv("PRLC_GF_KERNEL");
-  if (want == nullptr || *want == '\0' || std::strcmp(want, "auto") == 0) {
-    return pick_auto();
-  }
-  for (Gf256Kernel k : {Gf256Kernel::kReference, Gf256Kernel::kScalar64, Gf256Kernel::kSsse3,
-                        Gf256Kernel::kAvx2}) {
-    if (std::strcmp(want, gf256_kernel_name(k)) != 0) continue;
-    if (gf256_kernel_runtime_ok(k)) return k;
-    std::fprintf(stderr,
-                 "prlc: PRLC_GF_KERNEL=%s is not supported on this build/CPU; "
-                 "falling back to auto dispatch\n",
-                 want);
-    return pick_auto();
-  }
-  std::fprintf(stderr,
-               "prlc: unknown PRLC_GF_KERNEL=%s (expected reference|scalar64|ssse3|avx2|"
-               "auto); falling back to auto dispatch\n",
-               want);
-  return pick_auto();
+/// The best runtime-supported tier; records the dispatch gauges.
+Gf256Kernel pick_kernel() {
+  const Gf256Kernel k = gf256_kernel_runtime_ok(Gf256Kernel::kAvx2) ? Gf256Kernel::kAvx2
+                                                                     : Gf256Kernel::kReference;
+  obs::gauge(std::string("gf256.dispatch.") + gf256_kernel_name(k)).set(1);
+  obs::gauge("gf256.dispatch_variant").set(static_cast<int>(k));
+  return k;
 }
-
-std::atomic<int> g_active_kernel{-1};
 
 }  // namespace
 
@@ -322,195 +191,52 @@ const char* gf256_kernel_name(Gf256Kernel k) {
   switch (k) {
     case Gf256Kernel::kReference:
       return "reference";
-    case Gf256Kernel::kScalar64:
-      return "scalar64";
-    case Gf256Kernel::kSsse3:
-      return "ssse3";
     case Gf256Kernel::kAvx2:
       return "avx2";
   }
   PRLC_ASSERT(false, "unknown GF(256) kernel variant");
 }
 
-bool gf256_kernel_compiled(Gf256Kernel k) {
-  switch (k) {
-    case Gf256Kernel::kReference:
-    case Gf256Kernel::kScalar64:
-      return true;
-    case Gf256Kernel::kSsse3:
-    case Gf256Kernel::kAvx2:
-      return PRLC_GF256_X86 != 0;
-  }
-  PRLC_ASSERT(false, "unknown GF(256) kernel variant");
+std::vector<Gf256Kernel> gf256_compiled_kernels() {
+  return {std::begin(kCompiledKernels), std::end(kCompiledKernels)};
 }
 
 bool gf256_kernel_runtime_ok(Gf256Kernel k) {
-  if (!gf256_kernel_compiled(k)) return false;
-#if PRLC_GF256_X86
-  if (k == Gf256Kernel::kSsse3) return __builtin_cpu_supports("ssse3");
-  if (k == Gf256Kernel::kAvx2) return __builtin_cpu_supports("avx2");
-#endif
-  return true;
-}
-
-std::vector<Gf256Kernel> gf256_compiled_kernels() {
-  std::vector<Gf256Kernel> out;
-  for (Gf256Kernel k : {Gf256Kernel::kReference, Gf256Kernel::kScalar64, Gf256Kernel::kSsse3,
-                        Gf256Kernel::kAvx2}) {
-    if (gf256_kernel_compiled(k)) out.push_back(k);
-  }
-  return out;
-}
-
-const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k) {
-  PRLC_REQUIRE(gf256_kernel_compiled(k), "GF(256) kernel variant not compiled in");
   switch (k) {
     case Gf256Kernel::kReference:
-      return kReferenceOps;
-    case Gf256Kernel::kScalar64:
-      return kScalar64Ops;
+      return true;
+    case Gf256Kernel::kAvx2:
 #if PRLC_GF256_X86
-    case Gf256Kernel::kSsse3:
-      return kSsse3Ops;
-    case Gf256Kernel::kAvx2:
-      return kAvx2Ops;
+      return __builtin_cpu_supports("avx2");
 #else
-    case Gf256Kernel::kSsse3:
-    case Gf256Kernel::kAvx2:
-      break;
+      return false;
 #endif
   }
   PRLC_ASSERT(false, "unknown GF(256) kernel variant");
 }
 
-namespace {
-
-/// Export which variant won the dispatch (and whether an env override was
-/// in play) — set every time the active kernel changes, so the registry
-/// reflects the variant actually used by the most recent field ops.
-void record_dispatch(Gf256Kernel k) {
-  obs::gauge(std::string("gf256.dispatch.") + gf256_kernel_name(k)).set(1);
-  obs::gauge("gf256.dispatch_variant").set(static_cast<int>(k));
+const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k) {
+  switch (k) {
+    case Gf256Kernel::kReference:
+      return kReferenceOps;
+    case Gf256Kernel::kAvx2:
+#if PRLC_GF256_X86
+      return kAvx2Ops;
+#else
+      break;
+#endif
+  }
+  PRLC_REQUIRE(false, "GF(256) kernel variant not compiled in");
 }
-
-}  // namespace
 
 Gf256Kernel gf256_active_kernel() {
-  int k = g_active_kernel.load(std::memory_order_acquire);
-  if (k < 0) {
-    const Gf256Kernel resolved = resolve_dispatch();
-    int expected = -1;
-    // On a race, first resolver wins; both compute the same value anyway
-    // unless a concurrent force intervened, in which case the force wins.
-    g_active_kernel.compare_exchange_strong(expected, static_cast<int>(resolved),
-                                            std::memory_order_acq_rel);
-    k = g_active_kernel.load(std::memory_order_acquire);
-    record_dispatch(static_cast<Gf256Kernel>(k));
-  }
-  return static_cast<Gf256Kernel>(k);
+  static const Gf256Kernel active = pick_kernel();
+  return active;
 }
 
-const Gf256KernelOps& gf256_active_ops() { return gf256_kernel_ops(gf256_active_kernel()); }
-
-void gf256_force_active_kernel(Gf256Kernel k) {
-  PRLC_REQUIRE(gf256_kernel_runtime_ok(k),
-               "cannot force a GF(256) kernel this build/CPU does not support");
-  g_active_kernel.store(static_cast<int>(k), std::memory_order_release);
-  record_dispatch(k);
-}
-
-namespace {
-
-/// Default batch tile: 8 KiB leaves room in L1 for the target chunk.
-constexpr std::size_t kDefaultTileBytes = 8192;
-
-std::size_t measure_batch_ns(std::size_t tile, std::uint8_t* const* ys,
-                             const std::uint8_t* coeffs, const std::uint8_t* x,
-                             std::size_t rows, std::size_t n) {
-  const Gf256KernelOps& ops = gf256_kernel_ops(gf256_active_kernel());
-  const std::uint64_t start = obs::ScopedTimer::now_ns();
-  for (std::size_t off = 0; off < n; off += tile) {
-    const std::size_t len = n - off < tile ? n - off : tile;
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (coeffs[r] == 0) continue;
-      ops.axpy(ys[r] + off, x + off, coeffs[r], len);
-    }
-  }
-  return obs::ScopedTimer::now_ns() - start;
-}
-
-void record_tile(std::size_t bytes) {
-  obs::gauge("gf256.tile_bytes").set(static_cast<std::int64_t>(bytes));
-}
-
-/// Resolve the initial tile size from PRLC_GF_TILE, once.
-std::size_t resolve_tile_bytes() {
-  const char* want = std::getenv("PRLC_GF_TILE");
-  if (want == nullptr || *want == '\0') return kDefaultTileBytes;
-  if (std::strcmp(want, "auto") == 0) return gf256_autotune_tile_bytes();
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(want, &end, 10);
-  if (end == want || *end != '\0' || parsed < kGf256TileMin || parsed > kGf256TileMax) {
-    std::fprintf(stderr,
-                 "prlc: PRLC_GF_TILE=%s is not a byte count in [%zu, %zu] or "
-                 "\"auto\"; keeping the default tile of %zu bytes\n",
-                 want, kGf256TileMin, kGf256TileMax, kDefaultTileBytes);
-    return kDefaultTileBytes;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-std::atomic<std::size_t> g_tile_bytes{0};  // 0 = not resolved yet
-
-}  // namespace
-
-std::size_t gf256_tile_bytes() {
-  std::size_t t = g_tile_bytes.load(std::memory_order_acquire);
-  if (t == 0) {
-    const std::size_t resolved = resolve_tile_bytes();
-    std::size_t expected = 0;
-    // First resolver wins; a concurrent gf256_set_tile_bytes also wins.
-    g_tile_bytes.compare_exchange_strong(expected, resolved, std::memory_order_acq_rel);
-    t = g_tile_bytes.load(std::memory_order_acquire);
-    record_tile(t);
-  }
-  return t;
-}
-
-void gf256_set_tile_bytes(std::size_t bytes) {
-  PRLC_REQUIRE(bytes >= kGf256TileMin && bytes <= kGf256TileMax,
-               "GF(256) batch tile size out of range");
-  g_tile_bytes.store(bytes, std::memory_order_release);
-  record_tile(bytes);
-}
-
-std::size_t gf256_autotune_tile_bytes(std::span<const std::size_t> candidates) {
-  static constexpr std::size_t kDefaultCandidates[] = {8192, 16384, 32768, 65536, 131072};
-  if (candidates.empty()) candidates = kDefaultCandidates;
-  constexpr std::size_t kRows = 32;
-  constexpr std::size_t kBytes = 256 * 1024;
-  std::vector<std::uint8_t> x(kBytes, 0x5A);
-  std::vector<std::vector<std::uint8_t>> targets(kRows, std::vector<std::uint8_t>(kBytes));
-  std::vector<std::uint8_t*> ys;
-  std::vector<std::uint8_t> coeffs;
-  for (std::size_t r = 0; r < kRows; ++r) {
-    ys.push_back(targets[r].data());
-    coeffs.push_back(static_cast<std::uint8_t>(1 + r));
-  }
-  std::size_t best = candidates[0];
-  std::uint64_t best_ns = ~std::uint64_t{0};
-  for (std::size_t tile : candidates) {
-    PRLC_REQUIRE(tile >= kGf256TileMin && tile <= kGf256TileMax,
-                 "autotune candidate tile size out of range");
-    measure_batch_ns(tile, ys.data(), coeffs.data(), x.data(), kRows, kBytes);  // warm-up
-    const std::uint64_t ns =
-        measure_batch_ns(tile, ys.data(), coeffs.data(), x.data(), kRows, kBytes);
-    if (ns < best_ns) {
-      best_ns = ns;
-      best = tile;
-    }
-  }
-  return best;
+const Gf256KernelOps& gf256_active_ops() {
+  static const Gf256KernelOps& ops = gf256_kernel_ops(gf256_active_kernel());
+  return ops;
 }
 
 void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
@@ -522,11 +248,14 @@ void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
   batch_calls.add();
   batch_rows.add(rows);
   batch_bytes.add(rows * n);
+  [[maybe_unused]] static const bool tile_recorded = [] {
+    obs::gauge("gf256.tile_bytes").set(static_cast<std::int64_t>(kGf256TileBytes));
+    return true;
+  }();
   // Tile the shared source row so each chunk is applied to every target
   // while still L1/L2-resident.
-  const std::size_t tile = gf256_tile_bytes();
-  for (std::size_t off = 0; off < n; off += tile) {
-    const std::size_t len = n - off < tile ? n - off : tile;
+  for (std::size_t off = 0; off < n; off += kGf256TileBytes) {
+    const std::size_t len = n - off < kGf256TileBytes ? n - off : kGf256TileBytes;
     for (std::size_t r = 0; r < rows; ++r) {
       if (coeffs[r] == 0) continue;
       ops.axpy(ys[r] + off, x + off, coeffs[r], len);

@@ -1,50 +1,41 @@
 // Vectorized GF(2^8) span kernels with one-time runtime dispatch.
 //
 // Every hot path of the library — encoding, progressive decoding, batch
-// RREF — reduces to a handful of span operations over GF(2^8): axpy
-// (y ^= a*x), mul_region (dst = a*src), scale (x *= a) and dot. This
-// module provides several implementations of those kernels and picks the
-// fastest one the running CPU supports, once, at first use:
+// RREF — reduces to two span operations over GF(2^8): axpy (y ^= a*x) and
+// mul_region (dst = a*src; scale when dst == src). Two kernel tiers
+// compute identical bytes; the fastest one the running CPU supports is
+// picked once, at first use:
 //
 //   kReference — byte-at-a-time lookups in the 64 KiB product table; the
-//                seed implementation, kept as the correctness baseline.
-//   kScalar64  — portable split-nibble kernel: two 16-entry tables per
-//                multiplier (products of the low and high nibble), eight
-//                bytes per iteration through 64-bit loads/stores. Touches
-//                32 bytes of table per multiplier instead of 256, so it
-//                stays fast when many distinct multipliers are in flight.
-//   kSsse3     — the classic pshufb kernel: both nibble tables live in
-//                XMM registers and _mm_shuffle_epi8 performs 16 table
-//                lookups per instruction (32 bytes of state, 16 B/iter).
-//   kAvx2      — same split-nibble trick on 32-byte vectors, unrolled to
-//                64 bytes per iteration.
+//                seed implementation, kept as the oracle the other tier is
+//                tested against.
+//   kAvx2      — split-nibble kernel: two 16-entry tables per multiplier
+//                (products of the low and high nibble) live in YMM
+//                registers and _mm256_shuffle_epi8 performs 32 table
+//                lookups per instruction, unrolled to 64 bytes per
+//                iteration.
 //
-// SIMD variants are compiled behind __x86_64__/__i386__ guards using GCC/
-// Clang `target` attributes (no special -m flags needed) and selected at
-// runtime via __builtin_cpu_supports, so one binary runs everywhere and
-// still uses the widest unit available. Set PRLC_GF_KERNEL=reference|
-// scalar64|ssse3|avx2|auto (read once, at first dispatch) to force a
-// variant when debugging; an unsupported request falls back to auto with
-// a one-time warning on stderr.
+// The AVX2 tier is compiled behind __x86_64__/__i386__ guards using GCC/
+// Clang `target` attributes (no special -m flags needed) and chosen with
+// __builtin_cpu_supports, so one binary runs everywhere. There is no
+// override knob: tests and benchmarks reach a tier through
+// gf256_kernel_ops(k).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace prlc::gf {
 
 enum class Gf256Kernel {
   kReference = 0,  ///< byte-wise 64 KiB-table loop (seed behaviour)
-  kScalar64,       ///< portable split-nibble, 8 bytes per iteration
-  kSsse3,          ///< pshufb split-nibble, 16 bytes per iteration
   kAvx2,           ///< vpshufb split-nibble, 64 bytes per iteration
 };
 
-/// Function-pointer table for one kernel variant. All pointers are always
-/// non-null. Spans may be empty (n == 0); `a` may be 0 or 1 — variants
-/// must handle every multiplier correctly, callers need not special-case.
+/// Function-pointer table for one kernel tier. All pointers are always
+/// non-null. Spans may be empty (n == 0); `a` may be 0 or 1 — tiers must
+/// handle every multiplier correctly, callers need not special-case.
 struct Gf256KernelOps {
   const char* name;
   /// y[i] ^= a * x[i] for i in [0, n). y and x must not overlap.
@@ -53,68 +44,41 @@ struct Gf256KernelOps {
   /// partial overlap is not.
   void (*mul_region)(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
                      std::size_t n);
-  /// sum_i a[i] * b[i].
-  std::uint8_t (*dot)(const std::uint8_t* a, const std::uint8_t* b, std::size_t n);
 };
 
-/// Human-readable variant name ("reference", "scalar64", ...).
+/// Tier name ("reference", "avx2").
 const char* gf256_kernel_name(Gf256Kernel k);
 
-/// True when the variant was compiled into this binary.
-bool gf256_kernel_compiled(Gf256Kernel k);
-
-/// True when the variant is compiled AND the running CPU can execute it.
-bool gf256_kernel_runtime_ok(Gf256Kernel k);
-
-/// Every variant compiled into this binary, in ascending preference order.
+/// Every tier compiled into this binary, in ascending preference order.
 std::vector<Gf256Kernel> gf256_compiled_kernels();
 
-/// Ops table of a specific variant. Requires gf256_kernel_runtime_ok(k)
-/// for the SIMD variants — calling an unsupported kernel is undefined.
+/// True when the tier is compiled in AND the running CPU can execute it.
+bool gf256_kernel_runtime_ok(Gf256Kernel k);
+
+/// Ops of a specific tier (tests, benchmarks). Requires
+/// gf256_kernel_runtime_ok(k) before calling through the result.
 const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k);
 
-/// Ops table selected by the one-time runtime dispatch (best supported
-/// variant, or the PRLC_GF_KERNEL override). Stable for process lifetime
-/// unless gf256_force_active_kernel intervenes.
-const Gf256KernelOps& gf256_active_ops();
-
-/// Variant behind gf256_active_ops().
+/// The tier the Gf256 span ops use: the best runtime-supported one, fixed
+/// at first use, when it is also recorded in the obs gauge
+/// "gf256.dispatch_variant".
 Gf256Kernel gf256_active_kernel();
 
-/// Override the dispatched variant (tests, benchmarks, debugging).
-/// Requires gf256_kernel_runtime_ok(k).
-void gf256_force_active_kernel(Gf256Kernel k);
+/// Ops of gf256_active_kernel().
+const Gf256KernelOps& gf256_active_ops();
+
+/// Cache tile of gf256_axpy_batch and the payload codec's default chunk:
+/// 8 KiB leaves room in L1 for the target chunk.
+inline constexpr std::size_t kGf256TileBytes = 8192;
 
 /// Batched multi-row axpy: ys[r] ^= coeffs[r] * x for r in [0, rows),
-/// all rows n bytes long. Tiles x so one cache-resident chunk of the
-/// source row is applied to every target before moving on — the decoder's
-/// back-elimination step, where one new pivot row updates many stored
-/// rows, is exactly this shape. Rows with coeffs[r] == 0 are skipped.
-/// The tile size is gf256_tile_bytes().
+/// all rows n bytes long. Tiles x (kGf256TileBytes per tile) so one
+/// cache-resident chunk of the source row is applied to every target
+/// before moving on — the decoder's back-elimination step, where one new
+/// pivot row updates many stored rows, is exactly this shape. Rows with
+/// coeffs[r] == 0 are skipped. The first call records the tile in the obs
+/// gauge "gf256.tile_bytes".
 void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
                       const std::uint8_t* x, std::size_t rows, std::size_t n);
-
-/// Cache-tile size (bytes) used by gf256_axpy_batch and, by default, the
-/// payload codec's execution graphs. Resolution order, decided once at
-/// first call: PRLC_GF_TILE=<bytes> (validated; a malformed or
-/// out-of-range value warns on stderr and is ignored), PRLC_GF_TILE=auto
-/// (runs gf256_autotune_tile_bytes()), else the built-in default of
-/// 8 KiB. Later gf256_set_tile_bytes() calls override it. The current
-/// value is mirrored into the obs gauge "gf256.tile_bytes".
-std::size_t gf256_tile_bytes();
-
-/// Legal tile range for gf256_set_tile_bytes / PRLC_GF_TILE.
-inline constexpr std::size_t kGf256TileMin = 64;
-inline constexpr std::size_t kGf256TileMax = std::size_t{1} << 30;
-
-/// Programmatic override of the batch tile size (benchmarks, tuning).
-/// Requires kGf256TileMin <= bytes <= kGf256TileMax.
-void gf256_set_tile_bytes(std::size_t bytes);
-
-/// Measure gf256_axpy_batch over a small synthetic workload (32 rows,
-/// 256 KiB each) at every candidate size and return the fastest. Does not
-/// change the active tile size; pass the result to gf256_set_tile_bytes
-/// to adopt it. An empty candidate list uses {8, 16, 32, 64, 128} KiB.
-std::size_t gf256_autotune_tile_bytes(std::span<const std::size_t> candidates = {});
 
 }  // namespace prlc::gf

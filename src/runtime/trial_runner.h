@@ -17,9 +17,9 @@
 //
 // Contract: run(trials, root_seed, fn) returns exactly the same bytes for
 // threads = 1 and threads = N. proto::run_sweep (proto/deployment, under
-// the persistence, fault, integrity and refresh experiments),
-// codes/decoding_curve, the cluster simulator and their tests rely on
-// this.
+// the persistence, fault, integrity and refresh experiments and the
+// capacity and session-churn benches), codes/decoding_curve, the cluster
+// simulator and their tests rely on this.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,46 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace prlc {
+
+std::optional<std::uint64_t> try_parse_u64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::optional<std::int64_t> try_parse_i64(std::string_view text) {
+  const bool negative = !text.empty() && text.front() == '-';
+  if (negative) text.remove_prefix(1);
+  const auto magnitude = try_parse_u64(text);
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (!magnitude || *magnitude > kMax + (negative ? 1 : 0)) return std::nullopt;
+  // Two's-complement wrap of 2^63 gives INT64_MIN.
+  return static_cast<std::int64_t>(negative ? 0 - *magnitude : *magnitude);
+}
+
+std::optional<double> try_parse_double(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return std::nullopt;
+  if (errno == ERANGE || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
 
 Flags Flags::parse(int argc, const char* const* argv) {
   Flags flags;
@@ -43,22 +80,20 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) cons
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   read_[name] = true;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  PRLC_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
-               "flag --" + name + " expects an integer, got '" + it->second + "'");
-  return v;
+  const auto v = try_parse_i64(it->second);
+  PRLC_REQUIRE(v.has_value(),
+               "flag --" + name + " expects a 64-bit integer, got '" + it->second + "'");
+  return *v;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   read_[name] = true;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  PRLC_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
-               "flag --" + name + " expects a number, got '" + it->second + "'");
-  return v;
+  const auto v = try_parse_double(it->second);
+  PRLC_REQUIRE(v.has_value(),
+               "flag --" + name + " expects a finite number, got '" + it->second + "'");
+  return *v;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
@@ -80,11 +115,10 @@ std::vector<double> Flags::get_double_list(const std::string& name,
   std::stringstream ss(it->second);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    PRLC_REQUIRE(end != nullptr && *end == '\0' && !item.empty(),
+    const auto v = try_parse_double(item);
+    PRLC_REQUIRE(v.has_value(),
                  "flag --" + name + " has a non-numeric element '" + item + "'");
-    out.push_back(v);
+    out.push_back(*v);
   }
   PRLC_REQUIRE(!out.empty(), "flag --" + name + " expects a nonempty list");
   return out;

@@ -10,14 +10,13 @@
 #include <vector>
 
 #include "gf/gf256.h"
-#include "util/check.h"
 #include "util/random.h"
 
 namespace prlc::gf {
 namespace {
 
-// Lengths straddling the 8-byte (scalar64), 16-byte (SSSE3) and 32/64-byte
-// (AVX2) strides, plus 0/1 and a large one.
+// Lengths straddling the 32/64-byte AVX2 strides and the byte tail after
+// them, plus 0/1 and a large one.
 constexpr std::size_t kLengths[] = {0,  1,  7,  8,  9,   15,  16,  17,  31,   32,
                                     33, 63, 64, 65, 127, 128, 129, 257, 4096, 4097};
 // Start offsets into the backing buffers — misaligns the spans relative to
@@ -89,56 +88,28 @@ TEST_P(Gf256KernelsTest, MulRegionMatchesReferenceIncludingAliased) {
   }
 }
 
-TEST_P(Gf256KernelsTest, DotMatchesReference) {
-  const Gf256Kernel kernel = GetParam();
-  if (!gf256_kernel_runtime_ok(kernel)) {
-    GTEST_SKIP() << gf256_kernel_name(kernel) << " not supported on this CPU";
-  }
-  const Gf256KernelOps& ops = gf256_kernel_ops(kernel);
-  Rng rng(103);
-  for (std::size_t len : kLengths) {
-    const auto a = random_bytes(len, rng);
-    const auto b = random_bytes(len, rng);
-    std::uint8_t expect = 0;
-    for (std::size_t i = 0; i < len; ++i) expect ^= Gf256::mul(a[i], b[i]);
-    EXPECT_EQ(ops.dot(a.data(), b.data(), len), expect)
-        << gf256_kernel_name(kernel) << " len=" << len;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllCompiledVariants, Gf256KernelsTest,
                          ::testing::ValuesIn(gf256_compiled_kernels()),
                          [](const ::testing::TestParamInfo<Gf256Kernel>& info) {
                            return gf256_kernel_name(info.param);
                          });
 
-TEST(Gf256Kernels, DispatchPicksARuntimeSupportedVariant) {
+TEST(Gf256Kernels, DispatchPicksTheBestSupportedVariant) {
   const Gf256Kernel active = gf256_active_kernel();
   EXPECT_TRUE(gf256_kernel_runtime_ok(active)) << gf256_kernel_name(active);
-  EXPECT_STREQ(gf256_active_ops().name, gf256_kernel_name(active));
-}
-
-TEST(Gf256Kernels, ForceActiveKernelRedirectsGf256SpanOps) {
-  const Gf256Kernel before = gf256_active_kernel();
-  Rng rng(104);
-  const auto x = random_bytes(1000, rng);
-  const auto y0 = random_bytes(1000, rng);
-  std::vector<std::vector<std::uint8_t>> results;
-  for (Gf256Kernel k : gf256_compiled_kernels()) {
-    if (!gf256_kernel_runtime_ok(k)) continue;
-    gf256_force_active_kernel(k);
-    EXPECT_EQ(gf256_active_kernel(), k);
-    auto y = y0;
-    Gf256::axpy(std::span<std::uint8_t>(y), 0x8F, std::span<const std::uint8_t>(x));
-    results.push_back(std::move(y));
+  for (const Gf256Kernel k : gf256_compiled_kernels()) {
+    if (static_cast<int>(k) > static_cast<int>(active)) {
+      EXPECT_FALSE(gf256_kernel_runtime_ok(k)) << gf256_kernel_name(k);
+    }
   }
-  gf256_force_active_kernel(before);
-  for (std::size_t i = 1; i < results.size(); ++i) EXPECT_EQ(results[i], results[0]);
+  EXPECT_STREQ(gf256_active_ops().name, gf256_kernel_name(active));
 }
 
 TEST(Gf256Kernels, AxpyBatchMatchesPerRowAxpy) {
   Rng rng(105);
-  const std::size_t n = 10000;  // > one 8 KiB tile, so tiling is exercised
+  // Several whole tiles plus an unaligned tail, so every tile boundary and
+  // the short last tile are exercised.
+  const std::size_t n = 3 * kGf256TileBytes + 37;
   const std::size_t rows = 17;
   const auto x = random_bytes(n, rng);
   std::vector<std::vector<std::uint8_t>> targets;
@@ -158,14 +129,6 @@ TEST(Gf256Kernels, AxpyBatchMatchesPerRowAxpy) {
                     std::span<const std::uint8_t>(coeffs),
                     std::span<const std::uint8_t>(x));
   for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(targets[r], expect[r]) << "row " << r;
-}
-
-TEST(Gf256Kernels, ForcingUnsupportedVariantThrows) {
-  for (Gf256Kernel k : {Gf256Kernel::kSsse3, Gf256Kernel::kAvx2}) {
-    if (gf256_kernel_runtime_ok(k)) continue;
-    EXPECT_THROW(gf256_force_active_kernel(k), PreconditionError);
-  }
-  SUCCEED();
 }
 
 }  // namespace

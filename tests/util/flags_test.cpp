@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace prlc {
 namespace {
 
@@ -49,6 +51,38 @@ TEST(Flags, Lists) {
 TEST(Flags, TypeErrors) {
   EXPECT_THROW(make({"--n", "abc"}).get_int("n", 0), PreconditionError);
   EXPECT_THROW(make({"--d", "1.2.3"}).get_double("d", 0), PreconditionError);
+}
+
+TEST(Flags, IntegersRejectOverflowInsteadOfSaturating) {
+  EXPECT_EQ(make({"--n=9223372036854775807"}).get_int("n", 0),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(make({"--n=-9223372036854775808"}).get_int("n", 0),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(make({"--n=-5"}).get_int("n", 0), -5);
+  for (const char* bad : {"--n=9223372036854775808", "--n=-9223372036854775809",
+                          "--n=99999999999999999999999", "--n=-", "--n=1e3", "--n=5 "}) {
+    EXPECT_THROW(make({bad}).get_int("n", 0), PreconditionError) << bad;
+  }
+}
+
+TEST(Flags, DoublesRejectNanAndInfinity) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_THROW(make({"--d", bad}).get_double("d", 0), PreconditionError) << bad;
+  }
+  EXPECT_THROW(make({"--l=0.5,nan"}).get_double_list("l", {}), PreconditionError);
+  EXPECT_THROW(make({"--l=inf,0.5"}).get_double_list("l", {}), PreconditionError);
+  EXPECT_THROW(make({"--l=0.5,-inf"}).get_double_list("l", {}), PreconditionError);
+  EXPECT_DOUBLE_EQ(make({"--d=-2.5e-3"}).get_double("d", 0), -2.5e-3);
+}
+
+TEST(Flags, TryParseBoundaries) {
+  EXPECT_EQ(try_parse_u64("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(try_parse_u64("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(try_parse_u64("-1"), std::nullopt);
+  EXPECT_EQ(try_parse_u64(""), std::nullopt);
+  EXPECT_EQ(try_parse_i64("-0"), 0);
+  EXPECT_EQ(try_parse_double("nan"), std::nullopt);
+  EXPECT_EQ(try_parse_double("0.25"), 0.25);
 }
 
 TEST(Flags, UnusedDetection) {

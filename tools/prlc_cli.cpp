@@ -154,12 +154,12 @@ int cmd_design(const Flags& flags) {
     if (colon == std::string::npos) {
       throw UsageError("--constraints entries must look like M:k, got '" + item + "'");
     }
-    try {
-      problem.decoding.push_back({static_cast<std::size_t>(std::stoul(item.substr(0, colon))),
-                                  std::stod(item.substr(colon + 1))});
-    } catch (const std::exception&) {
+    const auto blocks = try_parse_u64(item.substr(0, colon));
+    const auto levels = try_parse_double(item.substr(colon + 1));
+    if (!blocks || !levels) {
       throw UsageError("--constraints entry is not numeric: '" + item + "'");
     }
+    problem.decoding.push_back({static_cast<std::size_t>(*blocks), *levels});
   }
   if (flags.get_double("alpha", 2.0) > 0) {
     problem.full_recovery = design::FullRecoveryConstraint{
@@ -354,8 +354,8 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Flags flags = Flags::parse(argc - 2, argv + 2);
   try {
+    const Flags flags = Flags::parse(argc - 2, argv + 2);
     int rc;
     if (cmd == "curve") {
       rc = cmd_curve(flags);
