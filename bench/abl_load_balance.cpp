@@ -23,8 +23,9 @@ template <typename Net, typename Params>
 RunningStats max_load(runtime::TrialRunner& runner, Params params, std::size_t trials,
                       std::uint64_t seed) {
   const auto loads = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
-    params.seed = rng();
-    const Net net(params);
+    Params trial_params = params;  // per trial: trials run on several threads
+    trial_params.seed = rng();
+    const Net net(trial_params);
     std::vector<std::size_t> load(net.nodes(), 0);
     for (net::LocationId loc = 0; loc < net.locations(); ++loc) ++load[net.owner_of(loc)];
     std::size_t mx = 0;

@@ -19,6 +19,7 @@
 #include "codec/payload_codec.h"
 #include "codes/decoder.h"
 #include "codes/encoder.h"
+#include "gf/aligned_buffer.h"
 #include "gf/gf256.h"
 #include "gf/gf256_kernels.h"
 #include "linalg/gauss_jordan.h"
@@ -251,6 +252,39 @@ void BM_GfAxpyBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(n * rows));
 }
 BENCHMARK(BM_GfAxpyBatch)->Arg(4096)->Arg(65536);
+
+void BM_GfCombineBatch(benchmark::State& state) {
+  // The store's shape: coded blocks folded from 64 source blocks of 32 KiB
+  // through the tile-major batch entry point. Bytes counted are source
+  // bytes folded in, so the rate reads as effective axpy throughput.
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(12);
+  gf::AlignedVector<std::uint8_t> sources(k * n);
+  for (auto& v : sources) v = static_cast<std::uint8_t>(rng.uniform(256));
+  std::vector<const std::uint8_t*> srcs;
+  for (std::size_t j = 0; j < k; ++j) srcs.push_back(sources.data() + j * n);
+  std::vector<std::vector<std::uint8_t>> coeffs(rows);
+  std::vector<const std::uint8_t*> coeff_rows;
+  for (auto& row : coeffs) {
+    for (std::size_t j = 0; j < k; ++j) {
+      row.push_back(static_cast<std::uint8_t>(1 + rng.uniform(255)));
+    }
+    coeff_rows.push_back(row.data());
+  }
+  std::vector<std::vector<std::uint8_t>> dsts(rows, std::vector<std::uint8_t>(n));
+  std::vector<std::uint8_t*> ptrs;
+  for (auto& d : dsts) ptrs.push_back(d.data());
+  for (auto _ : state) {
+    gf::gf256_combine_batch(ptrs.data(), coeff_rows.data(), rows, srcs.data(), k, n);
+    benchmark::DoNotOptimize(dsts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * k * n));
+}
+BENCHMARK(BM_GfCombineBatch)->Args({16, 64, 32768});
 
 // Integrity-check tiers: the wire CRC and the homomorphic fingerprint
 // each read every payload byte of a fetched frame.

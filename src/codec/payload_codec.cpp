@@ -1,7 +1,9 @@
 #include "codec/payload_codec.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "codec/op_graph.h"
 #include "linalg/progressive_decoder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,61 +21,42 @@ PayloadCodec::PayloadCodec(codes::Scheme scheme, codes::PrioritySpec spec,
   PRLC_REQUIRE(chunk_bytes_ > 0, "chunk size must be positive");
 }
 
-void PayloadCodec::build_encode_graph(OpGraph& graph,
-                                      std::span<const std::vector<std::uint8_t>> coeff_rows,
-                                      const codes::SourceData<F>& source,
-                                      std::span<std::uint8_t* const> outs) const {
-  PRLC_REQUIRE(source.blocks() == spec_.total(),
-               "source data does not match the priority spec");
-  PRLC_REQUIRE(coeff_rows.size() == outs.size(),
-               "one output buffer per coefficient row required");
-  const std::size_t n = spec_.total();
-  const std::size_t payload = source.block_size();
-  PRLC_REQUIRE(payload > 0, "source blocks are empty");
-
-  std::vector<std::uint32_t> source_ids(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    source_ids[j] = graph.add_const_buffer(source.block(j).data(), payload);
-  }
-  for (std::size_t b = 0; b < coeff_rows.size(); ++b) {
-    const auto& row = coeff_rows[b];
-    PRLC_REQUIRE(row.size() == n, "coefficient row width mismatch");
-    const std::uint32_t out = graph.add_buffer(outs[b], payload);
-    bool first = true;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (row[j] == 0) continue;
-      if (first) {
-        graph.mul_region(out, source_ids[j], row[j]);
-        first = false;
-      } else {
-        graph.axpy(out, source_ids[j], row[j]);
-      }
-    }
-    // An all-zero row encodes the zero payload (the encoder never draws
-    // one, but the graph must still define every output byte).
-    if (first) graph.zero(out);
-  }
-}
-
 std::vector<std::vector<std::uint8_t>> PayloadCodec::encode(
     std::span<const std::vector<std::uint8_t>> coeff_rows,
     const codes::SourceData<F>& source) const {
   obs::ScopedSpan span("codec.encode", "codec");
-  std::vector<std::vector<std::uint8_t>> out(
-      coeff_rows.size(), std::vector<std::uint8_t>(source.block_size()));
-  std::vector<std::uint8_t*> ptrs;
-  ptrs.reserve(out.size());
-  for (auto& o : out) ptrs.push_back(o.data());
+  PRLC_REQUIRE(source.blocks() == spec_.total(),
+               "source data does not match the priority spec");
+  const std::size_t n = spec_.total();
+  const std::size_t payload = source.block_size();
+  PRLC_REQUIRE(payload > 0, "source blocks are empty");
 
-  OpGraph graph(chunk_bytes_);
-  {
-    obs::ScopedSpan build("codec.encode.build", "codec");
-    build_encode_graph(graph, coeff_rows, source, ptrs);
-    graph.finalize();
+  std::vector<const std::uint8_t*> sources(n);
+  for (std::size_t j = 0; j < n; ++j) sources[j] = source.block(j).data();
+  std::vector<const std::uint8_t*> rows(coeff_rows.size());
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    PRLC_REQUIRE(coeff_rows[b].size() == n, "coefficient row width mismatch");
+    rows[b] = coeff_rows[b].data();
   }
-  {
-    obs::ScopedSpan exec("codec.encode.execute", "codec");
-    graph.run(pool_);
+  std::vector<std::vector<std::uint8_t>> out(coeff_rows.size(),
+                                             std::vector<std::uint8_t>(payload));
+  std::vector<std::uint8_t*> outs(out.size());
+  for (std::size_t b = 0; b < out.size(); ++b) outs[b] = out[b].data();
+
+  // Each part computes whole rows, so the bytes do not depend on how many
+  // parts the pool runs.
+  const std::size_t parts =
+      pool_ == nullptr || out.empty() ? 1 : std::min(out.size(), pool_->thread_count());
+  const auto encode_part = [&](std::size_t p) {
+    const std::size_t begin = out.size() * p / parts;
+    const std::size_t end = out.size() * (p + 1) / parts;
+    gf::gf256_combine_batch(outs.data() + begin, rows.data() + begin, end - begin,
+                            sources.data(), n, payload);
+  };
+  if (parts <= 1) {
+    encode_part(0);
+  } else {
+    pool_->for_each_index(parts, encode_part);
   }
   return out;
 }

@@ -1,27 +1,32 @@
 // Payload-level codec: priority-RLC encode, progressive decode and
-// survivor recombination as execution graphs.
+// survivor recombination over payload bytes.
 //
 // The coefficient-level machinery (PriorityEncoder, ProgressiveDecoder)
 // answers *which* linear combinations exist and *whether* they decode;
-// this front-end moves the actual multi-MB payloads at hardware speed.
-// Every entry point follows the same shape:
+// this front-end moves the actual multi-MB payloads at hardware speed,
+// serially (the reference path) or across the work-stealing ThreadPool,
+// byte-identical either way.
 //
-//   1. a cheap coefficient phase on one thread (drawing rows is the
-//      encoder's job; decode runs a coefficient-only ProgressiveDecoder
-//      with a schedule recorder — see linalg/elimination_schedule.h);
+// Encode: the coded payloads are the product C*S of the coefficient rows
+// with the source blocks, computed by gf::gf256_combine_batch, the
+// tile-major product the in-network store (proto::Predistribution) uses
+// too; a pool splits the rows into one part per thread.
+//
+// Decode and recombination share one shape:
+//
+//   1. a cheap coefficient phase on one thread (decode runs a
+//      coefficient-only ProgressiveDecoder with a schedule recorder — see
+//      linalg/elimination_schedule.h);
 //   2. an OpGraph over the payload rows, split into cache-tile-sized
 //      chunks (CodecOptions::chunk_bytes, default the gf256 batch tile);
-//   3. graph execution — serial (the reference path) or across the
-//      work-stealing ThreadPool, byte-identical either way.
+//   3. graph execution, serial or pooled.
 //
-// Encode: coded payload b = sum_j beta_{b,j} * x_j becomes, per tile, a
-// chain mul_region + axpy* — all (block, tile) chains independent, so a
-// 64 MiB object saturates every core. Decode replays the recorded
-// elimination schedule over the arriving payload buffers in place (no
-// copies; the buffers that end up holding pivot rows *are* the decoded
-// payloads). Recombination (repair) builds one combination chain over
-// survivor payloads without ever reconstructing source data — the
-// Dimakis-style "new coded block from coded blocks" primitive.
+// Decode replays the recorded elimination schedule over the arriving
+// payload buffers in place (no copies; the buffers that end up holding
+// pivot rows *are* the decoded payloads). Recombination (repair) builds
+// one combination chain over survivor payloads without ever
+// reconstructing source data — the Dimakis-style "new coded block from
+// coded blocks" primitive.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "codec/op_graph.h"
 #include "codes/coded_block.h"
 #include "codes/priority_spec.h"
 #include "codes/scheme.h"
@@ -41,7 +45,8 @@
 namespace prlc::codec {
 
 struct CodecOptions {
-  /// Tile size for graph nodes (positive); defaults to the gf256 batch tile.
+  /// Tile size of the decode and recombination graph nodes (positive);
+  /// defaults to the gf256 batch tile, which encode always walks.
   std::size_t chunk_bytes = gf::kGf256TileBytes;
   /// Execution substrate; nullptr = serial reference path. The pool must
   /// outlive the codec.
@@ -74,16 +79,8 @@ class PayloadCodec {
   std::size_t chunk_bytes() const { return chunk_bytes_; }
 
   /// --- encode -----------------------------------------------------------
-  /// Append the graph computing out[b] = sum_j rows[b][j] * source_j to
-  /// `graph`. Every row must be spec().total() wide; every out[b] must be
-  /// source.block_size() bytes. The caller finalizes and runs the graph.
-  void build_encode_graph(OpGraph& graph,
-                          std::span<const std::vector<std::uint8_t>> coeff_rows,
-                          const codes::SourceData<F>& source,
-                          std::span<std::uint8_t* const> outs) const;
-
-  /// Convenience: build, finalize and run the encode graph; returns the
-  /// coded payloads in row order.
+  /// The coded payloads out[b] = sum_j rows[b][j] * source_j, in row order.
+  /// Every row must be spec().total() wide.
   std::vector<std::vector<std::uint8_t>> encode(
       std::span<const std::vector<std::uint8_t>> coeff_rows,
       const codes::SourceData<F>& source) const;

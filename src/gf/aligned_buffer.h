@@ -1,75 +1,64 @@
-// Cache-line-aligned byte buffers for payload tiles.
+// Cache-line-aligned storage for payload rows.
 //
 // The SIMD kernels accept unaligned spans, but aligned rows keep every
-// tile boundary off a straddled cache line and let the AVX2 loop run its
-// full-width path from byte 0. The payload codec allocates all working
-// rows (coded payloads, decode buffers) through this helper.
+// tile boundary off a straddled cache line, so no 64-byte vector load
+// splits a line. codes::SourceData and the progressive decoder's payload
+// rows are AlignedVectors.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <new>
-#include <span>
-#include <utility>
+#include <vector>
 
 namespace prlc::gf {
 
-/// Movable owner of `size` bytes aligned to `alignment` (a power of two,
-/// default one cache line). Contents start zero-initialized.
-class AlignedBuffer {
- public:
-  static constexpr std::size_t kDefaultAlignment = 64;
+/// Bytes in a cache line: the alignment of every AlignedVector.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
-  AlignedBuffer() = default;
+/// std::vector allocator whose storage starts on a cache-line boundary.
+/// Stateless; elements are initialized exactly as with std::allocator.
+///
+/// It over-allocates by one line and keeps the slack inside the block,
+/// with the base pointer stored just below the aligned start. The aligned
+/// operator new (glibc memalign) instead splits the slack off as small
+/// free chunks, which later allocations pin between the rows: with the
+/// decoder's rows that cost +2% peak RSS on 2 MiB objects.
+template <typename T>
+struct AlignedAllocator {
+  using value_type = T;
 
-  explicit AlignedBuffer(std::size_t size, std::size_t alignment = kDefaultAlignment)
-      : size_(size), alignment_(alignment) {
-    if (size_ == 0) return;
-    data_ = static_cast<std::uint8_t*>(
-        ::operator new[](size_, std::align_val_t{alignment_}));
-    for (std::size_t i = 0; i < size_; ++i) data_[i] = 0;
-  }
+  AlignedAllocator() = default;
+  template <typename U>
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
-  AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)),
-        alignment_(other.alignment_) {}
-
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
-    if (this != &other) {
-      release();
-      data_ = std::exchange(other.data_, nullptr);
-      size_ = std::exchange(other.size_, 0);
-      alignment_ = other.alignment_;
+  T* allocate(std::size_t n) {
+    if (n > (std::numeric_limits<std::size_t>::max() - kCacheLineBytes) / sizeof(T)) {
+      throw std::bad_array_new_length();
     }
-    return *this;
+    // operator new returns at least pointer alignment, so the first aligned
+    // address past room for the base pointer is at most one line in.
+    void* base = ::operator new(n * sizeof(T) + kCacheLineBytes);
+    const std::uintptr_t room = reinterpret_cast<std::uintptr_t>(base) + sizeof(void*);
+    auto* start = static_cast<std::uint8_t*>(base) +
+                  (((room + kCacheLineBytes - 1) & ~std::uintptr_t{kCacheLineBytes - 1}) -
+                   reinterpret_cast<std::uintptr_t>(base));
+    std::memcpy(start - sizeof(void*), &base, sizeof(void*));
+    return reinterpret_cast<T*>(start);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    void* base = nullptr;
+    std::memcpy(&base, reinterpret_cast<std::uint8_t*>(p) - sizeof(void*), sizeof(void*));
+    ::operator delete(base);
   }
 
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-
-  ~AlignedBuffer() { release(); }
-
-  std::uint8_t* data() { return data_; }
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  std::size_t alignment() const { return alignment_; }
-  bool empty() const { return size_ == 0; }
-
-  std::span<std::uint8_t> span() { return {data_, size_}; }
-  std::span<const std::uint8_t> span() const { return {data_, size_}; }
-
- private:
-  void release() {
-    if (data_ != nullptr) {
-      ::operator delete[](data_, std::align_val_t{alignment_});
-      data_ = nullptr;
-    }
-  }
-
-  std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t alignment_ = kDefaultAlignment;
+  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) { return true; }
 };
+
+/// A vector whose first element sits on a cache-line boundary.
+template <typename T>
+using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 }  // namespace prlc::gf

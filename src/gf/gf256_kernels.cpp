@@ -1,5 +1,6 @@
 #include "gf/gf256_kernels.h"
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -20,7 +21,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // kReference — the seed implementation: one lookup per byte in the 64 KiB
-// product table. Kept verbatim as the oracle the AVX2 tier is
+// product table. Kept verbatim as the oracle the vector tiers are
 // differential-tested (and benchmarked) against.
 // ---------------------------------------------------------------------------
 
@@ -158,6 +159,86 @@ __attribute__((target("avx2"))) void mul_region_avx2(std::uint8_t* dst,
   for (; i < n; ++i) dst[i] = tlo[src[i] & 15] ^ thi[src[i] >> 4];
 }
 
+// ---------------------------------------------------------------------------
+// kGfni — GF2P8AFFINEQB kernels. Multiplying by a constant a is GF(2)-linear
+// in the bits of x, so a*x is one 8x8 bit-matrix product, whatever the field
+// polynomial. GF2P8AFFINEQB applies such a matrix to all 64 bytes of a ZMM
+// register in one instruction; byte-masked loads and stores (AVX-512BW)
+// cover the tail, so there is no scalar loop. The 256 matrices (2 KiB) are
+// built once from bitwise_mul.
+// ---------------------------------------------------------------------------
+
+struct AffineTables {
+  alignas(64) std::uint64_t mul[256];
+  AffineTables() {
+    // GF2P8AFFINEQB computes bit i of each result byte as the parity of
+    // (matrix byte 7-i) AND x; so bit j of that byte is bit i of a * 2^j.
+    for (int a = 0; a < 256; ++a) {
+      std::uint64_t m = 0;
+      for (int j = 0; j < 8; ++j) {
+        const std::uint8_t column = bitwise_mul(static_cast<std::uint8_t>(a),
+                                                static_cast<std::uint8_t>(1 << j));
+        for (int i = 0; i < 8; ++i) {
+          if ((column >> i) & 1) m |= std::uint64_t{1} << (8 * (7 - i) + j);
+        }
+      }
+      mul[a] = m;
+    }
+  }
+};
+
+const AffineTables& affine() {
+  static const AffineTables t;
+  return t;
+}
+
+#define PRLC_GF256_GFNI "avx512f,avx512bw,gfni"
+
+/// Byte mask selecting the first n (< 64) lanes.
+__attribute__((target(PRLC_GF256_GFNI))) inline __mmask64 tail_mask(std::size_t n) {
+  return (__mmask64{1} << n) - 1;
+}
+
+__attribute__((target(PRLC_GF256_GFNI))) inline __m512i gf_mul(__m512i x, __m512i matrix) {
+  return _mm512_gf2p8affine_epi64_epi8(x, matrix, 0);
+}
+
+__attribute__((target(PRLC_GF256_GFNI))) void axpy_gfni(std::uint8_t* y, const std::uint8_t* x,
+                                                        std::uint8_t a, std::size_t n) {
+  if (a == 0) return;
+  const __m512i m = _mm512_set1_epi64(static_cast<long long>(affine().mul[a]));
+  std::size_t i = 0;
+  for (; i + 256 <= n; i += 256) {
+    for (std::size_t q = 0; q < 256; q += 64) {
+      const __m512i p = gf_mul(_mm512_loadu_si512(x + i + q), m);
+      _mm512_storeu_si512(y + i + q, _mm512_xor_si512(_mm512_loadu_si512(y + i + q), p));
+    }
+  }
+  for (; i + 64 <= n; i += 64) {
+    const __m512i p = gf_mul(_mm512_loadu_si512(x + i), m);
+    _mm512_storeu_si512(y + i, _mm512_xor_si512(_mm512_loadu_si512(y + i), p));
+  }
+  if (i < n) {
+    const __mmask64 k = tail_mask(n - i);
+    const __m512i p = gf_mul(_mm512_maskz_loadu_epi8(k, x + i), m);
+    _mm512_mask_storeu_epi8(y + i, k, _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, y + i), p));
+  }
+}
+
+__attribute__((target(PRLC_GF256_GFNI))) void mul_region_gfni(std::uint8_t* dst,
+                                                              const std::uint8_t* src,
+                                                              std::uint8_t a, std::size_t n) {
+  const __m512i m = _mm512_set1_epi64(static_cast<long long>(affine().mul[a]));
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    _mm512_storeu_si512(dst + i, gf_mul(_mm512_loadu_si512(src + i), m));
+  }
+  if (i < n) {
+    const __mmask64 k = tail_mask(n - i);
+    _mm512_mask_storeu_epi8(dst + i, k, gf_mul(_mm512_maskz_loadu_epi8(k, src + i), m));
+  }
+}
+
 #endif  // PRLC_GF256_X86
 
 // ---------------------------------------------------------------------------
@@ -167,19 +248,23 @@ __attribute__((target("avx2"))) void mul_region_avx2(std::uint8_t* dst,
 constexpr Gf256KernelOps kReferenceOps = {"reference", axpy_reference, mul_region_reference};
 #if PRLC_GF256_X86
 constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2};
+constexpr Gf256KernelOps kGfniOps = {"gfni", axpy_gfni, mul_region_gfni};
 #endif
 
 constexpr Gf256Kernel kCompiledKernels[] = {
     Gf256Kernel::kReference,
 #if PRLC_GF256_X86
     Gf256Kernel::kAvx2,
+    Gf256Kernel::kGfni,
 #endif
 };
 
 /// The best runtime-supported tier; records the dispatch gauges.
 Gf256Kernel pick_kernel() {
-  const Gf256Kernel k = gf256_kernel_runtime_ok(Gf256Kernel::kAvx2) ? Gf256Kernel::kAvx2
-                                                                     : Gf256Kernel::kReference;
+  Gf256Kernel k = Gf256Kernel::kReference;
+  for (const Gf256Kernel candidate : kCompiledKernels) {
+    if (gf256_kernel_runtime_ok(candidate)) k = candidate;
+  }
   obs::gauge(std::string("gf256.dispatch.") + gf256_kernel_name(k)).set(1);
   obs::gauge("gf256.dispatch_variant").set(static_cast<int>(k));
   return k;
@@ -193,6 +278,8 @@ const char* gf256_kernel_name(Gf256Kernel k) {
       return "reference";
     case Gf256Kernel::kAvx2:
       return "avx2";
+    case Gf256Kernel::kGfni:
+      return "gfni";
   }
   PRLC_ASSERT(false, "unknown GF(256) kernel variant");
 }
@@ -211,6 +298,13 @@ bool gf256_kernel_runtime_ok(Gf256Kernel k) {
 #else
       return false;
 #endif
+    case Gf256Kernel::kGfni:
+#if PRLC_GF256_X86
+      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("gfni");
+#else
+      return false;
+#endif
   }
   PRLC_ASSERT(false, "unknown GF(256) kernel variant");
 }
@@ -222,6 +316,12 @@ const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k) {
     case Gf256Kernel::kAvx2:
 #if PRLC_GF256_X86
       return kAvx2Ops;
+#else
+      break;
+#endif
+    case Gf256Kernel::kGfni:
+#if PRLC_GF256_X86
+      return kGfniOps;
 #else
       break;
 #endif
@@ -261,6 +361,39 @@ void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
       ops.axpy(ys[r] + off, x + off, coeffs[r], len);
     }
   }
+}
+
+void gf256_combine_batch(std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows,
+                         std::size_t rows, const std::uint8_t* const* srcs, std::size_t k,
+                         std::size_t n) {
+  const Gf256KernelOps& ops = gf256_active_ops();
+  static obs::Counter& combine_calls = obs::counter("gf256.combine_calls");
+  static obs::Counter& combine_bytes = obs::counter("gf256.combine_bytes");
+  combine_calls.add();
+  // Tile-major: a tile of every source is read from memory once, then
+  // each row runs its chain (mul_region for the first nonzero term, axpy
+  // for the rest) on a destination tile that stays in L1.
+  std::size_t folded = 0;
+  for (std::size_t off = 0; off < n; off += kGf256TileBytes) {
+    const std::size_t len = std::min(n - off, kGf256TileBytes);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::uint8_t* dst = dsts[r] + off;
+      bool first = true;
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::uint8_t c = coeff_rows[r][j];
+        if (c == 0) continue;
+        if (first) {
+          ops.mul_region(dst, srcs[j] + off, c, len);
+          first = false;
+        } else {
+          ops.axpy(dst, srcs[j] + off, c, len);
+        }
+        folded += len;
+      }
+      if (first) std::memset(dst, 0, len);
+    }
+  }
+  combine_bytes.add(folded);
 }
 
 }  // namespace prlc::gf

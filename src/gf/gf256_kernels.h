@@ -1,25 +1,35 @@
 // Vectorized GF(2^8) span kernels with one-time runtime dispatch.
 //
-// Every hot path of the library — encoding, progressive decoding, batch
-// RREF — reduces to two span operations over GF(2^8): axpy (y ^= a*x) and
-// mul_region (dst = a*src; scale when dst == src). Two kernel tiers
-// compute identical bytes; the fastest one the running CPU supports is
-// picked once, at first use:
+// Every hot path of the library — encoding, in-network storage, progressive
+// decoding, batch RREF — reduces to two span operations over GF(2^8): axpy
+// (y ^= a*x) and mul_region (dst = a*src; scale when dst == src). Three
+// kernel tiers compute identical bytes; the fastest one the running CPU
+// supports is picked once, at first use:
 //
 //   kReference — byte-at-a-time lookups in the 64 KiB product table; the
-//                seed implementation, kept as the oracle the other tier is
-//                tested against.
+//                seed implementation, kept as the oracle the other tiers
+//                are tested against.
 //   kAvx2      — split-nibble kernel: two 16-entry tables per multiplier
 //                (products of the low and high nibble) live in YMM
 //                registers and _mm256_shuffle_epi8 performs 32 table
 //                lookups per instruction, unrolled to 64 bytes per
 //                iteration.
+//   kGfni      — AVX-512BW + GFNI: multiplying by a constant is GF(2)-linear
+//                in the bits of x, so one GF2P8AFFINEQB applies it to 64
+//                bytes as an 8x8 bit-matrix product (this works for any
+//                field polynomial, 0x11D included); byte-masked loads and
+//                stores handle the tail.
 //
-// The AVX2 tier is compiled behind __x86_64__/__i386__ guards using GCC/
-// Clang `target` attributes (no special -m flags needed) and chosen with
-// __builtin_cpu_supports, so one binary runs everywhere. There is no
-// override knob: tests and benchmarks reach a tier through
-// gf256_kernel_ops(k).
+// Two batch entry points tile those ops for cache reuse: gf256_axpy_batch
+// applies one source row to many rows (decoder back-elimination) and
+// gf256_combine_batch computes many rows from many sources (the coded
+// payloads of the in-network store and of the payload codec's encode).
+//
+// The vector tiers are compiled behind __x86_64__/__i386__ guards using
+// GCC/Clang `target` attributes (no special -m flags needed) and chosen
+// with __builtin_cpu_supports, so one binary runs everywhere; a host
+// without AVX-512BW+GFNI runs the AVX2 tier. There is no override knob:
+// tests and benchmarks reach a tier through gf256_kernel_ops(k).
 #pragma once
 
 #include <cstddef>
@@ -31,6 +41,7 @@ namespace prlc::gf {
 enum class Gf256Kernel {
   kReference = 0,  ///< byte-wise 64 KiB-table loop (seed behaviour)
   kAvx2,           ///< vpshufb split-nibble, 64 bytes per iteration
+  kGfni,           ///< GF2P8AFFINEQB on ZMM registers, masked tail
 };
 
 /// Function-pointer table for one kernel tier. All pointers are always
@@ -46,7 +57,7 @@ struct Gf256KernelOps {
                      std::size_t n);
 };
 
-/// Tier name ("reference", "avx2").
+/// Tier name ("reference", "avx2", "gfni").
 const char* gf256_kernel_name(Gf256Kernel k);
 
 /// Every tier compiled into this binary, in ascending preference order.
@@ -80,5 +91,18 @@ inline constexpr std::size_t kGf256TileBytes = 8192;
 /// gauge "gf256.tile_bytes".
 void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
                       const std::uint8_t* x, std::size_t rows, std::size_t n);
+
+/// Batched combine: the tile-major product D = C*S of a rows x k
+/// coefficient matrix with k source rows of n bytes, dsts[r] =
+/// sum_j coeff_rows[r][j] * srcs[j]; zero coefficients are skipped and a
+/// row without nonzero ones is zeroed. Walks kGf256TileBytes at a time:
+/// one tile of every source is read from memory once and then folded into
+/// every row from cache, each row's tile by one mul_region and then one
+/// axpy per further term. Destinations must not overlap any source.
+/// Counts calls and source bytes folded in the obs counters
+/// "gf256.combine_calls" and "gf256.combine_bytes".
+void gf256_combine_batch(std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows,
+                         std::size_t rows, const std::uint8_t* const* srcs, std::size_t k,
+                         std::size_t n);
 
 }  // namespace prlc::gf

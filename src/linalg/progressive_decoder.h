@@ -50,6 +50,7 @@
 #include <span>
 #include <vector>
 
+#include "gf/aligned_buffer.h"
 #include "gf/field_concept.h"
 #include "linalg/elimination_schedule.h"
 #include "obs/events.h"
@@ -245,7 +246,7 @@ class ProgressiveDecoder {
     std::vector<Symbol> coef;         ///< dense: window [pivot, end)
     std::vector<std::uint32_t> idx;   ///< sparse: sorted support columns
     std::vector<Symbol> val;          ///< sparse: values matching idx
-    std::vector<Symbol> payload;
+    gf::AlignedVector<Symbol> payload;  ///< cache-line aligned for the kernels
     std::uint32_t cover_end_block = 0;  ///< dense_cover_ registration bound
   };
 
@@ -825,7 +826,7 @@ class ProgressiveDecoder {
   std::size_t densifications_ = 0;
   /// Full-width scratch row, all-zero between add() calls.
   std::vector<Symbol> work_coef_;
-  std::vector<Symbol> work_payload_;
+  gf::AlignedVector<Symbol> work_payload_;
   // Sparse-path scratch: pending-column min-heap + membership flags, the
   // list of columns ever touched, and gathered input indices/values.
   std::vector<std::uint32_t> heap_;

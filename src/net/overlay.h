@@ -51,28 +51,32 @@ class Overlay {
     return generation_[node];
   }
 
+  /// Membership epoch: bumped by every real alive/failed transition and
+  /// by nothing else, so an overlay can cache what it derives from the
+  /// alive set and rebuild it only when this value moves.
+  std::uint64_t membership_epoch() const { return epoch_; }
+
   /// Mark a node failed; idempotent (re-failing does not bump again).
   void fail_node(NodeId node) {
     PRLC_REQUIRE(node < alive_.size(), "node id out of range");
     if (!alive_[node]) return;
     alive_[node] = false;
     ++generation_[node];
+    --alive_count_;
+    ++epoch_;
   }
 
   /// Bring a failed node back (a peer rejoining the session / a sensor
   /// waking from hibernation) with empty storage. Idempotent.
   void revive_node(NodeId node) {
     PRLC_REQUIRE(node < alive_.size(), "node id out of range");
+    if (alive_[node]) return;
     alive_[node] = true;
+    ++alive_count_;
+    ++epoch_;
   }
 
-  std::size_t alive_count() const {
-    std::size_t count = 0;
-    for (NodeId v = 0; v < nodes(); ++v) {
-      if (alive(v)) ++count;
-    }
-    return count;
-  }
+  std::size_t alive_count() const { return alive_count_; }
 
   /// Node currently in charge of location `loc` (closest alive node /
   /// alive successor). Requires at least one alive node.
@@ -111,11 +115,15 @@ class Overlay {
   void init_membership(std::size_t node_count) {
     alive_.assign(node_count, true);
     generation_.assign(node_count, 0);
+    alive_count_ = node_count;
+    ++epoch_;
   }
 
  private:
   std::vector<bool> alive_;
   std::vector<std::uint32_t> generation_;
+  std::size_t alive_count_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace prlc::net

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "gf/gf256_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -124,9 +125,11 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
     }
   }
 
-  // Per-location accumulation (step 4). For each location, decide which
-  // source blocks of its support arrive (all of them, or the sparse
-  // O(ln .) selection), then route each arrival and fold it in.
+  // Per-location accumulation (step 4) in two passes. The first decides,
+  // for each location, which source blocks of its support arrive (all of
+  // them, or the sparse O(ln .) selection), routes each arrival and draws
+  // its beta, in the protocol's order of draws: this fixes every
+  // coefficient of c = sum beta * x without touching a payload byte.
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     if (!host[loc].has_value()) continue;  // dropped by capacity overflow
     const std::size_t level = location_level_[loc];
@@ -151,7 +154,6 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
     StoredBlock entry;
     entry.block.level = level;
     entry.block.coeffs.assign(spec_.total(), 0);
-    entry.block.payload.assign(params_.block_size, 0);
 
     bool placed = false;
     for (std::size_t j : selected) {
@@ -167,11 +169,10 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
         entry.owner_generation = overlay_.generation(entry.owner);
         placed = true;
       }
-      // c <- c + beta * x with beta nonzero (a zero draw would waste the
-      // delivery; the paper's footnote-1 field-size assumption).
+      // beta nonzero (a zero draw would waste the delivery; the paper's
+      // footnote-1 field-size assumption).
       const auto beta = static_cast<Field::Symbol>(1 + rng.uniform(Field::order() - 1));
       entry.block.coeffs[j] = Field::add(entry.block.coeffs[j], beta);
-      Field::axpy(std::span<Field::Symbol>(entry.block.payload), beta, source.block(j));
       ++entry.arrivals;
     }
     if (placed) {
@@ -183,9 +184,30 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
              {"level", static_cast<double>(level)},
              {"arrivals", static_cast<double>(entry.arrivals)}});
       }
+      entry.block.payload.resize(params_.block_size);
       storage_[loc] = std::move(entry);
     }
   }
+  // The second pass computes every stored payload as one tile-major
+  // product of the coefficient rows with the source blocks, so each tile
+  // of the source data is read from memory once. XOR accumulation is
+  // order-free: the bytes equal the arrival-by-arrival c <- c + beta * x
+  // of the protocol. The row pointers are gathered only now, so these
+  // short-lived arrays never sit between the stored blocks on the heap.
+  std::vector<Field::Symbol*> payloads;
+  std::vector<const Field::Symbol*> coeff_rows;
+  payloads.reserve(storage_.size());
+  coeff_rows.reserve(storage_.size());
+  for (auto& slot : storage_) {
+    if (!slot.has_value()) continue;
+    payloads.push_back(slot->block.payload.data());
+    coeff_rows.push_back(slot->block.coeffs.data());
+  }
+  std::vector<const Field::Symbol*> sources(spec_.total());
+  for (std::size_t j = 0; j < sources.size(); ++j) sources[j] = source.block(j).data();
+  gf::gf256_combine_batch(payloads.data(), coeff_rows.data(), payloads.size(), sources.data(),
+                          sources.size(), params_.block_size);
+
   static obs::Counter& messages = obs::counter("predist.messages");
   static obs::Counter& hops = obs::counter("predist.hops");
   static obs::Counter& failed = obs::counter("predist.failed_routes");

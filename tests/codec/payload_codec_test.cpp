@@ -25,7 +25,7 @@ using codes::PrioritySpec;
 using codes::Scheme;
 
 /// Byte-wise scalar reference: out = sum_j row[j] * source_j via F::mul,
-/// no kernels, no tiling — the ground truth the graph must reproduce.
+/// no kernels, no tiling — the ground truth encode must reproduce.
 std::vector<std::uint8_t> scalar_encode_row(const std::vector<std::uint8_t>& row,
                                             const codes::SourceData<F>& source) {
   std::vector<std::uint8_t> out(source.block_size(), 0);
@@ -83,8 +83,17 @@ TEST(PayloadCodec, EncodeMatchesScalarReferenceAtUnalignedSizes) {
   }
 }
 
+TEST(PayloadCodec, EncodeOfNoRowsIsEmptyWithAndWithoutPool) {
+  Rng rng(23);
+  const auto spec = PrioritySpec::uniform(2, 4);
+  const auto source = codes::SourceData<F>::random(spec.total(), 100, rng);
+  runtime::ThreadPool pool(4);
+  EXPECT_TRUE(PayloadCodec(Scheme::kPlc, spec).encode({}, source).empty());
+  EXPECT_TRUE(PayloadCodec(Scheme::kPlc, spec, {.pool = &pool}).encode({}, source).empty());
+}
+
 TEST(PayloadCodec, LargeObjectPooledEncodeDecodeIsByteIdenticalToSerial) {
-  // 64 MiB - 1: too big for the scalar reference, so the serial graph
+  // 64 MiB - 1: too big for the scalar reference, so the serial
   // path (itself fuzz-verified above) is the oracle for the pooled runs.
   Rng rng(22);
   const auto spec = PrioritySpec::uniform(2, 4);  // N = 8

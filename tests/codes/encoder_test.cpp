@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "gf/gf256.h"
 #include "gf/gf2m.h"
@@ -229,6 +230,28 @@ TEST(SourceData, RandomAndAccessors) {
   d.block(2)[1] = 42;
   EXPECT_EQ(d.block(2)[1], 42);
   EXPECT_THROW(d.block(5), PreconditionError);
+}
+
+template <typename Field>
+void expect_aligned_blocks_in_draw_order(std::size_t block_size) {
+  Rng rng(101);
+  const auto d = SourceData<Field>::random(5, block_size, rng);
+  Rng replay(101);
+  for (std::size_t i = 0; i < d.blocks(); ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.block(i).data()) % 64, 0u)
+        << "block " << i << " of size " << block_size;
+    for (const auto v : d.block(i)) {
+      ASSERT_EQ(v, static_cast<typename Field::Symbol>(replay.uniform(Field::order())));
+    }
+  }
+}
+
+TEST(SourceData, BlocksStartOnCacheLinesInDrawOrder) {
+  // Padding between blocks must not change which values are drawn.
+  for (const std::size_t block_size : {1, 3, 64, 1000, 4096}) {
+    expect_aligned_blocks_in_draw_order<F>(block_size);
+    expect_aligned_blocks_in_draw_order<gf::Gf2m<12>>(block_size);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Differential tests for the vectorized GF(2^8) kernels: every compiled
 // variant must agree with the reference byte-wise product-table loop on
 // randomized spans, including unaligned offsets and the lengths around
-// every vector-width boundary where tail handling lives.
+// every vector-width boundary where tail handling lives (32/64 bytes for
+// AVX2, 64/256 bytes and the masked tail for GFNI).
 #include "gf/gf256_kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,8 +17,8 @@
 namespace prlc::gf {
 namespace {
 
-// Lengths straddling the 32/64-byte AVX2 strides and the byte tail after
-// them, plus 0/1 and a large one.
+// Lengths straddling the 32/64-byte AVX2 and 64/256-byte GFNI strides and
+// the tail after them, plus 0/1 and a large one.
 constexpr std::size_t kLengths[] = {0,  1,  7,  8,  9,   15,  16,  17,  31,   32,
                                     33, 63, 64, 65, 127, 128, 129, 257, 4096, 4097};
 // Start offsets into the backing buffers — misaligns the spans relative to
@@ -95,9 +97,17 @@ INSTANTIATE_TEST_SUITE_P(AllCompiledVariants, Gf256KernelsTest,
                          });
 
 TEST(Gf256Kernels, DispatchPicksTheBestSupportedVariant) {
+  // Preference order: reference < avx2 < gfni; x86 builds compile all three.
+  const std::vector<Gf256Kernel> compiled = gf256_compiled_kernels();
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(compiled, (std::vector<Gf256Kernel>{Gf256Kernel::kReference, Gf256Kernel::kAvx2,
+                                                Gf256Kernel::kGfni}));
+#else
+  EXPECT_EQ(compiled, std::vector<Gf256Kernel>{Gf256Kernel::kReference});
+#endif
   const Gf256Kernel active = gf256_active_kernel();
   EXPECT_TRUE(gf256_kernel_runtime_ok(active)) << gf256_kernel_name(active);
-  for (const Gf256Kernel k : gf256_compiled_kernels()) {
+  for (const Gf256Kernel k : compiled) {
     if (static_cast<int>(k) > static_cast<int>(active)) {
       EXPECT_FALSE(gf256_kernel_runtime_ok(k)) << gf256_kernel_name(k);
     }
@@ -129,6 +139,51 @@ TEST(Gf256Kernels, AxpyBatchMatchesPerRowAxpy) {
                     std::span<const std::uint8_t>(coeffs),
                     std::span<const std::uint8_t>(x));
   for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(targets[r], expect[r]) << "row " << r;
+}
+
+TEST(Gf256Kernels, CombineBatchMatchesReferenceAxpys) {
+  const Gf256KernelOps& ref = gf256_kernel_ops(Gf256Kernel::kReference);
+  Rng rng(106);
+  // Source counts from none to the store's 64; lengths below, at and past
+  // a vector stride and past the tile boundary with an unaligned tail;
+  // misaligned sources; rows with no nonzero coefficient, a single term
+  // of 1, all terms nonzero and scattered zeros.
+  for (const std::size_t k : {0, 1, 2, 17, 64}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{65},
+                                std::size_t{4097}, 3 * kGf256TileBytes + 37}) {
+      for (const std::size_t offset : kOffsets) {
+        std::vector<std::vector<std::uint8_t>> sources;
+        std::vector<const std::uint8_t*> srcs;
+        for (std::size_t j = 0; j < k; ++j) {
+          sources.push_back(random_bytes(offset + n, rng));
+          srcs.push_back(sources.back().data() + offset);
+        }
+        std::vector<std::vector<std::uint8_t>> coeffs(4, std::vector<std::uint8_t>(k, 0));
+        if (k > 0) coeffs[1][k - 1] = 1;
+        for (std::size_t j = 0; j < k; ++j) {
+          coeffs[2][j] = static_cast<std::uint8_t>(1 + rng.uniform(255));
+          coeffs[3][j] = j % 3 == 0 ? 0 : static_cast<std::uint8_t>(rng.uniform(256));
+        }
+        std::vector<const std::uint8_t*> coeff_rows;
+        std::vector<std::vector<std::uint8_t>> expect;
+        for (const auto& row : coeffs) {
+          coeff_rows.push_back(row.data());
+          std::vector<std::uint8_t>& want = expect.emplace_back(n, 0);
+          for (std::size_t j = 0; j < k; ++j) ref.axpy(want.data(), srcs[j], row[j], n);
+        }
+        // Poisoned destinations: every byte must be overwritten.
+        std::vector<std::vector<std::uint8_t>> got(coeffs.size(),
+                                                   std::vector<std::uint8_t>(n, 0xEE));
+        std::vector<std::uint8_t*> dsts;
+        for (auto& row : got) dsts.push_back(row.data());
+        gf256_combine_batch(dsts.data(), coeff_rows.data(), dsts.size(), srcs.data(), k, n);
+        for (std::size_t r = 0; r < got.size(); ++r) {
+          ASSERT_EQ(got[r], expect[r]) << "k " << k << " n " << n << " offset " << offset
+                                       << " row " << r;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "gf/gf2m.h"
 #include "gf/gf256.h"
 #include "linalg/gauss_jordan.h"
@@ -93,6 +95,8 @@ TEST(ProgressiveDecoder, PayloadRecoversSolution) {
     ASSERT_TRUE(d.is_decoded(i));
     const auto got = d.solution(i);
     EXPECT_TRUE(std::equal(got.begin(), got.end(), x[i].begin(), x[i].end())) << i;
+    // Payload rows start on a cache line, so no kernel load splits one.
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(got.data()) % 64, 0u) << i;
   }
 }
 

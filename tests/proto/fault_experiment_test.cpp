@@ -29,27 +29,32 @@ FaultSweepParams small_params() {
 
 TEST(FaultExperiment, ThreadCountNeverChangesResults) {
   // The acceptance bar for the whole fault subsystem: with faults
-  // enabled, --threads 1 and --threads 8 are bit-identical.
-  auto serial = small_params();
-  serial.experiment.threads = 1;
-  auto parallel = small_params();
-  parallel.experiment.threads = 8;
-  const auto a = run_fault_experiment(serial);
-  const auto b = run_fault_experiment(parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].fault_scale, b[i].fault_scale);
-    EXPECT_EQ(a[i].mean_decoded_levels, b[i].mean_decoded_levels);
-    EXPECT_EQ(a[i].ci95_decoded_levels, b[i].ci95_decoded_levels);
-    EXPECT_EQ(a[i].mean_decoded_blocks, b[i].mean_decoded_blocks);
-    EXPECT_EQ(a[i].mean_blocks_retrieved, b[i].mean_blocks_retrieved);
-    EXPECT_EQ(a[i].mean_blocks_lost, b[i].mean_blocks_lost);
-    EXPECT_EQ(a[i].mean_retries, b[i].mean_retries);
-    EXPECT_EQ(a[i].mean_hedges, b[i].mean_hedges);
-    EXPECT_EQ(a[i].mean_wire_errors, b[i].mean_wire_errors);
-    EXPECT_EQ(a[i].mean_timeouts, b[i].mean_timeouts);
-    EXPECT_EQ(a[i].mean_crashes, b[i].mean_crashes);
-    EXPECT_EQ(a[i].degraded_fraction, b[i].degraded_fraction);
+  // enabled, --threads 1 and --threads 8 are bit-identical, on either
+  // overlay (each trial builds its own, whose lookups cache state).
+  for (const OverlayKind overlay : {OverlayKind::kSensor, OverlayKind::kChord}) {
+    SCOPED_TRACE(to_string(overlay));
+    auto serial = small_params();
+    serial.overlay = overlay;
+    serial.experiment.threads = 1;
+    auto parallel = serial;
+    parallel.experiment.threads = 8;
+    const auto a = run_fault_experiment(serial);
+    const auto b = run_fault_experiment(parallel);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].fault_scale, b[i].fault_scale);
+      EXPECT_EQ(a[i].mean_decoded_levels, b[i].mean_decoded_levels);
+      EXPECT_EQ(a[i].ci95_decoded_levels, b[i].ci95_decoded_levels);
+      EXPECT_EQ(a[i].mean_decoded_blocks, b[i].mean_decoded_blocks);
+      EXPECT_EQ(a[i].mean_blocks_retrieved, b[i].mean_blocks_retrieved);
+      EXPECT_EQ(a[i].mean_blocks_lost, b[i].mean_blocks_lost);
+      EXPECT_EQ(a[i].mean_retries, b[i].mean_retries);
+      EXPECT_EQ(a[i].mean_hedges, b[i].mean_hedges);
+      EXPECT_EQ(a[i].mean_wire_errors, b[i].mean_wire_errors);
+      EXPECT_EQ(a[i].mean_timeouts, b[i].mean_timeouts);
+      EXPECT_EQ(a[i].mean_crashes, b[i].mean_crashes);
+      EXPECT_EQ(a[i].degraded_fraction, b[i].degraded_fraction);
+    }
   }
 }
 

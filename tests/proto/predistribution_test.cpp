@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "gf/gf256_kernels.h"
 #include "net/chord_network.h"
+#include "net/churn.h"
 #include "net/sensor_network.h"
 #include "util/check.h"
 
@@ -109,23 +111,44 @@ TEST(Predistribution, StoredBlocksMatchSchemeSupport) {
 }
 
 TEST(Predistribution, StoredPayloadIsLinearCombination) {
-  Fixture f;
-  net::ChordNetwork overlay(f.net_params);
-  ProtocolParams params;
-  params.scheme = Scheme::kPlc;
-  params.block_size = 8;
-  Predistribution pd(overlay, f.spec, f.dist, params);
-  Rng rng(102);
-  const auto source = codes::SourceData<Field>::random(f.spec.total(), 8, rng);
-  pd.disseminate(source, rng);
-  for (net::LocationId loc = 0; loc < overlay.locations(); ++loc) {
-    const StoredBlock* slot = pd.stored(loc);
-    ASSERT_NE(slot, nullptr);
-    std::vector<Field::Symbol> expect(8, 0);
-    for (std::size_t j = 0; j < f.spec.total(); ++j) {
-      Field::axpy(std::span<Field::Symbol>(expect), slot->block.coeffs[j], source.block(j));
+  // Block sizes below every vector width, unaligned, and spanning several
+  // kernel tiles with a tail; the expected payload uses the reference tier.
+  const gf::Gf256KernelOps& reference = gf::gf256_kernel_ops(gf::Gf256Kernel::kReference);
+  for (const std::size_t block_size : {std::size_t{8}, std::size_t{1000},
+                                       3 * gf::kGf256TileBytes + 37}) {
+    for (const Scheme scheme : {Scheme::kRlc, Scheme::kSlc, Scheme::kPlc}) {
+      for (const bool sparse : {false, true}) {
+        for (const bool churned : {false, true}) {
+          Fixture f;
+          net::ChordNetwork overlay(f.net_params);
+          Rng rng(102);
+          if (churned) net::kill_uniform_fraction(overlay, 0.3, rng);
+          ProtocolParams params;
+          params.scheme = scheme;
+          params.block_size = block_size;
+          params.sparse = sparse;
+          Predistribution pd(overlay, f.spec, f.dist, params);
+          const auto source = codes::SourceData<Field>::random(f.spec.total(), block_size, rng);
+          pd.disseminate(source, rng);
+          for (net::LocationId loc = 0; loc < overlay.locations(); ++loc) {
+            const StoredBlock* slot = pd.stored(loc);
+            ASSERT_NE(slot, nullptr);
+            std::vector<Field::Symbol> expect(block_size, 0);
+            std::size_t terms = 0;
+            for (std::size_t j = 0; j < f.spec.total(); ++j) {
+              if (slot->block.coeffs[j] == 0) continue;
+              ++terms;
+              reference.axpy(expect.data(), source.block(j).data(), slot->block.coeffs[j],
+                             block_size);
+            }
+            EXPECT_EQ(slot->arrivals, terms);
+            ASSERT_EQ(slot->block.payload, expect)
+                << codes::to_string(scheme) << " block_size " << block_size << " sparse "
+                << sparse << " churned " << churned << " loc " << loc;
+          }
+        }
+      }
     }
-    EXPECT_EQ(slot->block.payload, expect);
   }
 }
 

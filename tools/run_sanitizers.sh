@@ -50,9 +50,9 @@ cmake --build "${tsan_build_dir}" -j"${jobs}" \
   --target abl_persistence_e2e --target abl_fault --target abl_cluster_lifetime \
   --target abl_integrity
 
-# test_codec drives the dependency-counting OpGraph executor (the codec's
-# multithreaded data plane) across pools of 1/2/8 workers — the prime
-# TSan target this repo has.
+# test_codec drives the codec's multithreaded data plane — the pooled
+# encode and the dependency-counting OpGraph executor — across pools of
+# 1/2/8 workers: the prime TSan target this repo has.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
   -R '^test_obs$|^test_obs_noalloc$|^test_runtime$|^test_codec$'
@@ -91,6 +91,13 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_cluster_lifetime" \
 # in-process gates run under ASan/UBSan in the full phase above.
 "${tsan_build_dir}/tests/test_proto" \
   --gtest_filter='IntegrityExperiment.ThreadCountNeverChangesResults' > /dev/null
+# ChordNetwork lookups are const but fill the overlay's alive-ring and
+# finger caches. Every trial owns its overlay, so trials on several
+# threads must never touch one cache together: persistence (Chord) and
+# fault (sensor and Chord) sweeps, serial against multi-threaded.
+"${tsan_build_dir}/tests/test_proto" \
+  --gtest_filter='Persistence.ThreadCountDoesNotChangeResults:FaultExperiment.ThreadCountNeverChangesResults' \
+  > /dev/null
 "${tsan_build_dir}/tests/test_sim" \
   --gtest_filter='ClusterSim.RotTrialsReplayBitIdenticallyAtAnyThreadCount' > /dev/null
 PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_integrity" \
