@@ -39,7 +39,7 @@ constexpr int kUsageExit = 64;  // EX_USAGE
   std::cerr << "error: " << message << "\n"
             << "bench flags: --trials <n> --seed <u64> --threads <n> "
                "--scheme <rlc|slc|plc>\n"
-            << "             --payload-bytes <n[kmg]> --chunk-bytes <n[kmg]>\n"
+            << "             --payload-bytes <n[kmg]>\n"
             << "             --nodes <n> --churn-rate <x> --repair-bw <x>\n"
             << "             --rot-rate <x> --byzantine-rate <x> "
                "--scrub-interval <x>\n"
@@ -94,7 +94,7 @@ const Options& options() { return g_options; }
 void parse_args(int& argc, char** argv, UnknownArgs unknown) {
   g_options = Options{};
   std::string trials_text, seed_text, threads_text, scheme_text;
-  std::string payload_text, chunk_text;
+  std::string payload_text;
   std::string nodes_text, churn_text, repair_text;
   std::string rot_text, byzantine_text, scrub_text;
   int out = 1;
@@ -104,7 +104,6 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown) {
     if (used == 0) used = match_flag("--threads", argc, argv, i, threads_text);
     if (used == 0) used = match_flag("--scheme", argc, argv, i, scheme_text);
     if (used == 0) used = match_flag("--payload-bytes", argc, argv, i, payload_text);
-    if (used == 0) used = match_flag("--chunk-bytes", argc, argv, i, chunk_text);
     if (used == 0) used = match_flag("--nodes", argc, argv, i, nodes_text);
     if (used == 0) used = match_flag("--churn-rate", argc, argv, i, churn_text);
     if (used == 0) used = match_flag("--repair-bw", argc, argv, i, repair_text);
@@ -162,14 +161,6 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown) {
     }
     g_options.payload_bytes = *bytes;
   }
-  if (!chunk_text.empty()) {
-    const auto bytes = try_parse_bytes(chunk_text);
-    if (!bytes) {
-      usage_error("--chunk-bytes wants a positive byte count (k/m/g suffixes ok), got '" +
-                  chunk_text + "'");
-    }
-    g_options.chunk_bytes = *bytes;
-  }
   if (!nodes_text.empty()) {
     const auto nodes = try_parse_u64(nodes_text);
     if (!nodes || *nodes == 0) {
@@ -213,10 +204,6 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown) {
                   "'");
     }
     g_options.scrub_interval = *interval;
-  }
-  if (g_options.payload_bytes && g_options.chunk_bytes &&
-      *g_options.chunk_bytes > *g_options.payload_bytes) {
-    usage_error("--chunk-bytes must not exceed --payload-bytes");
   }
 
   if (!g_options.metrics_json_path.empty() || !g_options.trace_json_path.empty()) {

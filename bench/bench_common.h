@@ -14,8 +14,6 @@
 //   --scheme <rlc|slc|plc> restrict a multi-scheme bench to one scheme
 //   --payload-bytes <n>    payload size for throughput benches (positive;
 //                          suffixes k/m/g = KiB/MiB/GiB accepted)
-//   --chunk-bytes <n>      codec tile size (positive, same suffixes; must
-//                          not exceed --payload-bytes when both are given)
 //   --nodes <n>            cluster size for simulator benches (positive)
 //   --churn-rate <x>       failures per node per unit time (positive)
 //   --repair-bw <x>        repair bandwidth in blocks per unit time
@@ -69,7 +67,6 @@ struct Options {
   std::size_t threads = 0;               ///< --threads (TrialRunner convention)
   std::optional<codes::Scheme> scheme;   ///< --scheme
   std::optional<std::size_t> payload_bytes;  ///< --payload-bytes
-  std::optional<std::size_t> chunk_bytes;    ///< --chunk-bytes
   std::optional<std::size_t> nodes;          ///< --nodes
   std::optional<double> churn_rate;          ///< --churn-rate
   std::optional<double> repair_bw;           ///< --repair-bw

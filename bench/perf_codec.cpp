@@ -2,10 +2,11 @@
 //
 // Not a paper figure; engineering numbers for the library itself: field
 // kernels, encoder throughput, progressive-decoder cost at the paper's
-// scales, batch RREF — and the payload sweep: PayloadCodec encode/decode
-// over real multi-MB objects across (payload, chunk, thread) grids, the
-// numbers behind BENCH_codec.json. The sweep runs first (a custom timed
-// loop, not google-benchmark) so its series is series[0] of --json.
+// scales, batch RREF — and the payload sweep: PayloadCodec encode across
+// threads and PriorityDecoder decode over real multi-MB objects, checked
+// against the source, the numbers behind BENCH_codec.json. The sweep runs
+// first (a custom timed loop, not google-benchmark) so its series is
+// series[0] of --json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,7 +29,6 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "runtime/thread_pool.h"
-#include "util/check.h"
 #include "util/crc32.h"
 #include "util/gf64_fingerprint.h"
 #include "util/random.h"
@@ -44,45 +44,15 @@ double seconds_since(std::uint64_t start_ns) {
   return static_cast<double>(obs::ScopedTimer::now_ns() - start_ns) * 1e-9;
 }
 
-struct SweepMeasurement {
-  double encode_s = 0;
-  double decode_s = 0;
-  std::vector<std::vector<std::uint8_t>> coded;      // encode outputs
-  std::vector<std::vector<std::uint8_t>> eliminated; // decode-consumed buffers
-};
-
-/// One timed encode + decode pass of `codec` over the given rows/source.
-SweepMeasurement run_codec_pass(const codec::PayloadCodec& codec,
-                                std::span<const std::vector<std::uint8_t>> rows,
-                                const codes::SourceData<F>& source) {
-  SweepMeasurement m;
-  const std::uint64_t t0 = obs::ScopedTimer::now_ns();
-  m.coded = codec.encode(rows, source);
-  m.encode_s = seconds_since(t0);
-
-  m.eliminated = m.coded;  // decode eliminates in place; keep coded pristine
-  const std::uint64_t t1 = obs::ScopedTimer::now_ns();
-  const auto result = codec.decode(rows, m.eliminated);
-  m.decode_s = seconds_since(t1);
-  benchmark::DoNotOptimize(result.rank);
-  return m;
-}
-
-bool same_buffers(const std::vector<std::vector<std::uint8_t>>& a,
-                  const std::vector<std::vector<std::uint8_t>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-/// PayloadCodec throughput grid: payload-size x chunk-size x threads, PLC
-/// over 4 uniform levels. Reports bytes/s (object bytes per wall second)
-/// and speedup against the serial single-threaded reference path, and
-/// cross-checks that every multithreaded run produced bit-identical
-/// encode outputs and eliminated payload buffers.
-void run_payload_sweep(bench::BenchReport& report) {
+/// Payload throughput grid: payload size x threads, PLC over 4 uniform
+/// levels. Encode runs PayloadCodec at every thread count and must match
+/// its serial output byte for byte; decode runs codes::PriorityDecoder,
+/// serially, once per payload size (every point of that size carries the
+/// one figure), and every decoded block must equal its source block.
+/// Reports bytes/s (object bytes per wall second) and encode's speedup
+/// against the serial path. Returns false when a check fails, so the run
+/// fails instead of reporting a throughput for wrong bytes.
+bool run_payload_sweep(bench::BenchReport& report) {
   const bench::Options& opt = bench::options();
   const bool fast = bench::fast_mode();
 
@@ -92,15 +62,8 @@ void run_payload_sweep(bench::BenchReport& report) {
   } else if (fast) {
     payload_sizes = {std::size_t{1} << 20};
   } else {
-    payload_sizes = {std::size_t{4} << 20, std::size_t{64} << 20};
-  }
-  std::vector<std::size_t> chunk_sizes;
-  if (opt.chunk_bytes) {
-    chunk_sizes = {*opt.chunk_bytes};
-  } else if (fast) {
-    chunk_sizes = {std::size_t{32} << 10};
-  } else {
-    chunk_sizes = {std::size_t{32} << 10, std::size_t{128} << 10};
+    payload_sizes = {std::size_t{64} << 10, std::size_t{1} << 20, std::size_t{4} << 20,
+                     std::size_t{16} << 20, std::size_t{64} << 20};
   }
   std::vector<std::size_t> thread_counts;
   if (opt.threads != 0) {
@@ -122,49 +85,66 @@ void run_payload_sweep(bench::BenchReport& report) {
     const auto spec = codes::PrioritySpec::uniform(levels, n / levels);
     const auto source = codes::SourceData<F>::random(n, block_size, rng);
     // Lowest-priority PLC rows span all N source blocks: dense rows, the
-    // worst-case (and steady-state) payload workload.
+    // worst-case (and steady-state) payload workload. Draw them until they
+    // reach full rank, so every timed decode recovers the whole object.
     const codes::PriorityEncoder<F> enc(codes::Scheme::kPlc, spec);
+    codes::PriorityDecoder<F> rank_probe(codes::Scheme::kPlc, spec);
     std::vector<std::vector<std::uint8_t>> rows;
-    for (std::size_t i = 0; i < n; ++i) {
+    while (rank_probe.rank() < n) {
       rows.push_back(enc.encode(levels - 1, rng).coeffs);
+      rank_probe.add(levels - 1, rows.back(), {});
     }
 
-    for (const std::size_t chunk : chunk_sizes) {
-      const codec::PayloadCodec serial_codec(codes::Scheme::kPlc, spec,
-                                             {.chunk_bytes = chunk});
-      // Untimed warm-up so the timed serial baseline is not paying the
-      // first-touch page faults the later pool runs avoid.
-      run_codec_pass(serial_codec, rows, source);
-      const SweepMeasurement serial = run_codec_pass(serial_codec, rows, source);
+    const codec::PayloadCodec serial_codec(spec);
+    // Untimed warm-up so the timed serial baseline is not paying the
+    // first-touch page faults the later pool runs avoid.
+    serial_codec.encode(rows, source);
+    std::uint64_t t0 = obs::ScopedTimer::now_ns();
+    const auto coded = serial_codec.encode(rows, source);
+    const double serial_encode_s = seconds_since(t0);
 
-      for (const std::size_t threads : thread_counts) {
-        runtime::ThreadPool pool(threads);
-        const codec::PayloadCodec codec(codes::Scheme::kPlc, spec,
-                                        {.chunk_bytes = chunk, .pool = &pool});
-        const SweepMeasurement run = run_codec_pass(codec, rows, source);
-        const bool identical = same_buffers(run.coded, serial.coded) &&
-                               same_buffers(run.eliminated, serial.eliminated);
-        PRLC_REQUIRE(identical, "multithreaded codec output diverged from serial");
-
-        const double enc_bps = static_cast<double>(object_bytes) / run.encode_s;
-        const double dec_bps = static_cast<double>(object_bytes) / run.decode_s;
-        report.add_point("payload_sweep",
-                         {{"payload_bytes", json::Value(static_cast<std::int64_t>(object_bytes))},
-                          {"chunk_bytes", json::Value(static_cast<std::int64_t>(chunk))},
-                          {"threads", json::Value(static_cast<std::int64_t>(threads))},
-                          {"encode_bytes_per_s", json::Value(enc_bps)},
-                          {"decode_bytes_per_s", json::Value(dec_bps)},
-                          {"encode_speedup_vs_serial", json::Value(serial.encode_s / run.encode_s)},
-                          {"decode_speedup_vs_serial", json::Value(serial.decode_s / run.decode_s)},
-                          {"identical_to_serial", json::Value(identical)}});
-        std::printf(
-            "  payload %9zu  chunk %7zu  threads %zu  encode %8.1f MB/s (x%.2f)  "
-            "decode %8.1f MB/s (x%.2f)\n",
-            object_bytes, chunk, threads, enc_bps * 1e-6, serial.encode_s / run.encode_s,
-            dec_bps * 1e-6, serial.decode_s / run.decode_s);
+    t0 = obs::ScopedTimer::now_ns();
+    codes::PriorityDecoder<F> decoder(codes::Scheme::kPlc, spec, block_size);
+    for (std::size_t b = 0; b < rows.size(); ++b) decoder.add(levels - 1, rows[b], coded[b]);
+    const double decode_s = seconds_since(t0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto want = source.block(j);
+      if (!decoder.is_block_decoded(j) ||
+          !std::ranges::equal(decoder.recovered(j), want)) {
+        std::fprintf(stderr, "error: payload %zu: source block %zu did not decode intact\n",
+                     object_bytes, j);
+        return false;
       }
     }
+    const double dec_bps = static_cast<double>(object_bytes) / decode_s;
+    std::printf("  payload %9zu  decode %8.1f MB/s (serial, %zu rows, all %zu blocks verified)\n",
+                object_bytes, dec_bps * 1e-6, rows.size(), n);
+
+    for (const std::size_t threads : thread_counts) {
+      runtime::ThreadPool pool(threads);
+      const codec::PayloadCodec codec(spec, &pool);
+      t0 = obs::ScopedTimer::now_ns();
+      const auto pooled = codec.encode(rows, source);
+      const double encode_s = seconds_since(t0);
+      if (pooled != coded) {
+        std::fprintf(stderr, "error: payload %zu: %zu-thread encode diverged from serial\n",
+                     object_bytes, threads);
+        return false;
+      }
+
+      const double enc_bps = static_cast<double>(object_bytes) / encode_s;
+      report.add_point("payload_sweep",
+                       {{"payload_bytes", json::Value(static_cast<std::int64_t>(object_bytes))},
+                        {"threads", json::Value(static_cast<std::int64_t>(threads))},
+                        {"encode_bytes_per_s", json::Value(enc_bps)},
+                        {"encode_speedup_vs_serial", json::Value(serial_encode_s / encode_s)},
+                        {"decode_bytes_per_s", json::Value(dec_bps)},
+                        {"identical_to_serial", json::Value(true)}});
+      std::printf("  payload %9zu  threads %zu  encode %8.1f MB/s (x%.2f)\n", object_bytes,
+                  threads, enc_bps * 1e-6, serial_encode_s / encode_s);
+    }
   }
+  return true;
 }
 
 void BM_GfMul(benchmark::State& state) {
@@ -523,7 +503,7 @@ int main(int argc, char** argv) {
                     json::Value(static_cast<std::int64_t>(gf::kGf256TileBytes)));
   // The payload sweep goes first so its series lands at series[0] of the
   // --json report (smoke_codec's prlc_json_check paths rely on that).
-  run_payload_sweep(report);
+  if (!run_payload_sweep(report)) return 1;
   CaptureReporter reporter(report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   bench::finalize(&report);

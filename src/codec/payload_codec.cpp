@@ -3,22 +3,15 @@
 #include <algorithm>
 #include <utility>
 
-#include "codec/op_graph.h"
-#include "linalg/progressive_decoder.h"
-#include "obs/metrics.h"
+#include "gf/gf256_kernels.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
 namespace prlc::codec {
 
-PayloadCodec::PayloadCodec(codes::Scheme scheme, codes::PrioritySpec spec,
-                           CodecOptions options)
-    : scheme_(scheme),
-      spec_(std::move(spec)),
-      chunk_bytes_(options.chunk_bytes),
-      pool_(options.pool) {
+PayloadCodec::PayloadCodec(codes::PrioritySpec spec, runtime::ThreadPool* pool)
+    : spec_(std::move(spec)), pool_(pool) {
   PRLC_REQUIRE(spec_.total() > 0, "priority spec has no source blocks");
-  PRLC_REQUIRE(chunk_bytes_ > 0, "chunk size must be positive");
 }
 
 std::vector<std::vector<std::uint8_t>> PayloadCodec::encode(
@@ -61,75 +54,6 @@ std::vector<std::vector<std::uint8_t>> PayloadCodec::encode(
   return out;
 }
 
-PayloadDecodeResult PayloadCodec::decode(
-    std::span<const std::vector<std::uint8_t>> coeff_rows,
-    std::span<std::vector<std::uint8_t>> payloads) const {
-  obs::ScopedSpan span("codec.decode", "codec");
-  PRLC_REQUIRE(coeff_rows.size() == payloads.size(),
-               "one payload buffer per coefficient row required");
-  const std::size_t n = spec_.total();
-  std::size_t payload_size = 0;
-  for (const auto& p : payloads) {
-    if (payload_size == 0) payload_size = p.size();
-    PRLC_REQUIRE(p.size() == payload_size && !p.empty(),
-                 "payload buffers must share one nonzero size");
-  }
-
-  // Phase 1: coefficient-only elimination, recording the payload-row
-  // schedule instead of touching payload bytes.
-  linalg::ProgressiveDecoder<F> coef_decoder(n);
-  linalg::EliminationSchedule schedule;
-  coef_decoder.set_schedule_recorder(&schedule);
-  {
-    obs::ScopedSpan coef("codec.decode.coefficients", "codec");
-    for (const auto& row : coeff_rows) {
-      PRLC_REQUIRE(row.size() == n, "coefficient row width mismatch");
-      coef_decoder.add(row);
-    }
-  }
-
-  // Phase 2: replay the schedule over the payload buffers as a graph.
-  OpGraph graph(chunk_bytes_);
-  {
-    obs::ScopedSpan build("codec.decode.build", "codec");
-    std::vector<std::uint32_t> buf_ids(payloads.size());
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      buf_ids[i] = graph.add_buffer(payloads[i].data(), payload_size);
-    }
-    using Sched = linalg::EliminationSchedule;
-    for (const auto& op : schedule.ops) {
-      switch (op.kind) {
-        case Sched::OpKind::kAxpy:
-          graph.axpy(buf_ids[op.target], buf_ids[op.source], op.factor);
-          break;
-        case Sched::OpKind::kScale:
-          graph.scale(buf_ids[op.target], op.factor);
-          break;
-      }
-    }
-    graph.finalize();
-  }
-  {
-    obs::ScopedSpan exec("codec.decode.execute", "codec");
-    graph.run(pool_);
-  }
-
-  PayloadDecodeResult result;
-  result.rank = coef_decoder.rank();
-  result.decoded_prefix = coef_decoder.decoded_prefix();
-  result.decoded_levels = spec_.levels_covered_by_prefix(result.decoded_prefix);
-  result.blocks.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!coef_decoder.is_decoded(i)) continue;
-    const std::uint32_t input = schedule.pivot_input[i];
-    PRLC_ASSERT(input != linalg::EliminationSchedule::kNoInput,
-                "decoded unknown without a bound input buffer");
-    result.blocks[i].decoded = true;
-    result.blocks[i].payload = payloads[input];
-  }
-  return result;
-}
-
 codes::CodedBlock<gf::Gf256> PayloadCodec::recombine(
     std::span<const std::vector<std::uint8_t>> coeff_rows,
     std::span<const std::span<const std::uint8_t>> payloads,
@@ -139,40 +63,29 @@ codes::CodedBlock<gf::Gf256> PayloadCodec::recombine(
                "survivor rows, payloads and gamma must align");
   PRLC_REQUIRE(!coeff_rows.empty(), "recombination needs at least one survivor");
   const std::size_t n = spec_.total();
-  std::size_t payload_size = 0;
-  for (const auto& p : payloads) {
-    if (payload_size == 0) payload_size = p.size();
-    PRLC_REQUIRE(p.size() == payload_size && !p.empty(),
-                 "survivor payloads must share one nonzero size");
-  }
-
-  codes::CodedBlock<F> block;
-  block.level = level;
-  block.coeffs.assign(n, 0);
+  const std::size_t payload_size = payloads.front().size();
+  std::vector<const std::uint8_t*> rows(coeff_rows.size());
+  std::vector<const std::uint8_t*> survivors(payloads.size());
   for (std::size_t i = 0; i < coeff_rows.size(); ++i) {
     PRLC_REQUIRE(coeff_rows[i].size() == n, "survivor row width mismatch");
-    if (gamma[i] == 0) continue;
-    F::axpy(std::span<std::uint8_t>(block.coeffs), gamma[i],
-            std::span<const std::uint8_t>(coeff_rows[i]));
+    PRLC_REQUIRE(payloads[i].size() == payload_size && payload_size > 0,
+                 "survivor payloads must share one nonzero size");
+    rows[i] = coeff_rows[i].data();
+    survivors[i] = payloads[i].data();
   }
-  block.payload.assign(payload_size, 0);
 
-  OpGraph graph(chunk_bytes_);
-  const std::uint32_t out = graph.add_buffer(block.payload.data(), payload_size);
-  bool first = true;
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    if (gamma[i] == 0) continue;
-    const std::uint32_t src = graph.add_const_buffer(payloads[i].data(), payload_size);
-    if (first) {
-      graph.mul_region(out, src, gamma[i]);
-      first = false;
-    } else {
-      graph.axpy(out, src, gamma[i]);
-    }
-  }
-  if (first) graph.zero(out);
-  graph.finalize();
-  graph.run(pool_);
+  // Coefficients and payload are each one gamma row of the combine
+  // product, over the survivors' coefficient rows and payloads.
+  codes::CodedBlock<F> block;
+  block.level = level;
+  block.coeffs.resize(n);
+  block.payload.resize(payload_size);
+  std::uint8_t* coeffs = block.coeffs.data();
+  std::uint8_t* payload = block.payload.data();
+  const std::uint8_t* weights = gamma.data();
+  gf::gf256_combine_batch(&coeffs, &weights, 1, rows.data(), rows.size(), n);
+  gf::gf256_combine_batch(&payload, &weights, 1, survivors.data(), survivors.size(),
+                          payload_size);
   return block;
 }
 

@@ -10,6 +10,11 @@
 // cares about. The RREF of a matrix is unique for a given row space, so
 // this online variant solves exactly what batch Gauss-Jordan would.
 //
+// It is the repo's one payload decoder: the collector, the CLI, the
+// examples and perf_codec's payload sweep all decode through it (via
+// codes::PriorityDecoder), and its per-arrival cost is the `decode_add`
+// layer of the pipeline ledger.
+//
 // Hybrid storage (the N >= 10^5 path). The paper leans on O(ln N)-sparse
 // coefficients (Dimakis et al., "Decentralized Erasure Codes"), and dense
 // full-width rows cap experiments near N = 1000: storing N rows of N
@@ -52,7 +57,6 @@
 
 #include "gf/aligned_buffer.h"
 #include "gf/field_concept.h"
-#include "linalg/elimination_schedule.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -79,24 +83,9 @@ class ProgressiveDecoder {
     PRLC_REQUIRE(unknowns <= 0xffffffffu, "decoder caps unknowns at 2^32-1");
   }
 
-  using Schedule = BasicEliminationSchedule<Symbol>;
-
   std::size_t unknowns() const { return unknowns_; }
   std::size_t payload_size() const { return payload_size_; }
   std::size_t rank() const { return rank_; }
-
-  /// Attach a schedule recorder: every subsequent add() appends the
-  /// payload-row operations it performs (or would perform, on a
-  /// coefficient-only decoder) to `schedule` instead of leaving them
-  /// implicit. Must be attached before the first equation; pass nullptr
-  /// to detach. The recorded ops reference equations by arrival index —
-  /// see elimination_schedule.h for replay semantics.
-  void set_schedule_recorder(Schedule* schedule) {
-    PRLC_REQUIRE(schedule == nullptr || seen_ == 0,
-                 "schedule recording must start on a fresh decoder");
-    recorder_ = schedule;
-    if (recorder_ != nullptr) recorder_->reset(unknowns_);
-  }
 
   /// Number of equations offered via add(), innovative or not.
   std::size_t equations_seen() const { return seen_; }
@@ -262,14 +251,6 @@ class ProgressiveDecoder {
 
   // ---- shared elimination machinery -------------------------------------
 
-  /// Record a forward-elimination op against pivot row `j`.
-  void record_forward(std::size_t j, Symbol factor, std::uint32_t input) {
-    if (recorder_ != nullptr) {
-      pending_ops_.push_back(
-          {Schedule::OpKind::kAxpy, factor, input, recorder_->pivot_input[j]});
-    }
-  }
-
   /// work_payload_ -= factor * source payload.
   void payload_axpy(Symbol factor, const Row& source) {
     if (payload_size_ > 0) {
@@ -295,12 +276,6 @@ class ProgressiveDecoder {
     std::size_t end = unknowns_;
     while (end > 0 && work_coef_[end - 1] == 0) --end;
 
-    const auto input = static_cast<std::uint32_t>(seen_ - 1);
-    if (recorder_ != nullptr) {
-      recorder_->inputs = seen_;
-      pending_ops_.clear();
-    }
-
     static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
     std::size_t pivot = unknowns_;
     for (std::size_t j = 0; j < end; ++j) {
@@ -316,7 +291,6 @@ class ProgressiveDecoder {
         ++peel_ops_;
         obs::emit(obs::EventType::kPeel, static_cast<double>(j));
       }
-      record_forward(j, v, input);
       eliminate_into_work(v, *existing);
       if (existing->end > end) end = existing->end;
       PRLC_ASSERT(work_coef_[j] == 0, "forward elimination left a nonzero pivot");
@@ -329,8 +303,8 @@ class ProgressiveDecoder {
       return false;
     }
     while (end > pivot && work_coef_[end - 1] == 0) --end;
-    normalize_work(pivot, end, input);
-    store_and_back_eliminate(pivot, end, input, /*from_sparse=*/false);
+    normalize_work(pivot, end);
+    store_and_back_eliminate(pivot, end, /*from_sparse=*/false);
     // store_and_back_eliminate consumed and re-zeroed the scratch window.
     rows_innovative.add();
     return true;
@@ -360,12 +334,6 @@ class ProgressiveDecoder {
       heap_push(j);
     }
 
-    const auto input = static_cast<std::uint32_t>(seen_ - 1);
-    if (recorder_ != nullptr) {
-      recorder_->inputs = seen_;
-      pending_ops_.clear();
-    }
-
     static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
     std::size_t pivot = unknowns_;
     while (!heap_.empty()) {
@@ -382,7 +350,6 @@ class ProgressiveDecoder {
         ++peel_ops_;
         obs::emit(obs::EventType::kPeel, static_cast<double>(j));
       }
-      record_forward(j, v, input);
       eliminate_into_work_tracked(v, *existing);
       PRLC_ASSERT(work_coef_[j] == 0, "forward elimination left a nonzero pivot");
     }
@@ -396,8 +363,8 @@ class ProgressiveDecoder {
     for (const std::uint32_t j : touched_) {
       if (work_coef_[j] != 0 && j + 1 > end) end = j + 1;
     }
-    normalize_work_touched(pivot, input);
-    store_and_back_eliminate(pivot, end, input, /*from_sparse=*/true);
+    normalize_work_touched(pivot);
+    store_and_back_eliminate(pivot, end, /*from_sparse=*/true);
     rows_innovative.add();
     return true;
   }
@@ -454,19 +421,16 @@ class ProgressiveDecoder {
   }
 
   /// Normalize the work row (dense-scan variant) so the pivot is 1.
-  void normalize_work(std::size_t pivot, std::size_t end, std::uint32_t input) {
+  void normalize_work(std::size_t pivot, std::size_t end) {
     const Symbol piv = work_coef_[pivot];
     if (piv == 1) return;
     const Symbol piv_inv = F::inv(piv);
     F::scale(std::span<Symbol>(work_coef_).subspan(pivot, end - pivot), piv_inv);
     if (payload_size_ > 0) F::scale(std::span<Symbol>(work_payload_), piv_inv);
-    if (recorder_ != nullptr) {
-      pending_ops_.push_back({Schedule::OpKind::kScale, piv_inv, input, input});
-    }
   }
 
   /// Normalize the work row (sparse variant): only touched columns.
-  void normalize_work_touched(std::size_t pivot, std::uint32_t input) {
+  void normalize_work_touched(std::size_t pivot) {
     const Symbol piv = work_coef_[pivot];
     if (piv == 1) return;
     const Symbol piv_inv = F::inv(piv);
@@ -474,16 +438,12 @@ class ProgressiveDecoder {
       if (work_coef_[j] != 0) work_coef_[j] = F::mul(piv_inv, work_coef_[j]);
     }
     if (payload_size_ > 0) F::scale(std::span<Symbol>(work_payload_), piv_inv);
-    if (recorder_ != nullptr) {
-      pending_ops_.push_back({Schedule::OpKind::kScale, piv_inv, input, input});
-    }
   }
 
   /// Build the stored row from the work buffers (consuming and re-zeroing
-  /// them), commit recorder state, back-eliminate every stored row that
-  /// intersects the new pivot column, and register the new row.
-  void store_and_back_eliminate(std::size_t pivot, std::size_t end, std::uint32_t input,
-                                bool from_sparse) {
+  /// them), back-eliminate every stored row that intersects the new pivot
+  /// column, and register the new row.
+  void store_and_back_eliminate(std::size_t pivot, std::size_t end, bool from_sparse) {
     auto row = std::make_unique<Row>();
     row->pivot = pivot;
     row->end = end;
@@ -533,13 +493,6 @@ class ProgressiveDecoder {
     PRLC_ASSERT(row->end > row->pivot, "stored row has an empty support window");
     PRLC_DASSERT(row_coefficient_of(*row, row->end - 1) != 0,
                  "stored row support bound is not tight");
-
-    if (recorder_ != nullptr) {
-      // Commit: this buffer now *is* pivot row `pivot`. Back-elimination
-      // below records its ops directly (they are unconditional).
-      recorder_->ops.insert(recorder_->ops.end(), pending_ops_.begin(), pending_ops_.end());
-      recorder_->pivot_input[pivot] = input;
-    }
 
     back_eliminate(*row);
 
@@ -597,8 +550,6 @@ class ProgressiveDecoder {
   void back_eliminate(Row& row) {
     static obs::Counter& back_rows = obs::counter("decoder.back_elim_rows");
     const std::size_t pivot = row.pivot;
-    const std::uint32_t source =
-        recorder_ != nullptr ? recorder_->pivot_input[pivot] : 0;
 
     // Gather targets: stored rows with a nonzero coefficient at `pivot`.
     targets_.clear();
@@ -640,10 +591,6 @@ class ProgressiveDecoder {
     for (const std::uint32_t id : targets_) {
       Row& r = *by_pivot_[id];
       const Symbol factor = row_coefficient_of(r, pivot);
-      if (recorder_ != nullptr) {
-        recorder_->ops.push_back(
-            {Schedule::OpKind::kAxpy, factor, recorder_->pivot_input[id], source});
-      }
       if (payload_size_ > 0) batch_payload_targets_.push_back(r.payload.data());
       batch_factors_.push_back(factor);
       if (row.dense && r.dense) {
@@ -843,10 +790,6 @@ class ProgressiveDecoder {
   std::vector<std::uint32_t> merge_idx_;
   std::vector<Symbol> merge_val_;
   std::vector<std::uint32_t> fill_cols_;
-  // Schedule recording (see set_schedule_recorder); pending_ops_ holds the
-  // current equation's forward-elimination ops until it proves innovative.
-  Schedule* recorder_ = nullptr;
-  std::vector<typename Schedule::Op> pending_ops_;
 };
 
 }  // namespace prlc::linalg

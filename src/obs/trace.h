@@ -99,13 +99,17 @@ class TraceRecorder {
 /// sites that would otherwise build argument lists for nothing.
 inline bool trace_enabled() { return TraceRecorder::global().capturing(); }
 
-/// RAII "B"/"E" pair on the global recorder.
+/// RAII "B"/"E" pair on the global recorder. A disabled span copies
+/// nothing, so it never allocates whatever the name's length.
 class ScopedSpan {
  public:
   ScopedSpan(std::string_view name, std::string_view category,
              std::initializer_list<TraceArg> args = {})
-      : active_(trace_enabled()), name_(name), category_(category) {
-    if (active_) TraceRecorder::global().begin(name_, category_, args);
+      : active_(trace_enabled()) {
+    if (!active_) return;
+    name_ = name;
+    category_ = category;
+    TraceRecorder::global().begin(name_, category_, args);
   }
   ~ScopedSpan() {
     if (active_) TraceRecorder::global().end(name_, category_);

@@ -30,19 +30,18 @@ ParseResult parse(std::vector<std::string> args,
   return out;
 }
 
-TEST(BenchCommonFlags, ParsesPayloadAndChunkBytes) {
-  const auto r = parse({"--payload-bytes", "1048576", "--chunk-bytes", "32768"});
+TEST(BenchCommonFlags, ParsesPayloadBytes) {
+  const auto r = parse({"--payload-bytes", "1048576"});
   ASSERT_TRUE(r.options.payload_bytes.has_value());
-  ASSERT_TRUE(r.options.chunk_bytes.has_value());
   EXPECT_EQ(*r.options.payload_bytes, 1048576u);
-  EXPECT_EQ(*r.options.chunk_bytes, 32768u);
   EXPECT_TRUE(r.leftover.empty());
 }
 
 TEST(BenchCommonFlags, ParsesBinarySuffixesAndEqualsForm) {
-  const auto r = parse({"--payload-bytes=64m", "--chunk-bytes=128K"});
+  const auto r = parse({"--payload-bytes=64m"});
   EXPECT_EQ(*r.options.payload_bytes, std::size_t{64} << 20);
-  EXPECT_EQ(*r.options.chunk_bytes, std::size_t{128} << 10);
+  const auto k = parse({"--payload-bytes=128K"});
+  EXPECT_EQ(*k.options.payload_bytes, std::size_t{128} << 10);
   const auto g = parse({"--payload-bytes", "2g"});
   EXPECT_EQ(*g.options.payload_bytes, std::size_t{2} << 30);
 }
@@ -50,7 +49,6 @@ TEST(BenchCommonFlags, ParsesBinarySuffixesAndEqualsForm) {
 TEST(BenchCommonFlags, UnsetByteFlagsStayNullopt) {
   const auto r = parse({"--trials", "5"});
   EXPECT_FALSE(r.options.payload_bytes.has_value());
-  EXPECT_FALSE(r.options.chunk_bytes.has_value());
   EXPECT_EQ(*r.options.trials, 5u);
 }
 
@@ -58,25 +56,13 @@ TEST(BenchCommonFlagsDeathTest, RejectsNonPositiveAndGarbageByteCounts) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(parse({"--payload-bytes", "0"}), testing::ExitedWithCode(64),
               "--payload-bytes");
-  EXPECT_EXIT(parse({"--chunk-bytes", "0"}), testing::ExitedWithCode(64), "--chunk-bytes");
   EXPECT_EXIT(parse({"--payload-bytes", "-4"}), testing::ExitedWithCode(64),
               "--payload-bytes");
   EXPECT_EXIT(parse({"--payload-bytes", "12q"}), testing::ExitedWithCode(64),
               "--payload-bytes");
-  EXPECT_EXIT(parse({"--chunk-bytes", "kk"}), testing::ExitedWithCode(64), "--chunk-bytes");
+  EXPECT_EXIT(parse({"--payload-bytes", "kk"}), testing::ExitedWithCode(64),
+              "--payload-bytes");
   EXPECT_EXIT(parse({"--payload-bytes"}), testing::ExitedWithCode(64), "missing its value");
-}
-
-TEST(BenchCommonFlagsDeathTest, RejectsChunkLargerThanPayload) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(parse({"--payload-bytes", "4096", "--chunk-bytes", "8192"}),
-              testing::ExitedWithCode(64), "--chunk-bytes must not exceed");
-  // Equal is fine.
-  const auto r = parse({"--payload-bytes", "4096", "--chunk-bytes", "4096"});
-  EXPECT_EQ(*r.options.chunk_bytes, 4096u);
-  // Chunk alone is fine at any size: no payload to compare against.
-  const auto c = parse({"--chunk-bytes", "1g"});
-  EXPECT_EQ(*c.options.chunk_bytes, std::size_t{1} << 30);
 }
 
 TEST(BenchCommonFlags, ParsesClusterSimFlags) {

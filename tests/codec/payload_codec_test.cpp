@@ -6,14 +6,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "codes/decoder.h"
 #include "codes/encoder.h"
-#include "codes/wire_format.h"
 #include "gf/gf256.h"
-#include "net/chord_network.h"
-#include "net/fault_model.h"
-#include "proto/fault_channel.h"
-#include "proto/predistribution.h"
 #include "runtime/thread_pool.h"
 #include "util/random.h"
 
@@ -54,7 +48,7 @@ std::vector<std::vector<std::uint8_t>> draw_rows(Scheme scheme, const PrioritySp
 
 TEST(PayloadCodec, EncodeMatchesScalarReferenceAtUnalignedSizes) {
   // Object sizes chosen to straddle tile boundaries: 1 B (sub-tile),
-  // 4 KiB +/- 1, 1 MiB + 17. Chunk sizes likewise unaligned.
+  // 4 KiB +/- 1, 1 MiB + 17.
   Rng rng(21);
   const auto spec = PrioritySpec::uniform(2, 4);  // N = 8
   const std::size_t n = spec.total();
@@ -67,17 +61,14 @@ TEST(PayloadCodec, EncodeMatchesScalarReferenceAtUnalignedSizes) {
     std::vector<std::vector<std::uint8_t>> want;
     for (const auto& row : rows) want.push_back(scalar_encode_row(row, source));
 
-    for (const std::size_t chunk : {std::size_t{1024}, std::size_t{4096}, std::size_t{32768}}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        runtime::ThreadPool pool(threads);
-        const PayloadCodec codec(Scheme::kPlc, spec, {.chunk_bytes = chunk, .pool = &pool});
-        const auto got = codec.encode(rows, source);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t b = 0; b < want.size(); ++b) {
-          ASSERT_EQ(got[b], want[b])
-              << "object " << object_bytes << " chunk " << chunk << " threads " << threads
-              << " row " << b;
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      runtime::ThreadPool pool(threads);
+      const PayloadCodec codec(spec, &pool);
+      const auto got = codec.encode(rows, source);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t b = 0; b < want.size(); ++b) {
+        ASSERT_EQ(got[b], want[b])
+            << "object " << object_bytes << " threads " << threads << " row " << b;
       }
     }
   }
@@ -88,11 +79,11 @@ TEST(PayloadCodec, EncodeOfNoRowsIsEmptyWithAndWithoutPool) {
   const auto spec = PrioritySpec::uniform(2, 4);
   const auto source = codes::SourceData<F>::random(spec.total(), 100, rng);
   runtime::ThreadPool pool(4);
-  EXPECT_TRUE(PayloadCodec(Scheme::kPlc, spec).encode({}, source).empty());
-  EXPECT_TRUE(PayloadCodec(Scheme::kPlc, spec, {.pool = &pool}).encode({}, source).empty());
+  EXPECT_TRUE(PayloadCodec(spec).encode({}, source).empty());
+  EXPECT_TRUE(PayloadCodec(spec, &pool).encode({}, source).empty());
 }
 
-TEST(PayloadCodec, LargeObjectPooledEncodeDecodeIsByteIdenticalToSerial) {
+TEST(PayloadCodec, LargeObjectPooledEncodeIsByteIdenticalToSerial) {
   // 64 MiB - 1: too big for the scalar reference, so the serial
   // path (itself fuzz-verified above) is the oracle for the pooled runs.
   Rng rng(22);
@@ -103,89 +94,9 @@ TEST(PayloadCodec, LargeObjectPooledEncodeDecodeIsByteIdenticalToSerial) {
   const auto source = codes::SourceData<F>::random(n, block_size, rng);
   const auto rows = draw_rows(Scheme::kPlc, spec, n, rng);
 
-  const PayloadCodec serial(Scheme::kPlc, spec, {.chunk_bytes = std::size_t{128} << 10});
-  const auto want_coded = serial.encode(rows, source);
-  auto want_buffers = want_coded;
-  const auto want_result = serial.decode(rows, want_buffers);
-
+  const auto want = PayloadCodec(spec).encode(rows, source);
   runtime::ThreadPool pool(8);
-  const PayloadCodec pooled(Scheme::kPlc, spec,
-                            {.chunk_bytes = std::size_t{128} << 10, .pool = &pool});
-  const auto got_coded = pooled.encode(rows, source);
-  EXPECT_EQ(got_coded, want_coded);
-  auto got_buffers = got_coded;
-  const auto got_result = pooled.decode(rows, got_buffers);
-  EXPECT_EQ(got_result.rank, want_result.rank);
-  EXPECT_EQ(got_buffers, want_buffers);
-}
-
-// --- differential fuzz: decode ---------------------------------------------
-
-TEST(PayloadCodec, DecodeMatchesEagerPriorityDecoder) {
-  Rng rng(23);
-  const auto spec = PrioritySpec::uniform(4, 4);  // N = 16
-  const std::size_t n = spec.total();
-  const std::size_t block_size = 4097;
-  const auto source = codes::SourceData<F>::random(n, block_size, rng);
-  const auto rows = draw_rows(Scheme::kPlc, spec, n + 2, rng);
-
-  const PayloadCodec serial(Scheme::kPlc, spec, {.chunk_bytes = 1024});
-  const auto coded = serial.encode(rows, source);
-
-  // Eager reference: coefficient+payload Gauss-Jordan as the blocks land.
-  codes::PriorityDecoder<F> eager(Scheme::kPlc, spec, block_size);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    codes::CodedBlock<F> block;
-    block.level = spec.levels() - 1;
-    block.coeffs = rows[i];
-    block.payload = coded[i];
-    eager.add(block);
-  }
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    runtime::ThreadPool pool(threads);
-    const PayloadCodec codec(Scheme::kPlc, spec, {.chunk_bytes = 1024, .pool = &pool});
-    auto buffers = coded;
-    const auto result = codec.decode(rows, buffers);
-    EXPECT_EQ(result.decoded_levels, eager.decoded_levels());
-    EXPECT_EQ(result.decoded_prefix, eager.decoded_prefix_blocks());
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_TRUE(result.blocks[j].decoded);
-      const auto got = result.blocks[j].payload;
-      const auto want = eager.recovered(j);
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
-          << "block " << j << " at " << threads << " threads";
-      const auto orig = source.block(j);
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), orig.begin(), orig.end()));
-    }
-  }
-}
-
-TEST(PayloadCodec, PartialRankDecodesThePrefixOnly) {
-  Rng rng(24);
-  const auto spec = PrioritySpec::uniform(2, 4);  // N = 8, levels of 4
-  const std::size_t n = spec.total();
-  const auto source = codes::SourceData<F>::random(n, 257, rng);
-
-  // Rows confined to the first level: rank can cover blocks [0, 4) only.
-  const codes::PriorityEncoder<F> enc(Scheme::kPlc, spec);
-  std::vector<std::vector<std::uint8_t>> rows;
-  for (std::size_t i = 0; i < 6; ++i) rows.push_back(enc.encode(0, rng).coeffs);
-
-  const PayloadCodec codec(Scheme::kPlc, spec, {.chunk_bytes = 64});
-  const auto coded = codec.encode(rows, source);
-  auto buffers = coded;
-  const auto result = codec.decode(rows, buffers);
-  EXPECT_EQ(result.rank, 4u);
-  EXPECT_EQ(result.decoded_prefix, 4u);
-  EXPECT_EQ(result.decoded_levels, 1u);
-  for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_EQ(result.blocks[j].decoded, j < 4);
-    if (!result.blocks[j].decoded) continue;
-    const auto got = result.blocks[j].payload;
-    const auto want = source.block(j);
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
-  }
+  EXPECT_EQ(PayloadCodec(spec, &pool).encode(rows, source), want);
 }
 
 // --- survivor recombination -------------------------------------------------
@@ -197,7 +108,7 @@ TEST(PayloadCodec, RecombineIsTheGammaLinearCombination) {
   const std::size_t block_size = 1000;
   const auto source = codes::SourceData<F>::random(n, block_size, rng);
   const auto rows = draw_rows(Scheme::kPlc, spec, 5, rng);
-  const PayloadCodec codec(Scheme::kPlc, spec, {.chunk_bytes = 256});
+  const PayloadCodec codec(spec);
   const auto coded = codec.encode(rows, source);
 
   std::vector<std::uint8_t> gamma;
@@ -223,74 +134,6 @@ TEST(PayloadCodec, RecombineIsTheGammaLinearCombination) {
   }
   EXPECT_EQ(block.coeffs, want_coeffs);
   EXPECT_EQ(block.payload, want_payload);
-}
-
-// --- decode after in-band corruption ----------------------------------------
-
-TEST(PayloadCodec, DecodesLeadingLevelsFromCorruptedChannelFetches) {
-  // Disseminate, fetch everything through a FaultyChannel that corrupts a
-  // third of the frames in band, keep what the wire layer accepts, and
-  // graph-decode the survivors. The graph decode must agree exactly with
-  // the eager decoder on the same partial payload set, and the leading
-  // priority levels must come back intact.
-  PrioritySpec spec{std::vector<std::size_t>{4, 6, 10}};  // N = 20
-  codes::PriorityDistribution dist{std::vector<double>{0.3, 0.3, 0.4}};
-  net::ChordParams np;
-  np.nodes = 80;
-  np.locations = 120;
-  np.seed = 23;
-  net::ChordNetwork overlay(np);
-  proto::ProtocolParams params;
-  params.block_size = 513;
-  Rng rng(77);
-  proto::Predistribution pd(overlay, spec, dist, params);
-  const auto source = codes::SourceData<proto::Field>::random(spec.total(), 513, rng);
-  pd.disseminate(source, rng);
-
-  net::FaultSpec fault;
-  fault.corrupt_rate = 0.34;
-  net::FaultPlan plan(fault, overlay.nodes(), rng);
-  proto::FaultyChannel channel(pd, std::move(plan));
-
-  std::vector<std::vector<std::uint8_t>> rows;
-  std::vector<std::vector<std::uint8_t>> payloads;
-  std::size_t rejected = 0;
-  for (net::LocationId loc : channel.retrievable_locations()) {
-    const proto::FetchReply reply = channel.fetch(loc, rng);
-    if (reply.fault != net::FaultClass::kNone) continue;
-    try {
-      const codes::WireBlockView view = codes::decode_wire_view(reply.bytes);
-      std::vector<std::uint8_t> coeffs(view.coeff_width);
-      view.expand_coeffs(coeffs);
-      rows.push_back(std::move(coeffs));
-      payloads.emplace_back(view.payload.begin(), view.payload.end());
-    } catch (const codes::WireFormatError&) {
-      ++rejected;  // in-band corruption unmasked by the CRC
-    }
-  }
-  EXPECT_EQ(rejected, channel.injected().corruptions);
-  ASSERT_GE(rows.size(), spec.total());  // enough survivors to be interesting
-
-  codes::PriorityDecoder<F> eager(Scheme::kPlc, spec, params.block_size);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    codes::CodedBlock<F> block;
-    block.coeffs = rows[i];
-    block.payload = payloads[i];
-    eager.add(block);
-  }
-
-  runtime::ThreadPool pool(4);
-  const PayloadCodec codec(Scheme::kPlc, spec, {.chunk_bytes = 128, .pool = &pool});
-  const auto result = codec.decode(rows, payloads);
-  EXPECT_EQ(result.decoded_levels, eager.decoded_levels());
-  EXPECT_GE(result.decoded_levels, 1u);  // leading levels survive corruption
-  for (std::size_t j = 0; j < result.decoded_prefix; ++j) {
-    ASSERT_TRUE(result.blocks[j].decoded);
-    const auto got = result.blocks[j].payload;
-    const auto want = source.block(j);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
-        << "source block " << j;
-  }
 }
 
 }  // namespace

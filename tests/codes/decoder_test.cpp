@@ -5,6 +5,7 @@
 #include "codes/encoder.h"
 #include "gf/gf2m.h"
 #include "gf/gf256.h"
+#include "gf/gf256_kernels.h"
 #include "util/check.h"
 
 namespace prlc::codes {
@@ -111,21 +112,30 @@ TEST(PriorityDecoder, SlcRejectsOutOfLevelSupport) {
 TEST(PriorityDecoder, PayloadRoundTripAllSchemes) {
   Rng rng(116);
   const auto spec = small_spec();
-  for (Scheme scheme : {Scheme::kRlc, Scheme::kSlc, Scheme::kPlc}) {
-    const auto source = SourceData<F>::random(spec.total(), 6, rng);
-    const PriorityEncoder<F> enc(scheme, spec, {}, &source);
-    PriorityDecoder<F> dec(scheme, spec, 6);
-    // Saturate every level with blocks.
-    for (std::size_t level = 0; level < spec.levels(); ++level) {
-      feed(dec, enc, level, spec.total() + 2, rng);
-    }
-    ASSERT_EQ(dec.decoded_levels(), spec.levels()) << to_string(scheme);
-    for (std::size_t j = 0; j < spec.total(); ++j) {
-      ASSERT_TRUE(dec.is_block_decoded(j));
-      const auto got = dec.recovered(j);
-      const auto want = source.block(j);
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
-          << to_string(scheme) << " block " << j;
+  // Block sizes below, inside and across the 8 KiB kernel tile: 4097
+  // leaves a partial tile, 3 tiles + 37 a ragged tail after whole ones.
+  for (const std::size_t block_size :
+       {std::size_t{6}, std::size_t{4097}, 3 * gf::kGf256TileBytes + 37}) {
+    for (Scheme scheme : {Scheme::kRlc, Scheme::kSlc, Scheme::kPlc}) {
+      const auto source = SourceData<F>::random(spec.total(), block_size, rng);
+      const PriorityEncoder<F> enc(scheme, spec, {}, &source);
+      PriorityDecoder<F> dec(scheme, spec, block_size);
+      // Saturate the levels one at a time; every block decoded so far,
+      // a partial prefix included, must be the source block.
+      for (std::size_t level = 0; level < spec.levels(); ++level) {
+        feed(dec, enc, level, spec.total() + 2, rng);
+        ASSERT_GE(dec.decoded_levels(), level + 1) << to_string(scheme);
+        EXPECT_EQ(dec.rank(), scheme == Scheme::kRlc ? spec.total() : spec.prefix_size(level))
+            << to_string(scheme);
+        for (std::size_t j = 0; j < spec.total(); ++j) {
+          if (!dec.is_block_decoded(j)) continue;
+          const auto got = dec.recovered(j);
+          const auto want = source.block(j);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+              << to_string(scheme) << " block " << j << " of " << block_size << " bytes";
+        }
+      }
+      for (std::size_t j = 0; j < spec.total(); ++j) ASSERT_TRUE(dec.is_block_decoded(j));
     }
   }
 }

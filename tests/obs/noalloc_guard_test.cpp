@@ -20,6 +20,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -65,6 +66,7 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
   set_enabled(false);
   set_events_enabled(false);
   set_timeseries_enabled(false);
+  ASSERT_FALSE(trace_enabled());  // also creates the global recorder
 
   const std::uint64_t allocs = allocations_during([&] {
     for (int i = 0; i < 1000; ++i) {
@@ -72,6 +74,8 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
       gauge_.set(i);
       hist.record(17);
       { ScopedTimer timer(hist); }
+      // Name and category past any small-string buffer (25 bytes each).
+      { ScopedSpan span("test.noalloc.span.25bytes", "test.noalloc.category.25b"); }
       emit(EventType::kPeel, 1.0);
       emit(EventType::kFetchRetry, 1.0, 2.0);
       sample(id, 3.0);

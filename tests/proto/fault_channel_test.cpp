@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "codes/decoder.h"
 #include "codes/wire_format.h"
 #include "net/chord_network.h"
 #include "net/churn.h"
@@ -231,6 +234,58 @@ TEST(FaultyChannel, TimeoutAndTransientCarryNoBytes) {
   }
   EXPECT_GT(channel.injected().timeouts, 0u);
   EXPECT_GT(channel.injected().transient_errors, 0u);
+}
+
+TEST(FaultyChannel, DecodesLeadingLevelsFromCorruptedChannelFetches) {
+  // Disseminate, fetch everything through a FaultyChannel that corrupts a
+  // third of the frames in band, keep what the wire layer accepts, and
+  // decode the survivors: the leading priority levels must come back
+  // intact.
+  PrioritySpec spec{std::vector<std::size_t>{4, 6, 10}};  // N = 20
+  PriorityDistribution dist{std::vector<double>{0.3, 0.3, 0.4}};
+  net::ChordParams np;
+  np.nodes = 80;
+  np.locations = 120;
+  np.seed = 23;
+  net::ChordNetwork overlay(np);
+  ProtocolParams params;
+  params.block_size = 513;
+  Rng rng(77);
+  Predistribution pd(overlay, spec, dist, params);
+  const auto source = codes::SourceData<Field>::random(spec.total(), 513, rng);
+  pd.disseminate(source, rng);
+
+  net::FaultSpec fault;
+  fault.corrupt_rate = 0.34;
+  net::FaultPlan plan(fault, overlay.nodes(), rng);
+  FaultyChannel channel(pd, std::move(plan));
+
+  codes::PriorityDecoder<Field> decoder(Scheme::kPlc, spec, params.block_size);
+  std::vector<std::uint8_t> coeffs(spec.total());
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (net::LocationId loc : channel.retrievable_locations()) {
+    const FetchReply reply = channel.fetch(loc, rng);
+    if (reply.fault != net::FaultClass::kNone) continue;
+    try {
+      const codes::WireBlockView view = codes::decode_wire_view(reply.bytes);
+      view.expand_coeffs(coeffs);
+      decoder.add(view.level, coeffs, view.payload);
+      ++accepted;
+    } catch (const codes::WireFormatError&) {
+      ++rejected;  // in-band corruption unmasked by the CRC
+    }
+  }
+  EXPECT_EQ(rejected, channel.injected().corruptions);
+  ASSERT_GE(accepted, spec.total());  // enough survivors to be interesting
+
+  EXPECT_GE(decoder.decoded_levels(), 1u);  // leading levels survive corruption
+  for (std::size_t j = 0; j < decoder.decoded_prefix_blocks(); ++j) {
+    const auto got = decoder.recovered(j);
+    const auto want = source.block(j);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "source block " << j;
+  }
 }
 
 }  // namespace

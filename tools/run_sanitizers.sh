@@ -50,9 +50,8 @@ cmake --build "${tsan_build_dir}" -j"${jobs}" \
   --target abl_persistence_e2e --target abl_fault --target abl_cluster_lifetime \
   --target abl_integrity
 
-# test_codec drives the codec's multithreaded data plane — the pooled
-# encode and the dependency-counting OpGraph executor — across pools of
-# 1/2/8 workers: the prime TSan target this repo has.
+# test_codec drives the codec's pooled encode across pools of 1/2/8
+# workers, each worker writing its own rows of the shared product.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
   -R '^test_obs$|^test_obs_noalloc$|^test_runtime$|^test_codec$'
