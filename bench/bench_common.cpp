@@ -8,8 +8,8 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/flags.h"
 
 namespace prlc::bench {
@@ -212,8 +212,9 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown) {
   if (!g_options.trace_json_path.empty()) {
     obs::TraceRecorder::global().start();
   }
-  if (!g_options.events_jsonl_path.empty()) obs::set_events_enabled(true);
-  if (!g_options.timeseries_jsonl_path.empty()) obs::set_timeseries_enabled(true);
+  if (!g_options.events_jsonl_path.empty() || !g_options.timeseries_jsonl_path.empty()) {
+    obs::set_telemetry_enabled(true);
+  }
 }
 
 void BenchReport::set_config(const std::string& key, json::Value value) {
@@ -254,10 +255,6 @@ json::Value BenchReport::to_value() const {
   return root;
 }
 
-void BenchReport::write(const std::string& path) const {
-  json::write_file(path, to_value().dump(2));
-}
-
 void finalize(BenchReport* report) {
   // Stop the trace before anything reads it so the span profile and the
   // written timeline agree.
@@ -267,26 +264,34 @@ void finalize(BenchReport* report) {
     const obs::ProfileNode profile = obs::build_profile(obs::TraceRecorder::global());
     report->set_profile(json::Value::parse(obs::profile_to_json(profile)));
   }
-  if (report != nullptr && !g_options.json_path.empty()) {
-    report->write(g_options.json_path);
-    std::cout << "bench json: " << g_options.json_path << "\n";
+  // Try every requested output, so one bad path costs no other file; an
+  // unwritable path is a usage error, reported once all were tried.
+  bool all_written = true;
+  const auto write = [&all_written](const std::string& path, const char* label,
+                                    const auto& content) {
+    if (path.empty()) return;
+    const std::string text = content();
+    try {
+      json::write_file(path, text);
+    } catch (const PreconditionError&) {
+      std::cerr << "error: cannot write " << path << "\n";
+      all_written = false;
+      return;
+    }
+    std::cout << label << ": " << path << "\n";
+  };
+  if (report != nullptr) {
+    write(g_options.json_path, "bench json", [report] { return report->to_value().dump(2); });
   }
-  if (!g_options.metrics_json_path.empty()) {
-    obs::Registry::global().write_json(g_options.metrics_json_path);
-    std::cout << "metrics json: " << g_options.metrics_json_path << "\n";
-  }
-  if (!g_options.trace_json_path.empty()) {
-    obs::TraceRecorder::global().write(g_options.trace_json_path);
-    std::cout << "trace json: " << g_options.trace_json_path << "\n";
-  }
-  if (!g_options.events_jsonl_path.empty()) {
-    obs::EventJournal::global().write(g_options.events_jsonl_path);
-    std::cout << "events jsonl: " << g_options.events_jsonl_path << "\n";
-  }
-  if (!g_options.timeseries_jsonl_path.empty()) {
-    obs::TimeSeriesRecorder::global().write_jsonl(g_options.timeseries_jsonl_path);
-    std::cout << "timeseries jsonl: " << g_options.timeseries_jsonl_path << "\n";
-  }
+  write(g_options.metrics_json_path, "metrics json",
+        [] { return obs::Registry::global().to_json(); });
+  write(g_options.trace_json_path, "trace json",
+        [] { return obs::TraceRecorder::global().to_json(); });
+  write(g_options.events_jsonl_path, "events jsonl",
+        [] { return obs::Journal::global().events_jsonl(); });
+  write(g_options.timeseries_jsonl_path, "timeseries jsonl",
+        [] { return obs::Journal::global().timeseries_jsonl(); });
+  if (!all_written) std::exit(kUsageExit);
 }
 
 }  // namespace prlc::bench

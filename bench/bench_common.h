@@ -26,16 +26,17 @@
 //   --metrics-json <path>  dump of the obs::Registry after the run
 //   --trace-json <path>    Chrome-tracing timeline (chrome://tracing,
 //                          Perfetto) of the run
-//   --events-jsonl <path>  deterministic structured event journal
-//   --timeseries-jsonl <path>  deterministic logical-time series
+//   --events-jsonl <path>  the journal's deterministic typed events
+//   --timeseries-jsonl <path>  the journal's deterministic logical-time
+//                          series (either flag arms the whole journal)
 // A malformed value ("--trials zero", "--scheme xyz") is a usage error:
 // parse_args prints a message to stderr and exits with code 64, it never
 // aborts through PRLC_REQUIRE.
 //
-// The metrics/trace flags force-enable the observability subsystem for
-// the process regardless of PRLC_METRICS, so a plain bench invocation
-// stays on the zero-overhead disabled path. finalize() writes whichever
-// outputs were requested.
+// The metrics/trace flags force-enable the metrics probes regardless of
+// PRLC_METRICS, and the two journal flags arm the telemetry switch, so a
+// plain bench invocation stays on the zero-overhead disabled path.
+// finalize() writes whichever outputs were requested.
 #pragma once
 
 #include <cstddef>
@@ -136,7 +137,6 @@ class BenchReport {
   void set_profile(json::Value profile);
 
   json::Value to_value() const;
-  void write(const std::string& path) const;
 
  private:
   std::string name_;
@@ -149,7 +149,10 @@ class BenchReport {
 /// Write every output requested via parse_args(): the report (when
 /// non-null and --json was given, with the span profile embedded when a
 /// trace was captured too), the metrics registry, the trace, and the
-/// event-journal / time-series JSONL files. Call once at the end of main.
+/// journal's events / time-series JSONL files. Every output is tried; if
+/// any path cannot be written, each failure prints
+/// "error: cannot write <path>" and the process exits 64 afterwards.
+/// Call once at the end of main.
 void finalize(BenchReport* report = nullptr);
 
 }  // namespace prlc::bench

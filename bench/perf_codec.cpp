@@ -27,7 +27,6 @@
 #include "linalg/progressive_decoder.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "runtime/thread_pool.h"
 #include "util/crc32.h"
 #include "util/gf64_fingerprint.h"
@@ -41,7 +40,7 @@ using F = gf::Gf256;
 // --- payload sweep ---------------------------------------------------------
 
 double seconds_since(std::uint64_t start_ns) {
-  return static_cast<double>(obs::ScopedTimer::now_ns() - start_ns) * 1e-9;
+  return static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
 }
 
 /// Payload throughput grid: payload size x threads, PLC over 4 uniform
@@ -99,11 +98,11 @@ bool run_payload_sweep(bench::BenchReport& report) {
     // Untimed warm-up so the timed serial baseline is not paying the
     // first-touch page faults the later pool runs avoid.
     serial_codec.encode(rows, source);
-    std::uint64_t t0 = obs::ScopedTimer::now_ns();
+    std::uint64_t t0 = obs::now_ns();
     const auto coded = serial_codec.encode(rows, source);
     const double serial_encode_s = seconds_since(t0);
 
-    t0 = obs::ScopedTimer::now_ns();
+    t0 = obs::now_ns();
     codes::PriorityDecoder<F> decoder(codes::Scheme::kPlc, spec, block_size);
     for (std::size_t b = 0; b < rows.size(); ++b) decoder.add(levels - 1, rows[b], coded[b]);
     const double decode_s = seconds_since(t0);
@@ -123,7 +122,7 @@ bool run_payload_sweep(bench::BenchReport& report) {
     for (const std::size_t threads : thread_counts) {
       runtime::ThreadPool pool(threads);
       const codec::PayloadCodec codec(spec, &pool);
-      t0 = obs::ScopedTimer::now_ns();
+      t0 = obs::now_ns();
       const auto pooled = codec.encode(rows, source);
       const double encode_s = seconds_since(t0);
       if (pooled != coded) {
@@ -397,11 +396,9 @@ BENCHMARK(BM_SparseEncode);
 
 void BM_TelemetryProbesDisabled(benchmark::State& state) {
   const bool metrics_before = obs::enabled();
-  const bool events_before = obs::events_enabled();
-  const bool timeseries_before = obs::timeseries_enabled();
+  const bool telemetry_before = obs::telemetry_enabled();
   obs::set_enabled(false);
-  obs::set_events_enabled(false);
-  obs::set_timeseries_enabled(false);
+  obs::set_telemetry_enabled(false);
   static obs::Counter& ctr = obs::counter("perf.telemetry_probe");
   const obs::SeriesId series = obs::timeseries("perf.telemetry_probe");
   for (auto _ : state) {
@@ -412,18 +409,15 @@ void BM_TelemetryProbesDisabled(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   obs::set_enabled(metrics_before);
-  obs::set_events_enabled(events_before);
-  obs::set_timeseries_enabled(timeseries_before);
+  obs::set_telemetry_enabled(telemetry_before);
 }
 BENCHMARK(BM_TelemetryProbesDisabled);
 
 void BM_TelemetryProbesEnabled(benchmark::State& state) {
   const bool metrics_before = obs::enabled();
-  const bool events_before = obs::events_enabled();
-  const bool timeseries_before = obs::timeseries_enabled();
+  const bool telemetry_before = obs::telemetry_enabled();
   obs::set_enabled(true);
-  obs::set_events_enabled(true);
-  obs::set_timeseries_enabled(true);
+  obs::set_telemetry_enabled(true);
   static obs::Counter& ctr = obs::counter("perf.telemetry_probe");
   const obs::SeriesId series = obs::timeseries("perf.telemetry_probe");
   {
@@ -437,12 +431,10 @@ void BM_TelemetryProbesEnabled(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   obs::set_enabled(metrics_before);
-  obs::set_events_enabled(events_before);
-  obs::set_timeseries_enabled(timeseries_before);
+  obs::set_telemetry_enabled(telemetry_before);
   // Drop the rings this loop filled so a --events-jsonl run of the other
   // benches is not polluted with benchmark probes.
-  obs::EventJournal::global().clear();
-  obs::TimeSeriesRecorder::global().clear();
+  obs::Journal::global().clear();
 }
 BENCHMARK(BM_TelemetryProbesEnabled);
 

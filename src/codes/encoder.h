@@ -71,23 +71,9 @@ class PriorityEncoder {
   const PrioritySpec& spec() const { return spec_; }
   Scheme scheme() const { return scheme_; }
 
-  /// Source-block index range [begin, end) a level-k coded block may mix.
-  std::pair<std::size_t, std::size_t> support(std::size_t level) const {
-    PRLC_REQUIRE(level < spec_.levels(), "level out of range");
-    switch (scheme_) {
-      case Scheme::kRlc:
-        return {0, spec_.total()};
-      case Scheme::kSlc:
-        return {spec_.level_begin(level), spec_.level_end(level)};
-      case Scheme::kPlc:
-        return {0, spec_.level_end(level)};
-    }
-    PRLC_ASSERT(false, "unknown scheme");
-  }
-
   /// Produce one coded block of the given level.
   CodedBlock<F> encode(std::size_t level, Rng& rng) const {
-    const auto [begin, end] = support(level);
+    const auto [begin, end] = spec_.support(scheme_, level);
     static obs::Counter& blocks_encoded = obs::counter("encoder.blocks_encoded");
     blocks_encoded.add();
     CodedBlock<F> block;
@@ -112,7 +98,7 @@ class PriorityEncoder {
   /// returned (indices, values) pairs reproduces encode()'s coefficient
   /// vector and payload bit for bit.
   SparseCodedBlock<F> encode_sparse(std::size_t level, Rng& rng) const {
-    const auto [begin, end] = support(level);
+    const auto [begin, end] = spec_.support(scheme_, level);
     static obs::Counter& blocks_encoded = obs::counter("encoder.blocks_encoded");
     blocks_encoded.add();
     SparseCodedBlock<F> block;

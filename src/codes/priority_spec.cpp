@@ -38,6 +38,47 @@ std::size_t PrioritySpec::levels_covered_by_prefix(std::size_t blocks) const {
   return static_cast<std::size_t>(it - prefix_.begin());
 }
 
+std::pair<std::size_t, std::size_t> PrioritySpec::support(Scheme scheme,
+                                                          std::size_t level) const {
+  PRLC_REQUIRE(level < levels(), "level out of range");
+  switch (scheme) {
+    case Scheme::kRlc:
+      return {0, total()};
+    case Scheme::kSlc:
+      return {level_begin(level), level_end(level)};
+    case Scheme::kPlc:
+      return {0, level_end(level)};
+  }
+  PRLC_ASSERT(false, "unknown scheme");
+}
+
+std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
+                                                     std::span<const double> weights) {
+  PRLC_REQUIRE(!weights.empty(), "apportionment needs at least one weight");
+  double weight_sum = 0;
+  for (double w : weights) {
+    PRLC_REQUIRE(w >= 0, "weights must be nonnegative");
+    weight_sum += w;
+  }
+  PRLC_REQUIRE(weight_sum > 0, "weights must not all be zero");
+
+  std::vector<std::size_t> out(weights.size(), 0);
+  std::vector<std::pair<double, std::size_t>> remainders;  // (-remainder, index)
+  std::size_t assigned = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const double exact = static_cast<double>(total) * weights[i] / weight_sum;
+    out[i] = static_cast<std::size_t>(exact);
+    assigned += out[i];
+    remainders.emplace_back(-(exact - std::floor(exact)), i);
+  }
+  std::sort(remainders.begin(), remainders.end());
+  for (std::size_t j = 0; assigned < total; ++j) {
+    ++out[remainders[j % remainders.size()].second];
+    ++assigned;
+  }
+  return out;
+}
+
 std::optional<PrioritySpec> try_spec_from_string(std::string_view text) {
   std::vector<std::size_t> sizes;
   std::size_t pos = 0;

@@ -14,8 +14,10 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "codes/scheme.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -64,6 +66,11 @@ class PrioritySpec {
   /// blocks.
   std::size_t levels_covered_by_prefix(std::size_t blocks) const;
 
+  /// Source-block range [begin, end) a coded block of `level` mixes under
+  /// `scheme` (Sec. 3.1, §4): RLC all N sources, SLC the level's own
+  /// sources, PLC the sources of levels 0..level.
+  std::pair<std::size_t, std::size_t> support(Scheme scheme, std::size_t level) const;
+
   bool operator==(const PrioritySpec& other) const { return sizes_ == other.sizes_; }
 
   std::span<const std::size_t> level_sizes() const { return sizes_; }
@@ -81,6 +88,15 @@ std::optional<PrioritySpec> try_spec_from_string(std::string_view text);
 
 /// Throwing wrapper for callers with validated input.
 PrioritySpec spec_from_string(std::string_view text);
+
+/// Largest-remainder apportionment of `total` items to nonnegative
+/// `weights` that are not all zero: item i gets the floor of
+/// total * w_i / sum(w), and the items left over go one each to the
+/// largest fractional parts. Splits the M storage locations (or the
+/// simulator's M coded blocks) over the levels by p_i, so a zero-weight
+/// level gets nothing (Table 1, Case 2).
+std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
+                                                     std::span<const double> weights);
 
 /// Per-level coded-block fractions p_1..p_n: nonnegative, summing to 1.
 class PriorityDistribution {

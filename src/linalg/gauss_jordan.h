@@ -34,9 +34,7 @@ RrefInfo rref(Matrix<F>& m, Matrix<F>* rhs = nullptr) {
   using Symbol = typename F::Symbol;
   static obs::Counter& calls = obs::counter("linalg.rref_calls");
   static obs::Counter& eliminated = obs::counter("linalg.rref_rows_eliminated");
-  static obs::LatencyHistogram& rref_ns = obs::histogram("linalg.rref_ns");
   calls.add();
-  obs::ScopedTimer timer(rref_ns);
   RrefInfo info;
   std::size_t pivot_row = 0;
   for (std::size_t col = 0; col < m.cols() && pivot_row < m.rows(); ++col) {

@@ -267,9 +267,7 @@ class ProgressiveDecoder {
     static obs::Counter& rows_received = obs::counter("decoder.rows_received");
     static obs::Counter& rows_innovative = obs::counter("decoder.rows_innovative");
     static obs::Counter& rows_redundant = obs::counter("decoder.rows_redundant");
-    static obs::LatencyHistogram& add_ns = obs::histogram("decoder.add_ns");
     rows_received.add();
-    obs::ScopedTimer timer(add_ns);
 
     std::copy(coeffs.begin(), coeffs.end(), work_coef_.begin());
     work_payload_.assign(payload.begin(), payload.end());
@@ -320,9 +318,7 @@ class ProgressiveDecoder {
     static obs::Counter& rows_received = obs::counter("decoder.rows_received");
     static obs::Counter& rows_innovative = obs::counter("decoder.rows_innovative");
     static obs::Counter& rows_redundant = obs::counter("decoder.rows_redundant");
-    static obs::LatencyHistogram& add_ns = obs::histogram("decoder.add_ns");
     rows_received.add();
-    obs::ScopedTimer timer(add_ns);
 
     work_payload_.assign(payload.begin(), payload.end());
     heap_.clear();

@@ -33,7 +33,7 @@ void note_failures(const char* model, std::size_t killed, std::size_t alive_afte
 /// above), the event journal is bounded per trial and meant for per-node
 /// failure-timeline reconstruction.
 void journal_failures(const std::vector<NodeId>& killed) {
-  if (!obs::events_enabled()) return;
+  if (!obs::telemetry_enabled()) return;
   for (const NodeId v : killed) {
     obs::emit(obs::EventType::kNodeFailed, static_cast<double>(v));
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "obs/timeseries.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -19,76 +18,66 @@ bool env_telemetry_on() {
 }
 
 /// The currently recording trial, one per thread. Only TrialScope mutates
-/// `active`; emit paths read it through current_context().
+/// `active`; the record paths read it.
 thread_local TrialContext t_ctx;
 
 std::atomic<std::uint64_t> g_next_run{0};
 
 /// Ring write shared by events and samples: overwrite-oldest once the
-/// preallocated capacity is full. `emitted` counts every attempt, so the
-/// chronological order can be reconstructed at flush time.
+/// preallocated capacity is full.
 template <typename Rec>
-void ring_push(std::vector<Rec>& ring, std::uint64_t emitted, std::size_t cap, Rec rec) {
-  if (ring.size() < cap) {
-    ring.push_back(rec);
+void ring_push(Ring<Rec>& ring, Rec rec) {
+  const std::size_t cap = Journal::global().trial_capacity();
+  if (ring.slots.size() < cap) {
+    ring.slots.push_back(rec);
   } else if (cap > 0) {
-    ring[static_cast<std::size_t>(emitted % cap)] = rec;
+    ring.slots[static_cast<std::size_t>(ring.emitted % cap)] = rec;
   }
+  ++ring.emitted;
 }
 
 /// Unroll a ring into chronological order: when it overflowed, the oldest
-/// surviving record sits at emitted % cap.
+/// surviving record sits at emitted % size.
 template <typename Rec>
-void ring_unroll(std::vector<Rec>& ring, std::uint64_t emitted) {
-  if (emitted > ring.size() && !ring.empty()) {
-    std::rotate(ring.begin(),
-                ring.begin() + static_cast<std::ptrdiff_t>(emitted % ring.size()),
-                ring.end());
+std::vector<Rec> ring_unroll(Ring<Rec>& ring) {
+  std::vector<Rec>& slots = ring.slots;
+  if (ring.emitted > slots.size() && !slots.empty()) {
+    std::rotate(slots.begin(),
+                slots.begin() + static_cast<std::ptrdiff_t>(ring.emitted % slots.size()),
+                slots.end());
   }
+  return std::move(slots);
 }
 
 }  // namespace
 
-std::atomic<bool> g_events_enabled{env_telemetry_on()};
-std::atomic<bool> g_timeseries_enabled{env_telemetry_on()};
+std::atomic<bool> g_telemetry_enabled{env_telemetry_on()};
 
 void emit_slow(EventType type, std::uint8_t argc, double a0, double a1, double a2) {
   TrialContext& ctx = t_ctx;
   if (!ctx.active) return;
-  const std::size_t cap = EventJournal::global().trial_capacity();
-  if (ctx.events.capacity() == 0 && cap > 0) ctx.events.reserve(cap);
-  ring_push(ctx.events, ctx.events_emitted, cap,
-            Event{ctx.t, ctx.event_seq, type, argc, {a0, a1, a2}});
-  ++ctx.events_emitted;
-  ++ctx.event_seq;
+  ring_push(ctx.events, Event{ctx.t, static_cast<std::uint32_t>(ctx.events.emitted), type,
+                              argc, {a0, a1, a2}});
 }
 
-void sample_slow(std::uint32_t series, double value) {
+void sample_slow(SeriesId series, double value) {
   TrialContext& ctx = t_ctx;
   if (!ctx.active) return;
-  const std::size_t cap = TimeSeriesRecorder::global().trial_capacity();
-  if (ctx.samples.capacity() == 0 && cap > 0) ctx.samples.reserve(cap);
-  ring_push(ctx.samples, ctx.samples_emitted, cap,
-            Sample{series, ctx.sample_seq, ctx.t, value});
-  ++ctx.samples_emitted;
-  ++ctx.sample_seq;
+  ring_push(ctx.samples,
+            Sample{series, static_cast<std::uint32_t>(ctx.samples.emitted), ctx.t, value});
 }
 
 void set_logical_time_slow(std::uint64_t t) {
   if (t_ctx.active) t_ctx.t = t;
 }
 
-TrialContext* current_context() { return t_ctx.active ? &t_ctx : nullptr; }
-
 }  // namespace detail
 
-void set_events_enabled(bool on) {
-  detail::g_events_enabled.store(on, std::memory_order_relaxed);
+void set_telemetry_enabled(bool on) {
+  detail::g_telemetry_enabled.store(on, std::memory_order_relaxed);
 }
 
-void set_timeseries_enabled(bool on) {
-  detail::g_timeseries_enabled.store(on, std::memory_order_relaxed);
-}
+SeriesId timeseries(std::string_view name) { return Journal::global().series(name); }
 
 std::uint64_t begin_telemetry_run() {
   return detail::g_next_run.fetch_add(1, std::memory_order_relaxed);
@@ -101,25 +90,16 @@ void TrialScope::open(std::uint64_t run, std::uint64_t trial) {
   t_ctx.active = true;
   t_ctx.run = static_cast<std::int64_t>(run);
   t_ctx.trial = trial;
-  if (events_enabled()) t_ctx.events.reserve(EventJournal::global().trial_capacity());
-  if (timeseries_enabled()) {
-    t_ctx.samples.reserve(TimeSeriesRecorder::global().trial_capacity());
-  }
+  const std::size_t cap = Journal::global().trial_capacity();
+  t_ctx.events.slots.reserve(cap);
+  t_ctx.samples.slots.reserve(cap);
   opened_ = true;
 }
 
 void TrialScope::close() {
   using detail::t_ctx;
-  detail::ring_unroll(t_ctx.events, t_ctx.events_emitted);
-  detail::ring_unroll(t_ctx.samples, t_ctx.samples_emitted);
-  if (t_ctx.events_emitted > 0) {
-    EventJournal::global().flush_trial(t_ctx.run, t_ctx.trial, std::move(t_ctx.events),
-                                       t_ctx.events_emitted);
-  }
-  if (t_ctx.samples_emitted > 0) {
-    TimeSeriesRecorder::global().flush_trial(t_ctx.run, t_ctx.trial,
-                                             std::move(t_ctx.samples),
-                                             t_ctx.samples_emitted);
+  if (t_ctx.events.emitted > 0 || t_ctx.samples.emitted > 0) {
+    Journal::global().flush_trial(std::move(t_ctx));
   }
   t_ctx = std::move(saved_);
 }
@@ -168,94 +148,112 @@ const EventArgNames& event_arg_names(EventType type) {
   return kTables[idx];
 }
 
-EventJournal& EventJournal::global() {
-  static EventJournal* j = new EventJournal();  // leaked: see Registry::global
+Journal& Journal::global() {
+  static Journal* j = new Journal();  // leaked: see Registry::global
   return *j;
 }
 
-void EventJournal::set_trial_capacity(std::size_t cap) {
+SeriesId Journal::series(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t i = 0; i < series_names_.size(); ++i) {
+    if (series_names_[i] == name) return static_cast<SeriesId>(i);
+  }
+  series_names_.emplace_back(name);
+  return static_cast<SeriesId>(series_names_.size() - 1);
+}
+
+void Journal::set_trial_capacity(std::size_t cap) {
   capacity_.store(cap, std::memory_order_relaxed);
 }
 
-std::size_t EventJournal::trial_capacity() const {
+std::size_t Journal::trial_capacity() const {
   return capacity_.load(std::memory_order_relaxed);
 }
 
-std::size_t EventJournal::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const TrialRecord& r : records_) n += r.events.size();
-  return n;
-}
-
-std::uint64_t EventJournal::dropped() const {
+std::uint64_t Journal::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
 }
 
-void EventJournal::clear() {
+void Journal::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   dropped_ = 0;
 }
 
-void EventJournal::flush_trial(std::int64_t run, std::uint64_t trial,
-                               std::vector<detail::Event>&& ring, std::uint64_t emitted) {
+void Journal::flush_trial(detail::TrialContext&& ctx) {
+  const std::uint64_t lost = (ctx.events.emitted - ctx.events.slots.size()) +
+                             (ctx.samples.emitted - ctx.samples.slots.size());
+  detail::TrialRecord record{ctx.run, ctx.trial, detail::ring_unroll(ctx.events),
+                             detail::ring_unroll(ctx.samples)};
   std::lock_guard<std::mutex> lock(mu_);
-  dropped_ += emitted - ring.size();
-  records_.push_back(TrialRecord{run, trial, std::move(ring)});
+  dropped_ += lost;
+  records_.push_back(std::move(record));
 }
 
-std::string EventJournal::to_jsonl() const {
-  std::vector<const TrialRecord*> order;
-  std::lock_guard<std::mutex> lock(mu_);
-  order.reserve(records_.size());
-  for (const TrialRecord& r : records_) order.push_back(&r);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const TrialRecord* a, const TrialRecord* b) {
-                     return a->run != b->run ? a->run < b->run : a->trial < b->trial;
-                   });
+namespace {
+
+/// One kind's export: its records from every trial sorted by
+/// (run, trial, t, seq), one JSON object per line. `fields` appends the
+/// kind's own keys after the four coordinates.
+template <typename Rec, typename Fields>
+std::string export_jsonl(const std::vector<detail::TrialRecord>& records,
+                         std::vector<Rec> detail::TrialRecord::*ring, Fields&& fields) {
+  struct Flat {
+    const detail::TrialRecord* trial;
+    const Rec* rec;
+  };
+  std::vector<Flat> flat;
+  for (const detail::TrialRecord& r : records) {
+    for (const Rec& rec : r.*ring) flat.push_back(Flat{&r, &rec});
+  }
+  std::stable_sort(flat.begin(), flat.end(), [](const Flat& a, const Flat& b) {
+    if (a.trial->run != b.trial->run) return a.trial->run < b.trial->run;
+    if (a.trial->trial != b.trial->trial) return a.trial->trial < b.trial->trial;
+    if (a.rec->t != b.rec->t) return a.rec->t < b.rec->t;
+    return a.rec->seq < b.rec->seq;
+  });
   std::string out;
-  std::vector<detail::Event> events;
-  for (const TrialRecord* r : order) {
-    // Emission order already equals seq order; the logical clock is
-    // nondecreasing in every current emitter, but the documented merge
-    // key is (run, trial, t, seq), so sort to keep the contract honest.
-    events = r->events;
-    std::stable_sort(events.begin(), events.end(),
-                     [](const detail::Event& a, const detail::Event& b) {
-                       return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-                     });
-    for (const detail::Event& e : events) {
-      json::Value line = json::Value::object();
-      line.set("run", json::Value(r->run));
-      line.set("trial", json::Value(r->trial));
-      line.set("t", json::Value(e.t));
-      line.set("seq", json::Value(static_cast<std::uint64_t>(e.seq)));
-      line.set("event", json::Value(to_string(e.type)));
-      const EventArgNames& names = event_arg_names(e.type);
-      for (std::size_t a = 0; a < e.argc && names.names[a] != nullptr; ++a) {
-        line.set(names.names[a], json::Value(e.args[a]));
-      }
-      out += line.dump(-1);
-      out.push_back('\n');
-    }
+  for (const Flat& f : flat) {
+    json::Value line = json::Value::object();
+    line.set("run", json::Value(f.trial->run));
+    line.set("trial", json::Value(f.trial->trial));
+    line.set("t", json::Value(f.rec->t));
+    line.set("seq", json::Value(static_cast<std::uint64_t>(f.rec->seq)));
+    fields(line, *f.rec);
+    out += line.dump(-1);
+    out.push_back('\n');
   }
   return out;
 }
 
-bool EventJournal::write(const std::string& path) const {
-  try {
-    json::write_file(path, to_jsonl());
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+}  // namespace
+
+std::string Journal::events_jsonl() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return export_jsonl(records_, &detail::TrialRecord::events,
+                      [](json::Value& line, const detail::Event& e) {
+                        line.set("event", json::Value(to_string(e.type)));
+                        const EventArgNames& names = event_arg_names(e.type);
+                        for (std::size_t a = 0; a < e.argc && names.names[a] != nullptr; ++a) {
+                          line.set(names.names[a], json::Value(e.args[a]));
+                        }
+                      });
+}
+
+std::string Journal::timeseries_jsonl() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return export_jsonl(records_, &detail::TrialRecord::samples,
+                      [this](json::Value& line, const detail::Sample& s) {
+                        line.set("series", json::Value(s.series < series_names_.size()
+                                                           ? series_names_[s.series]
+                                                           : std::string("unknown")));
+                        line.set("value", json::Value(s.value));
+                      });
 }
 
 void reset_telemetry() {
-  EventJournal::global().clear();
-  TimeSeriesRecorder::global().clear();
+  Journal::global().clear();
   detail::g_next_run.store(0, std::memory_order_relaxed);
 }
 

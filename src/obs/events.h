@@ -1,34 +1,43 @@
-// Typed structured event journal with deterministic multi-thread merge.
+// The telemetry journal: typed events and logical-time series, merged
+// deterministically across threads.
 //
-// Experiments emit *typed* events (node_failed, fetch_retry, peel, ...)
-// stamped with logical time — the experiment's own tick counter (churn
-// wave, refresh round, fault-sweep step), never the wall clock — so the
-// journal is a deterministic record of *what the simulation did*, not of
-// how the host scheduled it.
+// Experiments record two kinds of telemetry into one journal:
+//   * events — typed records (node_failed, fetch_retry, peel, ...) with up
+//     to three numeric arguments, recorded by emit();
+//   * samples — one value of a named series (per-level surviving blocks,
+//     decodability margin, retry pressure) that the experiment computed
+//     itself, recorded by sample().
+// Both are stamped with logical time — the experiment's own tick counter
+// (churn wave, refresh round, fault-sweep step, coded-block index), never
+// the wall clock — so the journal is a deterministic record of *what the
+// simulation did*, not of how the host scheduled it. Each kind exports as
+// its own JSONL document (--events-jsonl, --timeseries-jsonl).
 //
 // Determinism contract (the telemetry analogue of TrialRunner's
 // counter-based seed streams):
-//   * Events are recorded into a per-trial bounded ring buffer that lives
-//     in thread-local storage while a TrialScope is open. A trial runs
-//     entirely on one thread (TrialRunner invariant), so its events are
-//     recorded in program order with a per-trial sequence number, no
-//     cross-thread interleaving possible.
+//   * While a TrialScope is open, records go into two bounded per-trial
+//     rings, one per kind, in thread-local storage. A trial runs entirely
+//     on one thread (TrialRunner invariant), so each ring is in program
+//     order and numbers its records with a per-trial, per-kind sequence
+//     number; no cross-thread interleaving is possible.
 //   * TrialRunner::run() allocates one run id per invocation (on the
 //     calling thread, so the id sequence is the program's experiment
 //     order) and opens TrialScope(run, trial) around every trial.
-//   * At scope exit the trial's ring is flushed into the process-wide
-//     journal under a mutex; export sorts by (run, trial, time, seq).
-//     The sort key contains nothing thread-dependent, so the JSONL bytes
-//     are identical at any --threads value.
-//   * Ring overflow overwrites the oldest events. Capacity is per trial,
-//     so which events drop is a function of the trial alone.
+//   * At scope exit both rings are flushed into the process-wide journal
+//     as one trial record, under a mutex; each export sorts its kind by
+//     (run, trial, t, seq). The sort key contains nothing thread-
+//     dependent, so the JSONL bytes are identical at any --threads value.
+//   * A full ring overwrites its oldest records. The capacity applies per
+//     trial and per kind, so which records drop is a function of the trial
+//     alone, and one kind never evicts the other.
 //
-// Zero overhead when disabled: emit() is a relaxed atomic load plus a
-// predictable branch, no allocation, no shared cache line — the same
-// contract as the metrics probes (asserted by tests/obs/noalloc_guard).
-// Events emitted outside any TrialScope are dropped even when enabled:
-// an ambient buffer shared by arbitrary threads could not merge
-// deterministically, so there deliberately isn't one.
+// Zero overhead when disabled: emit() and sample() are a relaxed atomic
+// load plus a predictable branch, no allocation, no shared cache line —
+// the same contract as the metrics probes (asserted by
+// tests/obs/noalloc_guard). Records made outside any TrialScope are
+// dropped even when enabled: an ambient buffer shared by arbitrary
+// threads could not merge deterministically, so there deliberately isn't
+// one.
 #pragma once
 
 #include <atomic>
@@ -36,6 +45,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace prlc::obs {
@@ -67,28 +77,42 @@ struct EventArgNames {
 };
 const EventArgNames& event_arg_names(EventType type);
 
+/// Stable handle for one named time series; resolve it once outside the
+/// trial loop with timeseries() (that takes a mutex), then sample through
+/// the handle.
+using SeriesId = std::uint32_t;
+
 namespace detail {
 
-extern std::atomic<bool> g_events_enabled;
-extern std::atomic<bool> g_timeseries_enabled;
+extern std::atomic<bool> g_telemetry_enabled;
 
-/// One journal record: fixed-size, no heap members, so the hot emit path
+/// One event record: fixed-size, no heap members, so the hot emit path
 /// is a handful of stores into a preallocated ring slot.
 struct Event {
   std::uint64_t t;    ///< logical time at emission
-  std::uint32_t seq;  ///< per-trial emission index
+  std::uint32_t seq;  ///< per-trial event index
   EventType type;
   std::uint8_t argc;
   double args[3];
 };
 
-/// One time-series sample (see obs/timeseries.h); recorded through the
-/// same trial context so both outputs share (run, trial, t) coordinates.
+/// One time-series sample, recorded through the same trial context so
+/// both exports share (run, trial, t) coordinates.
 struct Sample {
-  std::uint32_t series;  ///< TimeSeriesRecorder id
-  std::uint32_t seq;     ///< per-trial sample index
+  SeriesId series;
+  std::uint32_t seq;  ///< per-trial sample index
   std::uint64_t t;
   double value;
+};
+
+/// One kind's per-trial ring: overwrite-oldest once `slots` holds the
+/// capacity fixed at scope open. `emitted` counts every record, so it is
+/// also the next record's seq and the oldest survivor sits at
+/// emitted % capacity once the ring has wrapped.
+template <typename Rec>
+struct Ring {
+  std::vector<Rec> slots;
+  std::uint64_t emitted = 0;
 };
 
 /// Thread-local recording state for the currently open TrialScope.
@@ -97,53 +121,63 @@ struct TrialContext {
   std::int64_t run = -1;
   std::uint64_t trial = 0;
   std::uint64_t t = 0;  ///< logical clock, set via set_logical_time()
-  std::uint64_t events_emitted = 0;
-  std::uint64_t samples_emitted = 0;
-  std::uint32_t event_seq = 0;
-  std::uint32_t sample_seq = 0;
-  std::vector<Event> events;    ///< ring, capacity fixed at scope open
-  std::vector<Sample> samples;  ///< ring, capacity fixed at scope open
+  Ring<Event> events;
+  Ring<Sample> samples;
+};
+
+/// One closed trial as the journal keeps it: both rings, each unrolled
+/// into emission order.
+struct TrialRecord {
+  std::int64_t run;
+  std::uint64_t trial;
+  std::vector<Event> events;
+  std::vector<Sample> samples;
 };
 
 void emit_slow(EventType type, std::uint8_t argc, double a0, double a1, double a2);
-void sample_slow(std::uint32_t series, double value);
+void sample_slow(SeriesId series, double value);
 void set_logical_time_slow(std::uint64_t t);
 
 }  // namespace detail
 
-/// Journal probe switch. Defaults off (PRLC_TELEMETRY=1 preseeds it);
-/// --events-jsonl and the tests arm it explicitly.
-inline bool events_enabled() {
-  return detail::g_events_enabled.load(std::memory_order_relaxed);
+/// The one telemetry switch, for events and samples alike. Defaults off
+/// (PRLC_TELEMETRY=1 preseeds it); --events-jsonl, --timeseries-jsonl,
+/// `prlc metrics` and the tests arm it explicitly.
+inline bool telemetry_enabled() {
+  return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
 }
-void set_events_enabled(bool on);
+void set_telemetry_enabled(bool on);
 
-/// Time-series probe switch (see obs/timeseries.h), declared here because
-/// TrialScope serves both recorders.
-inline bool timeseries_enabled() {
-  return detail::g_timeseries_enabled.load(std::memory_order_relaxed);
-}
-void set_timeseries_enabled(bool on);
-
-/// Emit one event into the current trial's ring. No-op when the journal
-/// is disabled or no TrialScope is open on this thread.
+/// Emit one event into the current trial's ring. No-op when telemetry is
+/// disabled or no TrialScope is open on this thread.
 inline void emit(EventType type) {
-  if (events_enabled()) detail::emit_slow(type, 0, 0, 0, 0);
+  if (telemetry_enabled()) detail::emit_slow(type, 0, 0, 0, 0);
 }
 inline void emit(EventType type, double a0) {
-  if (events_enabled()) detail::emit_slow(type, 1, a0, 0, 0);
+  if (telemetry_enabled()) detail::emit_slow(type, 1, a0, 0, 0);
 }
 inline void emit(EventType type, double a0, double a1) {
-  if (events_enabled()) detail::emit_slow(type, 2, a0, a1, 0);
+  if (telemetry_enabled()) detail::emit_slow(type, 2, a0, a1, 0);
 }
 inline void emit(EventType type, double a0, double a1, double a2) {
-  if (events_enabled()) detail::emit_slow(type, 3, a0, a1, a2);
+  if (telemetry_enabled()) detail::emit_slow(type, 3, a0, a1, a2);
+}
+
+/// Find-or-create the handle for series `name` on the global journal.
+/// Handles are process-local; the export is keyed by name, so the order
+/// in which handles are assigned never shows in the output.
+SeriesId timeseries(std::string_view name);
+
+/// Record `value` for `series` at the current trial's logical time.
+/// No-op when telemetry is disabled or no TrialScope is open.
+inline void sample(SeriesId series, double value) {
+  if (telemetry_enabled()) detail::sample_slow(series, value);
 }
 
 /// Set the trial-local logical clock; experiments call this once per
 /// tick (churn point, refresh wave, fault scale). No-op without a scope.
 inline void set_logical_time(std::uint64_t t) {
-  if (events_enabled() || timeseries_enabled()) detail::set_logical_time_slow(t);
+  if (telemetry_enabled()) detail::set_logical_time_slow(t);
 }
 
 /// Next telemetry run id. TrialRunner::run() calls this once per
@@ -154,13 +188,12 @@ std::uint64_t begin_telemetry_run();
 
 /// RAII trial recording scope: opens the thread-local context (saving any
 /// enclosing scope — the serial TrialRunner path nests inside a manual
-/// scope in tests) and flushes the rings to the process-wide journal /
-/// time-series recorder on close. Construction is a no-op when both
-/// recorders are disabled.
+/// scope in tests) and flushes both rings to the journal on close.
+/// Construction is a no-op when telemetry is disabled.
 class TrialScope {
  public:
   TrialScope(std::uint64_t run, std::uint64_t trial) {
-    if (events_enabled() || timeseries_enabled()) open(run, trial);
+    if (telemetry_enabled()) open(run, trial);
   }
   ~TrialScope() {
     if (opened_) close();
@@ -177,45 +210,49 @@ class TrialScope {
 };
 
 /// Process-wide journal the trial rings flush into.
-class EventJournal {
+class Journal {
  public:
-  static EventJournal& global();
+  static Journal& global();
 
-  /// Ring capacity (events per trial) for scopes opened after the call.
+  /// See obs::timeseries().
+  SeriesId series(std::string_view name);
+
+  /// Ring capacity, per trial and per kind, for scopes opened after the
+  /// call.
   void set_trial_capacity(std::size_t cap);
   std::size_t trial_capacity() const;
 
-  std::size_t events() const;   ///< flushed events currently held
-  std::uint64_t dropped() const;  ///< ring-overflow losses across all trials
+  /// Ring-overflow losses of both kinds across all flushed trials.
+  std::uint64_t dropped() const;
+  /// Drop every flushed record and zero dropped(); series handles stay
+  /// valid (callers often hold them in function-local statics).
   void clear();
 
-  /// One JSON object per line, sorted by (run, trial, t, seq):
+  /// Events, one JSON object per line, sorted by (run, trial, t, seq):
   ///   {"run":0,"trial":3,"t":1,"seq":0,"event":"fetch_retry",
   ///    "node":17,"attempt":1}
-  /// Byte-identical for byte-identical experiment configurations.
-  std::string to_jsonl() const;
-  bool write(const std::string& path) const;
+  std::string events_jsonl() const;
+  /// Samples, one JSON object per line, sorted by (run, trial, t, seq):
+  ///   {"run":0,"trial":2,"t":3,"seq":1,"series":"persistence.margin.l1",
+  ///    "value":-4}
+  /// Both exports are byte-identical for byte-identical experiment
+  /// configurations.
+  std::string timeseries_jsonl() const;
 
-  // Internal: TrialScope::close() hands its ring over.
-  void flush_trial(std::int64_t run, std::uint64_t trial,
-                   std::vector<detail::Event>&& ring, std::uint64_t emitted);
+  // Internal: TrialScope::close() hands its rings over as one record.
+  void flush_trial(detail::TrialContext&& ctx);
 
  private:
-  struct TrialRecord {
-    std::int64_t run;
-    std::uint64_t trial;
-    std::vector<detail::Event> events;  ///< in emission order
-  };
-
   mutable std::mutex mu_;
-  std::vector<TrialRecord> records_;
+  std::vector<std::string> series_names_;  ///< SeriesId -> name
+  std::vector<detail::TrialRecord> records_;
   std::uint64_t dropped_ = 0;
   std::atomic<std::size_t> capacity_{1u << 16};
 };
 
-/// Clear the journal, the time-series recorder, and the run-id counter —
-/// the full telemetry reset the in-process determinism tests need
-/// between repetitions of the same experiment.
+/// Clear the journal and rewind the run-id counter — the full telemetry
+/// reset the in-process determinism tests need between repetitions of
+/// the same experiment.
 void reset_telemetry();
 
 }  // namespace prlc::obs

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -127,21 +126,6 @@ void Registry::reset_values() {
   }
 }
 
-std::optional<double> Registry::current_value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) return std::nullopt;
-  switch (it->second.kind) {
-    case Kind::kCounter:
-      return static_cast<double>(it->second.counter->value());
-    case Kind::kGauge:
-      return static_cast<double>(it->second.gauge->value());
-    case Kind::kHistogram:
-      return static_cast<double>(it->second.histogram->count());
-  }
-  return std::nullopt;
-}
-
 std::string Registry::to_json() const {
   json::Value counters = json::Value::object();
   json::Value gauges = json::Value::object();
@@ -179,55 +163,13 @@ std::string Registry::to_json() const {
   return root.dump(2);
 }
 
-std::string Registry::to_csv() const {
-  std::string out = "kind,name,value,count,mean,p50,p90,p99,max\n";
-  auto num = [](double d) {
-    std::string s = std::to_string(d);
-    return s;
-  };
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        out += "counter," + name + "," + std::to_string(entry.counter->value()) + ",,,,,,\n";
-        break;
-      case Kind::kGauge:
-        out += "gauge," + name + "," + std::to_string(entry.gauge->value()) + ",,,,,,\n";
-        break;
-      case Kind::kHistogram: {
-        const LatencyHistogram& h = *entry.histogram;
-        out += "histogram," + name + ",," + std::to_string(h.count()) + "," + num(h.mean()) +
-               "," + num(h.p50()) + "," + num(h.p90()) + "," + num(h.p99()) + "," +
-               std::to_string(h.max_value()) + "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-bool Registry::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json() << "\n";
-  return static_cast<bool>(out);
-}
-
-std::vector<std::string> Registry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
 Counter& counter(std::string_view name) { return Registry::global().counter(name); }
 Gauge& gauge(std::string_view name) { return Registry::global().gauge(name); }
 LatencyHistogram& histogram(std::string_view name) {
   return Registry::global().histogram(name);
 }
 
-std::uint64_t ScopedTimer::now_ns() noexcept {
+std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())

@@ -1,11 +1,11 @@
 // Process-wide metrics: counters, gauges, log-bucketed latency histograms.
 //
 // Design contract — zero overhead when disabled:
-//   * Every probe (Counter::add, Gauge::set, LatencyHistogram::record,
-//     ScopedTimer) first branches on a single process-wide relaxed atomic
-//     flag. When metrics are off the probe is a load + predictable branch
-//     and touches no shared cache line, so instrumenting a hot loop does
-//     not change its throughput (the perf_codec axpy numbers are the
+//   * Every probe (Counter::add, Gauge::set, LatencyHistogram::record)
+//     first branches on a single process-wide relaxed atomic flag. When
+//     metrics are off the probe is a load + predictable branch and
+//     touches no shared cache line, so instrumenting a hot loop does not
+//     change its throughput (the perf_codec axpy numbers are the
 //     regression check).
 //   * The flag defaults to the PRLC_METRICS environment variable (unset
 //     or "0" = disabled); binaries that export metrics (`--metrics-json`,
@@ -22,7 +22,12 @@
 //
 // All metric updates are relaxed atomics: safe under concurrent writers,
 // no ordering guarantees between different metrics (readers see a
-// near-consistent snapshot, which is all an exporter needs).
+// near-consistent snapshot, which is all an exporter needs). The one
+// export is Registry::to_json(); callers hand the string to
+// json::write_file. There is no scope-timer type: timing a scope is
+// obs::ScopedSpan's job (obs/trace.h), and the rare duration histogram
+// (runtime.trial_ns) records an obs::now_ns() difference itself. A
+// per-tick view of a value belongs in the journal (obs/events.h).
 #pragma once
 
 #include <atomic>
@@ -32,10 +37,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace prlc::obs {
 
@@ -85,8 +88,8 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Log2-bucketed histogram of nonnegative integer samples (nanoseconds
-/// from ScopedTimer, but any magnitude works: bytes, rows, survivors).
+/// Log2-bucketed histogram of nonnegative integer samples (any magnitude:
+/// microseconds, bytes, rows, survivors).
 // Bucket i counts samples whose bit width is i, i.e. [2^(i-1), 2^i);
 // quantiles interpolate linearly inside the bucket, so a reported
 // quantile is within a factor of 2 of the exact order statistic (the
@@ -146,24 +149,10 @@ class Registry {
   /// Zero every metric's value; registrations (and references) survive.
   void reset_values();
 
-  /// Scalar snapshot of a registered metric: counter value, gauge value,
-  /// or histogram sample count. nullopt when `name` is not registered —
-  /// lookup only, never creates (the time-series tick() snapshotter).
-  std::optional<double> current_value(std::string_view name) const;
-
   /// {"counters": {name: value}, "gauges": {...},
   ///  "histograms": {name: {count, sum, mean, p50, p90, p99, max}}}
   /// Names sorted within each section; stable across runs.
   std::string to_json() const;
-
-  /// One row per metric: kind,name,value,count,mean,p50,p90,p99,max
-  /// (blank cells where a column does not apply to the kind).
-  std::string to_csv() const;
-
-  /// Write to_json() to `path`; false (with errno intact) on I/O failure.
-  bool write_json(const std::string& path) const;
-
-  std::vector<std::string> names() const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -186,24 +175,8 @@ Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 LatencyHistogram& histogram(std::string_view name);
 
-/// RAII wall-clock probe recording elapsed nanoseconds into a histogram.
-/// Reads the clock only when metrics are enabled at construction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram& h) noexcept
-      : h_(enabled() ? &h : nullptr), start_(h_ != nullptr ? now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (h_ != nullptr) h_->record(now_ns() - start_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Monotonic nanoseconds (steady clock); exposed for the trace layer.
-  static std::uint64_t now_ns() noexcept;
-
- private:
-  LatencyHistogram* h_;
-  std::uint64_t start_;
-};
+/// Monotonic nanoseconds (steady clock): the trace layer's timestamps and
+/// the benches' stopwatches.
+std::uint64_t now_ns() noexcept;
 
 }  // namespace prlc::obs

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <fstream>
-
 #include "obs/metrics.h"
 #include "util/json.h"
 
@@ -28,7 +26,7 @@ TraceRecorder& TraceRecorder::global() {
 
 void TraceRecorder::start() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_ns_ == 0) epoch_ns_ = ScopedTimer::now_ns();
+  if (epoch_ns_ == 0) epoch_ns_ = now_ns();
   capturing_.store(true, std::memory_order_relaxed);
 }
 
@@ -43,7 +41,7 @@ void TraceRecorder::clear() {
 void TraceRecorder::push(char phase, std::string_view name, std::string_view category,
                          std::initializer_list<TraceArg> args) {
   if (!capturing()) return;
-  const std::uint64_t now = ScopedTimer::now_ns();
+  const std::uint64_t now = now_ns();
   const std::uint32_t tid = this_thread_tid();
   std::lock_guard<std::mutex> lock(mu_);
   Event& e = events_.emplace_back();
@@ -115,13 +113,6 @@ std::string TraceRecorder::to_json() const {
   root.set("traceEvents", std::move(list));
   root.set("displayTimeUnit", "ms");
   return root.dump(1);
-}
-
-bool TraceRecorder::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json() << "\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace prlc::obs

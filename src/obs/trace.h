@@ -73,8 +73,6 @@ class TraceRecorder {
 
   /// {"traceEvents": [...], "displayTimeUnit": "ms"}
   std::string to_json() const;
-  /// Write to_json() to `path`; false on I/O failure.
-  bool write(const std::string& path) const;
 
  private:
   struct Event {

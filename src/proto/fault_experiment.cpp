@@ -1,7 +1,7 @@
 #include "proto/fault_experiment.h"
 
 #include "net/churn.h"
-#include "obs/timeseries.h"
+#include "obs/events.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -41,7 +41,7 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
     obs::SeriesId hedges;
   };
   SeriesIds ts{};
-  const bool want_timeseries = obs::timeseries_enabled();
+  const bool want_timeseries = obs::telemetry_enabled();
   if (want_timeseries) {
     ts.decoded_levels = obs::timeseries("fault.decoded_levels");
     ts.blocks_lost = obs::timeseries("fault.blocks_lost");

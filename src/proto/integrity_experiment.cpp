@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/timeseries.h"
+#include "obs/events.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -40,7 +40,7 @@ std::vector<IntegrityPoint> run_integrity_experiment(const IntegritySweepParams&
     obs::SeriesId quarantined;
   };
   SeriesIds ts{};
-  const bool want_timeseries = obs::timeseries_enabled();
+  const bool want_timeseries = obs::telemetry_enabled();
   if (want_timeseries) {
     ts.decoded_levels = obs::timeseries("integrity.decoded_levels");
     ts.violations = obs::timeseries("integrity.violations");

@@ -1,7 +1,7 @@
 #include "proto/persistence_experiment.h"
 
+#include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "proto/collector.h"
 #include "sim/failure_process.h"
@@ -65,7 +65,7 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
     std::vector<obs::SeriesId> margin;           ///< decodability margin per level
   };
   SeriesIds ts{};
-  const bool want_timeseries = obs::timeseries_enabled();
+  const bool want_timeseries = obs::telemetry_enabled();
   if (want_timeseries) {
     ts.survivors = obs::timeseries("persistence.survivors");
     ts.decoded_levels = obs::timeseries("persistence.decoded_levels");

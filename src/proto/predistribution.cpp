@@ -11,33 +11,6 @@
 
 namespace prlc::proto {
 
-std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
-                                                     std::span<const double> weights) {
-  PRLC_REQUIRE(!weights.empty(), "apportionment needs at least one weight");
-  double weight_sum = 0;
-  for (double w : weights) {
-    PRLC_REQUIRE(w >= 0, "weights must be nonnegative");
-    weight_sum += w;
-  }
-  PRLC_REQUIRE(weight_sum > 0, "weights must not all be zero");
-
-  std::vector<std::size_t> out(weights.size(), 0);
-  std::vector<std::pair<double, std::size_t>> remainders;  // (-remainder, index)
-  std::size_t assigned = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double exact = static_cast<double>(total) * weights[i] / weight_sum;
-    out[i] = static_cast<std::size_t>(exact);
-    assigned += out[i];
-    remainders.emplace_back(-(exact - std::floor(exact)), i);
-  }
-  std::sort(remainders.begin(), remainders.end());
-  for (std::size_t j = 0; assigned < total; ++j) {
-    ++out[remainders[j % remainders.size()].second];
-    ++assigned;
-  }
-  return out;
-}
-
 Predistribution::Predistribution(net::Overlay& overlay, codes::PrioritySpec spec,
                                  codes::PriorityDistribution dist, ProtocolParams params)
     : overlay_(overlay), spec_(std::move(spec)), dist_(std::move(dist)), params_(params) {
@@ -48,25 +21,13 @@ Predistribution::Predistribution(net::Overlay& overlay, codes::PrioritySpec spec
 
   // Step 2: partition the M locations into n parts sized ~ M * p_i.
   // Zero-weight levels legitimately get zero locations (Table 1, Case 2).
-  const auto part_sizes = apportion_largest_remainder(overlay_.locations(), dist_.values());
+  const auto part_sizes = codes::apportion_largest_remainder(overlay_.locations(), dist_.values());
   location_level_.reserve(overlay_.locations());
   for (std::size_t level = 0; level < part_sizes.size(); ++level) {
     location_level_.insert(location_level_.end(), part_sizes[level], level);
   }
   PRLC_ASSERT(location_level_.size() == overlay_.locations(), "partition size mismatch");
   storage_.assign(overlay_.locations(), std::nullopt);
-}
-
-std::pair<std::size_t, std::size_t> Predistribution::support_of_level(std::size_t level) const {
-  switch (params_.scheme) {
-    case codes::Scheme::kRlc:
-      return {0, spec_.total()};
-    case codes::Scheme::kSlc:
-      return {spec_.level_begin(level), spec_.level_end(level)};
-    case codes::Scheme::kPlc:
-      return {0, spec_.level_end(level)};
-  }
-  PRLC_ASSERT(false, "unknown scheme");
 }
 
 std::size_t Predistribution::level_of_location(net::LocationId loc) const {
@@ -133,7 +94,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     if (!host[loc].has_value()) continue;  // dropped by capacity overflow
     const std::size_t level = location_level_[loc];
-    const auto [begin, end] = support_of_level(level);
+    const auto [begin, end] = spec_.support(params_.scheme, level);
     const std::size_t width = end - begin;
     PRLC_ASSERT(width > 0, "empty support for a location");
 

@@ -108,10 +108,6 @@ class Predistribution {
   net::Overlay& overlay() const { return overlay_; }
 
  private:
-  /// Support set [begin, end) of source-block indices for a coded block
-  /// in partition level k (scheme-dependent).
-  std::pair<std::size_t, std::size_t> support_of_level(std::size_t level) const;
-
   net::Overlay& overlay_;
   codes::PrioritySpec spec_;
   codes::PriorityDistribution dist_;
@@ -119,9 +115,5 @@ class Predistribution {
   std::vector<std::size_t> location_level_;  ///< partition: level per location
   std::vector<std::optional<StoredBlock>> storage_;
 };
-
-/// Largest-remainder apportionment of `total` items to `weights`.
-std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
-                                                     std::span<const double> weights);
 
 }  // namespace prlc::proto

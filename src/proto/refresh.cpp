@@ -4,7 +4,6 @@
 #include "net/churn.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "proto/collector.h"
 #include "proto/deployment.h"
@@ -33,15 +32,7 @@ RefreshResult refresh(Predistribution& dist, net::NodeId maintainer, Rng& rng) {
     ++result.lost_locations;
     const std::size_t level = dist.level_of_location(loc);
 
-    // Support of this location's coded block under the scheme.
-    std::size_t begin = 0;
-    std::size_t end = spec.total();
-    if (dist.params().scheme == codes::Scheme::kSlc) {
-      begin = spec.level_begin(level);
-      end = spec.level_end(level);
-    } else if (dist.params().scheme == codes::Scheme::kPlc) {
-      end = spec.level_end(level);
-    }
+    const auto [begin, end] = spec.support(dist.params().scheme, level);
     // Repairable only when every supported source block is decoded. For
     // SLC that means the whole level; for PLC/RLC the prefix covers it.
     bool repairable = true;
@@ -130,7 +121,7 @@ std::vector<RefreshWavePoint> run_refresh_experiment(const RefreshExperimentPara
     obs::SeriesId rebuilt;
   };
   SeriesIds ts{};
-  const bool want_timeseries = obs::timeseries_enabled();
+  const bool want_timeseries = obs::telemetry_enabled();
   if (want_timeseries) {
     ts.decoded_levels = obs::timeseries("refresh.decoded_levels");
     ts.surviving = obs::timeseries("refresh.surviving_locations");

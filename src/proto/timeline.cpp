@@ -67,15 +67,7 @@ void TimelineStore::fill_location(net::LocationId loc, const codes::SourceData<F
                                   net::NodeId /*origin_hint*/, Rng& rng, IngestStats& stats) {
   Slot& slot = slots_[loc];
   const std::size_t level = slot.level;
-
-  std::size_t begin = 0;
-  std::size_t end = spec_.total();
-  if (params_.scheme == codes::Scheme::kSlc) {
-    begin = spec_.level_begin(level);
-    end = spec_.level_end(level);
-  } else if (params_.scheme == codes::Scheme::kPlc) {
-    end = spec_.level_end(level);
-  }
+  const auto [begin, end] = spec_.support(params_.scheme, level);
 
   StoredBlock entry;
   entry.block.level = level;
@@ -152,7 +144,7 @@ IngestStats TimelineStore::ingest(const codes::SourceData<Field>& source, Rng& r
   // order; future shrinks pop from the back, so the round sheds its
   // lowest-priority blocks first (priority-aware aging — see header).
   const auto parts =
-      apportion_largest_remainder(fresh.locations.size(), dist_.values());
+      codes::apportion_largest_remainder(fresh.locations.size(), dist_.values());
   std::size_t cursor = 0;
   for (std::size_t level = 0; level < parts.size(); ++level) {
     for (std::size_t i = 0; i < parts[level]; ++i) {

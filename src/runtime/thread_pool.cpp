@@ -51,10 +51,10 @@ void ThreadPool::worker_loop(std::size_t index) {
     auto task = take_task();
     if (task.has_value()) {
       const bool timed = obs::enabled();
-      const std::uint64_t t0 = timed ? obs::ScopedTimer::now_ns() : 0;
+      const std::uint64_t t0 = timed ? obs::now_ns() : 0;
       run_task(*task);
       if (timed) {
-        busy_ns.add(obs::ScopedTimer::now_ns() - t0);
+        busy_ns.add(obs::now_ns() - t0);
         tasks_run.add();
       }
       continue;

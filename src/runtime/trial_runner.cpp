@@ -5,7 +5,7 @@
 namespace prlc::runtime {
 
 std::uint64_t TrialRunner::trial_clock_ns() {
-  return obs::enabled() ? obs::ScopedTimer::now_ns() : 0;
+  return obs::enabled() ? obs::now_ns() : 0;
 }
 
 void TrialRunner::record_trial_start() {

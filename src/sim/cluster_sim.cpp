@@ -11,7 +11,6 @@
 
 #include "analysis/count_model.h"
 #include "obs/events.h"
-#include "obs/timeseries.h"
 #include "runtime/trial_runner.h"
 #include "sim/event_queue.h"
 #include "util/check.h"
@@ -22,30 +21,6 @@ namespace {
 
 constexpr std::uint32_t kNoHost = 0xffffffffu;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Largest-remainder apportionment, duplicated from proto/predistribution
-/// so prlc_sim needs no proto link (proto links sim for the failure
-/// models; the cycle has to break on this side).
-std::vector<std::size_t> apportion(std::size_t total, std::span<const double> weights) {
-  std::vector<std::size_t> out(weights.size(), 0);
-  double weight_sum = 0;
-  for (double w : weights) weight_sum += w;
-  PRLC_REQUIRE(weight_sum > 0, "apportionment weights must not all be zero");
-  std::vector<std::pair<double, std::size_t>> remainders;  // (-remainder, index)
-  std::size_t assigned = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double exact = static_cast<double>(total) * weights[i] / weight_sum;
-    out[i] = static_cast<std::size_t>(exact);
-    assigned += out[i];
-    remainders.emplace_back(-(exact - std::floor(exact)), i);
-  }
-  std::sort(remainders.begin(), remainders.end());
-  for (std::size_t j = 0; assigned < total; ++j) {
-    ++out[remainders[j % remainders.size()].second];
-    ++assigned;
-  }
-  return out;
-}
 
 /// One stored coded block (or, in replication mode, one copy).
 struct Block {
@@ -187,7 +162,8 @@ void ClusterTrial::place_blocks() {
     // same per-level mix the protocol would.
     const std::size_t coded =
         params_.locations != 0 ? params_.locations : 2 * spec_.total();
-    const auto parts = apportion(coded, params_.experiment.distribution().values());
+    const auto parts =
+        codes::apportion_largest_remainder(coded, params_.experiment.distribution().values());
     blocks_.reserve(coded);
     for (std::size_t level = 0; level < parts.size(); ++level) {
       for (std::size_t c = 0; c < parts[level]; ++c) {

@@ -130,7 +130,7 @@ std::vector<net::NodeId> FailureDriver::advance_to(double until, Rng& rng) {
     obs::TraceRecorder::global().count("alive_nodes", "churn",
                                        {{"alive", static_cast<double>(alive_after)}});
   }
-  if (obs::events_enabled()) {
+  if (obs::telemetry_enabled()) {
     for (const net::NodeId v : killed) {
       obs::emit(obs::EventType::kNodeFailed, static_cast<double>(v));
     }

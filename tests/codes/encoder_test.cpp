@@ -16,21 +16,6 @@ using F = gf::Gf256;
 
 PrioritySpec small_spec() { return PrioritySpec({2, 3, 4}); }
 
-TEST(Encoder, SupportPerScheme) {
-  const auto spec = small_spec();
-  const PriorityEncoder<F> rlc(Scheme::kRlc, spec);
-  const PriorityEncoder<F> slc(Scheme::kSlc, spec);
-  const PriorityEncoder<F> plc(Scheme::kPlc, spec);
-  EXPECT_EQ(rlc.support(0), (std::pair<std::size_t, std::size_t>{0, 9}));
-  EXPECT_EQ(rlc.support(2), (std::pair<std::size_t, std::size_t>{0, 9}));
-  EXPECT_EQ(slc.support(0), (std::pair<std::size_t, std::size_t>{0, 2}));
-  EXPECT_EQ(slc.support(1), (std::pair<std::size_t, std::size_t>{2, 5}));
-  EXPECT_EQ(slc.support(2), (std::pair<std::size_t, std::size_t>{5, 9}));
-  EXPECT_EQ(plc.support(0), (std::pair<std::size_t, std::size_t>{0, 2}));
-  EXPECT_EQ(plc.support(1), (std::pair<std::size_t, std::size_t>{0, 5}));
-  EXPECT_EQ(plc.support(2), (std::pair<std::size_t, std::size_t>{0, 9}));
-}
-
 TEST(Encoder, CoefficientsStayInsideSupport) {
   Rng rng(91);
   const auto spec = small_spec();
@@ -41,7 +26,7 @@ TEST(Encoder, CoefficientsStayInsideSupport) {
         const auto block = enc.encode(level, rng);
         EXPECT_EQ(block.level, level);
         ASSERT_EQ(block.coeffs.size(), spec.total());
-        const auto [begin, end] = enc.support(level);
+        const auto [begin, end] = spec.support(scheme, level);
         for (std::size_t j = 0; j < spec.total(); ++j) {
           if (j < begin || j >= end) {
             ASSERT_EQ(block.coeffs[j], 0)

@@ -103,6 +103,20 @@ TEST(PrioritySpec, LevelSizesAccessor) {
   EXPECT_EQ(sizes[2], 4u);
 }
 
+TEST(PrioritySpec, SupportPerScheme) {
+  const PrioritySpec spec({2, 3, 4});
+  using Range = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(spec.support(Scheme::kRlc, 0), (Range{0, 9}));
+  EXPECT_EQ(spec.support(Scheme::kRlc, 2), (Range{0, 9}));
+  EXPECT_EQ(spec.support(Scheme::kSlc, 0), (Range{0, 2}));
+  EXPECT_EQ(spec.support(Scheme::kSlc, 1), (Range{2, 5}));
+  EXPECT_EQ(spec.support(Scheme::kSlc, 2), (Range{5, 9}));
+  EXPECT_EQ(spec.support(Scheme::kPlc, 0), (Range{0, 2}));
+  EXPECT_EQ(spec.support(Scheme::kPlc, 1), (Range{0, 5}));
+  EXPECT_EQ(spec.support(Scheme::kPlc, 2), (Range{0, 9}));
+  EXPECT_THROW(spec.support(Scheme::kRlc, 3), PreconditionError);
+}
+
 TEST(PriorityDistribution, ValidatesAndNormalizes) {
   const PriorityDistribution d({0.25, 0.25, 0.5});
   EXPECT_EQ(d.levels(), 3u);
@@ -144,6 +158,37 @@ TEST(PriorityDistribution, RangeSumBoundsChecked) {
   const auto d = PriorityDistribution::uniform(3);
   EXPECT_THROW(d.range_sum(2, 1), PreconditionError);
   EXPECT_THROW(d.range_sum(0, 3), PreconditionError);
+}
+
+TEST(Apportion, LargestRemainderExact) {
+  const std::vector<double> w = {0.5, 0.25, 0.25};
+  const auto parts = apportion_largest_remainder(8, w);
+  EXPECT_EQ(parts, (std::vector<std::size_t>{4, 2, 2}));
+}
+
+TEST(Apportion, RoundsWithinOne) {
+  const std::vector<double> w = {0.5138, 0.0768, 0.4094};  // Table 1, Case 1
+  const auto parts = apportion_largest_remainder(1000, w);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    total += parts[i];
+    EXPECT_NEAR(static_cast<double>(parts[i]), 1000 * w[i], 1.0);
+  }
+  EXPECT_EQ(total, 1000u);
+}
+
+TEST(Apportion, ZeroWeightGetsZero) {
+  const std::vector<double> w = {0.0, 0.6149, 0.3851};  // Table 1, Case 2
+  const auto parts = apportion_largest_remainder(500, w);
+  EXPECT_EQ(parts[0], 0u);
+  EXPECT_EQ(parts[1] + parts[2], 500u);
+}
+
+TEST(Apportion, Validates) {
+  const std::vector<double> zero = {0.0, 0.0};
+  EXPECT_THROW(apportion_largest_remainder(5, zero), PreconditionError);
+  const std::vector<double> neg = {1.0, -0.5};
+  EXPECT_THROW(apportion_largest_remainder(5, neg), PreconditionError);
 }
 
 }  // namespace

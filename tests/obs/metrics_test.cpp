@@ -118,7 +118,7 @@ TEST_F(MetricsTest, HistogramEmptyAndZeroSamples) {
   EXPECT_THROW(h.quantile(-0.1), PreconditionError);
 }
 
-TEST_F(MetricsTest, ExportsParseableJsonAndCsv) {
+TEST_F(MetricsTest, ExportsParseableJson) {
   counter("test.export.counter").add(3);
   gauge("test.export.gauge").set(-7);
   histogram("test.export.hist").record(1000);
@@ -128,10 +128,6 @@ TEST_F(MetricsTest, ExportsParseableJsonAndCsv) {
   const json::Value& h = root.at("histograms").at("test.export.hist");
   EXPECT_DOUBLE_EQ(h.at("count").as_double(), 1.0);
   EXPECT_DOUBLE_EQ(h.at("max").as_double(), 1000.0);
-
-  const std::string csv = Registry::global().to_csv();
-  EXPECT_NE(csv.find("kind,name,value,count,mean,p50,p90,p99,max"), std::string::npos);
-  EXPECT_NE(csv.find("counter,test.export.counter,3"), std::string::npos);
 }
 
 TEST_F(MetricsTest, ResetValuesKeepsRegistrations) {
@@ -140,28 +136,6 @@ TEST_F(MetricsTest, ResetValuesKeepsRegistrations) {
   Registry::global().reset_values();
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(&counter("test.reset.counter"), &c);
-}
-
-TEST_F(MetricsTest, ScopedTimerRecordsElapsed) {
-  LatencyHistogram& h = histogram("test.timer.hist");
-  {
-    ScopedTimer timer(h);
-    volatile int sink = 0;
-    for (int i = 0; i < 1000; ++i) sink = sink + i;
-  }
-  EXPECT_EQ(h.count(), 1u);
-  // A timed loop takes nonzero steady-clock time at nanosecond resolution.
-  EXPECT_GT(h.sum(), 0u);
-}
-
-TEST_F(MetricsTest, ScopedTimerDisabledRecordsNothing) {
-  LatencyHistogram& h = histogram("test.timer.disabled");
-  set_enabled(false);
-  {
-    ScopedTimer timer(h);
-  }
-  set_enabled(true);
-  EXPECT_EQ(h.count(), 0u);
 }
 
 }  // namespace

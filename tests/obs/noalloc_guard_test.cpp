@@ -19,7 +19,6 @@
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace {
@@ -64,8 +63,7 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
   LatencyHistogram& hist = histogram("test.noalloc.hist");
   const SeriesId id = timeseries("test.noalloc.series");
   set_enabled(false);
-  set_events_enabled(false);
-  set_timeseries_enabled(false);
+  set_telemetry_enabled(false);
   ASSERT_FALSE(trace_enabled());  // also creates the global recorder
 
   const std::uint64_t allocs = allocations_during([&] {
@@ -73,7 +71,6 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
       ctr.add(1);
       gauge_.set(i);
       hist.record(17);
-      { ScopedTimer timer(hist); }
       // Name and category past any small-string buffer (25 bytes each).
       { ScopedSpan span("test.noalloc.span.25bytes", "test.noalloc.category.25b"); }
       emit(EventType::kPeel, 1.0);
@@ -89,8 +86,7 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
 TEST(NoAllocGuard, EnabledEmitAndSampleAreStoresOnly) {
   const SeriesId id = timeseries("test.noalloc.enabled.series");
   reset_telemetry();
-  set_events_enabled(true);
-  set_timeseries_enabled(true);
+  set_telemetry_enabled(true);
   {
     // Scope open preallocates the rings — outside the armed window.
     TrialScope scope(begin_telemetry_run(), 0);
@@ -104,8 +100,7 @@ TEST(NoAllocGuard, EnabledEmitAndSampleAreStoresOnly) {
     });
     EXPECT_EQ(allocs, 0u);
   }
-  set_events_enabled(false);
-  set_timeseries_enabled(false);
+  set_telemetry_enabled(false);
   reset_telemetry();
 }
 

@@ -105,16 +105,5 @@ TEST(TraceRecorder, StopFreezesAndClearEmpties) {
   EXPECT_EQ(root.at("traceEvents").size(), 0u);
 }
 
-TEST(TraceRecorder, WriteProducesLoadableFile) {
-  TraceRecorder rec;
-  rec.start();
-  rec.instant("marker", "test", {{"v", 1.0}});
-  rec.stop();
-  const std::string path = ::testing::TempDir() + "trace_test_out.json";
-  ASSERT_TRUE(rec.write(path));
-  const json::Value root = json::Value::parse(json::read_file(path));
-  EXPECT_EQ(root.at("traceEvents").at(0).at("name").as_string(), "marker");
-}
-
 }  // namespace
 }  // namespace prlc::obs

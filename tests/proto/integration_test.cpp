@@ -51,7 +51,7 @@ TEST(Integration, ProtocolBlocksDecodeLikeCentralizedEncoding) {
   // Prediction: M blocks whose levels follow the *location partition*
   // proportions (hypergeometric ~ multinomial at these sizes). Use the
   // count-model MC with the partition's empirical distribution.
-  const auto parts = apportion_largest_remainder(np.locations, dist.values());
+  const auto parts = codes::apportion_largest_remainder(np.locations, dist.values());
   std::vector<double> part_dist;
   for (std::size_t c : parts) part_dist.push_back(static_cast<double>(c));
   normalize(std::span<double>(part_dist));

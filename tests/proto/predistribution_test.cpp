@@ -17,37 +17,6 @@ using codes::PriorityDistribution;
 using codes::PrioritySpec;
 using codes::Scheme;
 
-TEST(Apportion, LargestRemainderExact) {
-  const std::vector<double> w = {0.5, 0.25, 0.25};
-  const auto parts = apportion_largest_remainder(8, w);
-  EXPECT_EQ(parts, (std::vector<std::size_t>{4, 2, 2}));
-}
-
-TEST(Apportion, RoundsWithinOne) {
-  const std::vector<double> w = {0.5138, 0.0768, 0.4094};  // Table 1, Case 1
-  const auto parts = apportion_largest_remainder(1000, w);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    total += parts[i];
-    EXPECT_NEAR(static_cast<double>(parts[i]), 1000 * w[i], 1.0);
-  }
-  EXPECT_EQ(total, 1000u);
-}
-
-TEST(Apportion, ZeroWeightGetsZero) {
-  const std::vector<double> w = {0.0, 0.6149, 0.3851};  // Table 1, Case 2
-  const auto parts = apportion_largest_remainder(500, w);
-  EXPECT_EQ(parts[0], 0u);
-  EXPECT_EQ(parts[1] + parts[2], 500u);
-}
-
-TEST(Apportion, Validates) {
-  const std::vector<double> zero = {0.0, 0.0};
-  EXPECT_THROW(apportion_largest_remainder(5, zero), PreconditionError);
-  const std::vector<double> neg = {1.0, -0.5};
-  EXPECT_THROW(apportion_largest_remainder(5, neg), PreconditionError);
-}
-
 struct Fixture {
   PrioritySpec spec{std::vector<std::size_t>{4, 6, 10}};  // N = 20
   PriorityDistribution dist{std::vector<double>{0.3, 0.3, 0.4}};

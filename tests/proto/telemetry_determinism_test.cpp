@@ -13,7 +13,6 @@
 
 #include "net/fault_model.h"
 #include "obs/events.h"
-#include "obs/timeseries.h"
 #include "proto/fault_experiment.h"
 #include "proto/persistence_experiment.h"
 #include "proto/refresh.h"
@@ -26,17 +25,15 @@ namespace {
 template <typename Experiment>
 std::vector<std::pair<std::string, std::string>> telemetry_across_threads(
     Experiment&& experiment) {
-  obs::set_events_enabled(true);
-  obs::set_timeseries_enabled(true);
+  obs::set_telemetry_enabled(true);
   std::vector<std::pair<std::string, std::string>> exports;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     obs::reset_telemetry();
     experiment(threads);
-    exports.emplace_back(obs::EventJournal::global().to_jsonl(),
-                         obs::TimeSeriesRecorder::global().to_jsonl());
+    exports.emplace_back(obs::Journal::global().events_jsonl(),
+                         obs::Journal::global().timeseries_jsonl());
   }
-  obs::set_events_enabled(false);
-  obs::set_timeseries_enabled(false);
+  obs::set_telemetry_enabled(false);
   obs::reset_telemetry();
   return exports;
 }

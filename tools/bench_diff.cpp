@@ -18,9 +18,11 @@
 //
 // Series are matched by name, points by index; a missing series, a
 // point-count mismatch, or a field present on one side only is a
-// *structural* mismatch. Exit codes: 0 ok, 1 structural mismatch,
-// 2 metric drift. --soft prints the verdict but always exits 0 (the
-// ctest soft gate: visible in the log, never blocks the build).
+// *structural* mismatch. Exit codes: 0 ok, 1 structural mismatch (or an
+// unreadable report), 2 metric drift, 64 usage error (an unknown flag, a
+// missing value, the wrong number of files, or a --tolerance that is not
+// a finite positive number). --soft prints the verdict but always exits
+// 0 (the ctest soft gate: visible in the log, never blocks the build).
 // --verdict <path> additionally writes a machine-readable verdict JSON.
 //
 // --self-test baseline.json checks the tool itself: the baseline must
@@ -28,7 +30,6 @@
 // metrics are all scaled 2x (an injected 2x slowdown).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -36,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/flags.h"
 #include "util/json.h"
 
 namespace {
@@ -303,17 +305,20 @@ int self_test(const std::string& baseline_path, double tolerance) {
   return 0;
 }
 
-void usage() {
+constexpr int kUsageExit = 64;  // EX_USAGE
+
+int usage() {
   std::fprintf(stderr,
                "usage: prlc_bench_diff [--tolerance <rel>] [--soft] [--verdict out.json]\n"
                "                       baseline.json fresh.json\n"
                "       prlc_bench_diff --self-test baseline.json\n");
+  return kUsageExit;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  double tolerance = 0.6;
+  std::string tolerance_text = "0.6";
   bool soft = false;
   bool run_self_test = false;
   std::string verdict_path;
@@ -326,46 +331,38 @@ int main(int argc, char** argv) {
     } else if (arg == "--self-test") {
       run_self_test = true;
     } else if (arg == "--tolerance") {
-      if (i + 1 >= argc) {
-        usage();
-        return 1;
-      }
-      tolerance = std::atof(argv[++i]);
+      if (i + 1 >= argc) return usage();
+      tolerance_text = argv[++i];
     } else if (arg.starts_with("--tolerance=")) {
-      tolerance = std::atof(std::string(arg.substr(12)).c_str());
+      tolerance_text = arg.substr(12);
     } else if (arg == "--verdict") {
-      if (i + 1 >= argc) {
-        usage();
-        return 1;
-      }
+      if (i + 1 >= argc) return usage();
       verdict_path = argv[++i];
     } else if (arg.starts_with("--verdict=")) {
       verdict_path = arg.substr(10);
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "prlc_bench_diff: unknown flag '%s'\n", argv[i]);
-      usage();
-      return 1;
+      return usage();
     } else {
       files.emplace_back(arg);
     }
   }
-  if (tolerance <= 0.0) {
-    std::fprintf(stderr, "prlc_bench_diff: --tolerance must be positive\n");
-    return 1;
+  // nan, inf and trailing garbage are rejected: a nan tolerance would
+  // pass every timing change, an inf one would switch the gate off.
+  const auto parsed = prlc::try_parse_double(tolerance_text);
+  if (!parsed || *parsed <= 0.0) {
+    std::fprintf(stderr, "prlc_bench_diff: --tolerance wants a positive number, got '%s'\n",
+                 tolerance_text.c_str());
+    return usage();
   }
+  const double tolerance = *parsed;
 
   if (run_self_test) {
-    if (files.size() != 1) {
-      usage();
-      return 1;
-    }
+    if (files.size() != 1) return usage();
     return self_test(files[0], tolerance);
   }
 
-  if (files.size() != 2) {
-    usage();
-    return 1;
-  }
+  if (files.size() != 2) return usage();
 
   Value base, fresh;
   try {

@@ -40,7 +40,6 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "proto/persistence_experiment.h"
 #include "proto/timeline.h"
@@ -269,8 +268,7 @@ int cmd_metrics(const Flags& flags) {
   // The point of this subcommand is to see the probes fire, so arm them
   // before any field op (that also captures the kernel dispatch gauges).
   obs::set_enabled(true);
-  obs::set_events_enabled(true);
-  obs::set_timeseries_enabled(true);
+  obs::set_telemetry_enabled(true);
   obs::TraceRecorder::global().start();
 
   const auto spec = spec_from(flags, "8,16,24");
@@ -278,11 +276,16 @@ int cmd_metrics(const Flags& flags) {
   const auto block_size = count_from(flags, "block-size", 64, 1);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
 
-  auto& ts = obs::TimeSeriesRecorder::global();
-  ts.watch("decoder.rows_received");
-  ts.watch("decoder.rows_innovative");
-  ts.watch("decoder.rows_redundant");
-  ts.watch("decoder.prefix_watermark");
+  // The decoder's row counters and prefix watermark, sampled after every
+  // coded block, each into the series of the same name.
+  const obs::Counter& received = obs::counter("decoder.rows_received");
+  const obs::Counter& innovative = obs::counter("decoder.rows_innovative");
+  const obs::Counter& redundant = obs::counter("decoder.rows_redundant");
+  const obs::Gauge& watermark = obs::gauge("decoder.prefix_watermark");
+  const obs::SeriesId received_series = obs::timeseries("decoder.rows_received");
+  const obs::SeriesId innovative_series = obs::timeseries("decoder.rows_innovative");
+  const obs::SeriesId redundant_series = obs::timeseries("decoder.rows_redundant");
+  const obs::SeriesId watermark_series = obs::timeseries("decoder.prefix_watermark");
 
   // Small encode/decode round-trip with payloads: encoder draws, field
   // kernels, and the progressive decoder's innovative/redundant split all
@@ -308,7 +311,10 @@ int cmd_metrics(const Flags& flags) {
         const obs::ScopedSpan span("decode_block", "cli");
         dec.add(std::move(coded));
       }
-      ts.tick(blocks);
+      obs::sample(received_series, static_cast<double>(received.value()));
+      obs::sample(innovative_series, static_cast<double>(innovative.value()));
+      obs::sample(redundant_series, static_cast<double>(redundant.value()));
+      obs::sample(watermark_series, static_cast<double>(watermark.value()));
       ++blocks;
     }
   }
@@ -324,20 +330,17 @@ int cmd_metrics(const Flags& flags) {
   if (out.empty()) {
     std::cout << obs::Registry::global().to_json() << "\n";
   } else {
-    PRLC_REQUIRE(obs::Registry::global().write_json(out),
-                 "cannot write metrics to '" + out + "'");
+    json::write_file(out, obs::Registry::global().to_json());
     std::cout << "metrics json: " << out << "\n";
   }
   const std::string timeseries_out = flags.get_string("timeseries-out", "");
   if (!timeseries_out.empty()) {
-    PRLC_REQUIRE(ts.write_jsonl(timeseries_out),
-                 "cannot write timeseries to '" + timeseries_out + "'");
+    json::write_file(timeseries_out, obs::Journal::global().timeseries_jsonl());
     std::cout << "timeseries jsonl: " << timeseries_out << "\n";
   }
   const std::string events_out = flags.get_string("events-out", "");
   if (!events_out.empty()) {
-    PRLC_REQUIRE(obs::EventJournal::global().write(events_out),
-                 "cannot write events to '" + events_out + "'");
+    json::write_file(events_out, obs::Journal::global().events_jsonl());
     std::cout << "events jsonl: " << events_out << "\n";
   }
   return 0;

@@ -56,8 +56,8 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
   -R '^test_obs$|^test_obs_noalloc$|^test_runtime$|^test_codec$'
 # The telemetry determinism tests run parallel trials that record into the
-# event journal and time-series rings — the exact thread-local-handoff
-# code TSan exists to vet.
+# journal's event and sample rings — the exact thread-local-handoff code
+# TSan exists to vet.
 "${tsan_build_dir}/tests/test_proto" \
   --gtest_filter='TelemetryDeterminism.*' > /dev/null
 PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_persistence_e2e" \
@@ -76,8 +76,8 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_fault" \
   > /dev/null
 # Cluster-simulator lifetimes sharded across TrialRunner threads: each
 # trial owns its event queue, membership bitmap and failure process, and
-# the per-trial telemetry buffers hand off to the global recorders at
-# merge time — the same handoff pattern as the telemetry suite, now under
+# the per-trial telemetry rings hand off to the global journal at merge
+# time — the same handoff pattern as the telemetry suite, now under
 # the simulator's much higher event volume.
 "${tsan_build_dir}/tests/test_sim" \
   --gtest_filter='ClusterSim.ThreadCountNeverChangesResults' > /dev/null
