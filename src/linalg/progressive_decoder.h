@@ -78,7 +78,7 @@ class ProgressiveDecoder {
         cols_(unknowns),
         dense_cover_((unknowns + kCoverBlock - 1) / kCoverBlock),
         work_coef_(unknowns, Symbol{0}),
-        in_heap_(unknowns, 0) {
+        is_touched_(unknowns, 0) {
     PRLC_REQUIRE(unknowns > 0, "decoder needs at least one unknown");
     PRLC_REQUIRE(unknowns <= 0xffffffffu, "decoder caps unknowns at 2^32-1");
   }
@@ -308,9 +308,12 @@ class ProgressiveDecoder {
     return true;
   }
 
-  /// Sparse/heap forward elimination: processes only columns that are (or
-  /// become) nonzero, in increasing order — identical column order, hence
-  /// identical arithmetic, to the dense scan.
+  /// Sparse forward elimination: touches only the input's nonzero columns
+  /// and the fill-in. The stored rows are in RREF, so each is zero at every
+  /// other pivot column: eliminating one never changes the work row at
+  /// another pivot column. The pivot columns to clear are therefore exactly
+  /// the input's own, visited in increasing order like the dense scan, and
+  /// fill-in lands on free columns only.
   bool add_gathered(std::span<const std::uint32_t> indices, std::span<const Symbol> values,
                     std::span<const Symbol> payload) {
     PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
@@ -321,43 +324,35 @@ class ProgressiveDecoder {
     rows_received.add();
 
     work_payload_.assign(payload.begin(), payload.end());
-    heap_.clear();
-    touched_.clear();
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::uint32_t j = indices[k];
-      work_coef_[j] = values[k];
-      touched_.push_back(j);
-      heap_push(j);
+      work_coef_[indices[k]] = values[k];
+      touch(indices[k]);
     }
 
     static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
-    std::size_t pivot = unknowns_;
-    while (!heap_.empty()) {
-      const std::uint32_t j = heap_pop();
-      const Symbol v = work_coef_[j];
-      if (v == 0) continue;  // cancelled by an earlier elimination
+    for (const std::uint32_t j : indices) {
       const Row* existing = by_pivot_[j].get();
-      if (existing == nullptr) {
-        if (pivot == unknowns_) pivot = j;
-        continue;
-      }
+      if (existing == nullptr) continue;
       pivot_ops.add();
       if (is_singleton(*existing)) {
         ++peel_ops_;
         obs::emit(obs::EventType::kPeel, static_cast<double>(j));
       }
-      eliminate_into_work_tracked(v, *existing);
+      eliminate_into_work_tracked(work_coef_[j], *existing);
       PRLC_ASSERT(work_coef_[j] == 0, "forward elimination left a nonzero pivot");
     }
-    if (pivot == unknowns_) {
-      for (const std::uint32_t j : touched_) work_coef_[j] = 0;
-      touched_.clear();
-      rows_redundant.add();
-      return false;
-    }
+    // Only free columns can still be nonzero; the smallest is the pivot.
+    std::size_t pivot = unknowns_;
     std::size_t end = 0;
     for (const std::uint32_t j : touched_) {
-      if (work_coef_[j] != 0 && j + 1 > end) end = j + 1;
+      if (work_coef_[j] == 0) continue;
+      pivot = std::min<std::size_t>(pivot, j);
+      end = std::max<std::size_t>(end, j + 1);
+    }
+    if (pivot == unknowns_) {
+      clear_touched();
+      rows_redundant.add();
+      return false;
     }
     normalize_work_touched(pivot);
     store_and_back_eliminate(pivot, end, /*from_sparse=*/true);
@@ -379,41 +374,38 @@ class ProgressiveDecoder {
     payload_axpy(factor, source);
   }
 
-  /// Same, but pushes every column the source may have filled in onto the
-  /// elimination heap (sparse/heap variant).
+  /// Same, but records every column the source may have filled in
+  /// (sparse variant).
   void eliminate_into_work_tracked(Symbol factor, const Row& source) {
     if (source.dense) {
       F::axpy(std::span<Symbol>(work_coef_).subspan(source.pivot, source.end - source.pivot),
               factor, std::span<const Symbol>(source.coef));
       for (std::size_t j = source.pivot; j < source.end; ++j) {
-        const auto col = static_cast<std::uint32_t>(j);
-        if (in_heap_[col] == 0) touched_.push_back(col);
-        heap_push(col);
+        touch(static_cast<std::uint32_t>(j));
       }
     } else {
       for (std::size_t k = 0; k < source.idx.size(); ++k) {
         const std::uint32_t col = source.idx[k];
         work_coef_[col] ^= F::mul(factor, source.val[k]);
-        if (in_heap_[col] == 0) touched_.push_back(col);
-        heap_push(col);
+        touch(col);
       }
     }
     payload_axpy(factor, source);
   }
 
-  void heap_push(std::uint32_t col) {
-    if (in_heap_[col] != 0) return;
-    in_heap_[col] = 1;
-    heap_.push_back(col);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  void touch(std::uint32_t col) {
+    if (is_touched_[col] != 0) return;
+    is_touched_[col] = 1;
+    touched_.push_back(col);
   }
 
-  std::uint32_t heap_pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    const std::uint32_t col = heap_.back();
-    heap_.pop_back();
-    in_heap_[col] = 0;
-    return col;
+  /// Re-zero the scratch row and the touched flags for the next call.
+  void clear_touched() {
+    for (const std::uint32_t j : touched_) {
+      work_coef_[j] = 0;
+      is_touched_[j] = 0;
+    }
+    touched_.clear();
   }
 
   /// Normalize the work row (dense-scan variant) so the pivot is 1.
@@ -473,16 +465,13 @@ class ProgressiveDecoder {
       } else {
         row->idx.reserve(nnz);
         row->val.reserve(nnz);
-        std::uint32_t prev = 0xffffffffu;
         for (const std::uint32_t j : touched_) {
-          if (j == prev || work_coef_[j] == 0) continue;
-          prev = j;
+          if (work_coef_[j] == 0) continue;
           row->idx.push_back(j);
           row->val.push_back(work_coef_[j]);
         }
       }
-      for (const std::uint32_t j : touched_) work_coef_[j] = 0;
-      touched_.clear();
+      clear_touched();
     }
     row->payload = std::move(work_payload_);
     work_payload_.clear();
@@ -770,11 +759,11 @@ class ProgressiveDecoder {
   /// Full-width scratch row, all-zero between add() calls.
   std::vector<Symbol> work_coef_;
   gf::AlignedVector<Symbol> work_payload_;
-  // Sparse-path scratch: pending-column min-heap + membership flags, the
-  // list of columns ever touched, and gathered input indices/values.
-  std::vector<std::uint32_t> heap_;
-  std::vector<std::uint8_t> in_heap_;
+  // Sparse-path scratch: the columns the work row touched (input and
+  // fill-in, each once, flagged in is_touched_; all-zero between add()
+  // calls), and gathered input indices/values.
   std::vector<std::uint32_t> touched_;
+  std::vector<std::uint8_t> is_touched_;
   std::vector<std::uint32_t> in_idx_;
   std::vector<Symbol> in_val_;
   // Back-elimination scratch (reused across add() calls).

@@ -187,8 +187,9 @@ inline void set_logical_time(std::uint64_t t) {
 std::uint64_t begin_telemetry_run();
 
 /// RAII trial recording scope: opens the thread-local context (saving any
-/// enclosing scope — the serial TrialRunner path nests inside a manual
-/// scope in tests) and flushes both rings to the journal on close.
+/// enclosing scope — a trial TrialRunner runs on the calling thread nests
+/// inside a manual scope in tests) and flushes both rings to the journal
+/// on close.
 /// Construction is a no-op when telemetry is disabled.
 class TrialScope {
  public:

@@ -25,11 +25,13 @@ void validate_options(const CollectorOptions& options, const codes::PrioritySpec
   options.retry.validate();
 }
 
-/// What deliver() decided about one delivered frame.
-enum class Delivery {
-  kOk,                  ///< parsed, verified, fed to the decoder
-  kWireRejected,        ///< CRC/bounds rejection — retryable elsewhere
-  kIntegrityRejected,   ///< fingerprint mismatch — block written off, node quarantined
+/// The class of one fetch reply, as the collector accounted it.
+enum class Reply {
+  kDelivered,          ///< parsed, verified, fed to the decoder
+  kWireRejected,       ///< CRC/bounds rejection — retryable elsewhere
+  kIntegrityRejected,  ///< fingerprint mismatch — block written off, node quarantined
+  kGone,               ///< dead node or crash — nothing to retry against
+  kRetryable,          ///< timeout or transient error
 };
 
 /// Backoff before retry `attempt` (0-based), jittered deterministically
@@ -149,31 +151,66 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
         obs::emit(obs::EventType::kIntegrityViolation, static_cast<double>(reply.node),
                   static_cast<double>(loc));
         quarantine(reply.node);
-        return Delivery::kIntegrityRejected;
+        return Reply::kIntegrityRejected;
       }
       ++result.blocks_retrieved;
       if (decoder.add(view.level, coeffs, view.payload)) ++result.innovative_blocks;
       if (trace) result.level_trace.push_back(decoder.decoded_levels());
-      return Delivery::kOk;
+      return Reply::kDelivered;
     } catch (const codes::WireFormatError&) {
       ++out.faults.wire_errors;
       corrupt_ctr.add();
-      return Delivery::kWireRejected;
+      return Reply::kWireRejected;
     }
   };
 
-  /// Append one attempt to the fetch log (trace runs only).
-  const auto log_attempt = [&](net::LocationId loc, const FetchReply& reply,
-                               Delivery delivery, bool fed) {
-    if (!trace) return;
-    FetchAttempt a;
-    a.location = loc;
-    a.node = reply.node;
-    a.fault = reply.fault;
-    a.wire_rejected = delivery == Delivery::kWireRejected;
-    a.integrity_rejected = delivery == Delivery::kIntegrityRejected;
-    a.delivered = fed;
-    out.fetch_log.push_back(a);
+  /// Account for one reply: count its fault class, feed a clean frame to
+  /// the decoder, log the attempt (trace runs only) and return its class.
+  /// The callers decide what the class costs the node and the block.
+  const auto account = [&](net::LocationId loc, const FetchReply& reply) {
+    Reply r = Reply::kGone;
+    switch (reply.fault) {
+      case net::FaultClass::kNone:
+        r = deliver(loc, reply);
+        break;
+      case net::FaultClass::kDeadNode:
+        ++out.faults.dead_nodes;
+        r = Reply::kGone;
+        break;
+      case net::FaultClass::kCrash:
+        ++out.faults.crashes;
+        crashes_ctr.add();
+        r = Reply::kGone;
+        break;
+      case net::FaultClass::kTimeout:
+        ++out.faults.timeouts;
+        timeouts_ctr.add();
+        r = Reply::kRetryable;
+        break;
+      case net::FaultClass::kTransient:
+        ++out.faults.transient_errors;
+        transient_ctr.add();
+        r = Reply::kRetryable;
+        break;
+      default:
+        PRLC_ASSERT(false, "channel returned an in-band fault class");
+    }
+    if (trace) {
+      FetchAttempt a;
+      a.location = loc;
+      a.node = reply.node;
+      a.fault = reply.fault;
+      a.wire_rejected = r == Reply::kWireRejected;
+      a.integrity_rejected = r == Reply::kIntegrityRejected;
+      a.delivered = r == Reply::kDelivered;
+      out.fetch_log.push_back(a);
+    }
+    return r;
+  };
+
+  const auto write_off = [&] {
+    ++out.blocks_lost;
+    lost_ctr.add();
   };
 
   /// Charge one retryable fault to `node`; true when the node just
@@ -198,8 +235,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
       const net::LocationId loc = order[cursor++];
       const net::NodeId node = channel.owner_of(loc);
       if (blacklisted.contains(node) || channel.node_crashed(node)) {
-        ++out.blocks_lost;
-        lost_ctr.add();
+        write_off();
         continue;
       }
       ++out.hedges;
@@ -208,43 +244,9 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
       const FetchReply reply = channel.fetch(loc, rng);
       latency_hist.record(reply.latency_us);
       out.sim_elapsed_us += reply.latency_us;
-      bool delivered = false;
-      switch (reply.fault) {
-        case net::FaultClass::kNone: {
-          const Delivery d = deliver(loc, reply);
-          delivered = d == Delivery::kOk;
-          log_attempt(loc, reply, d, delivered);
-          if (d == Delivery::kWireRejected) charge_fault(reply.node);
-          break;
-        }
-        case net::FaultClass::kDeadNode:
-          ++out.faults.dead_nodes;
-          log_attempt(loc, reply, Delivery::kOk, false);
-          break;
-        case net::FaultClass::kCrash:
-          ++out.faults.crashes;
-          crashes_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          break;
-        case net::FaultClass::kTimeout:
-          ++out.faults.timeouts;
-          timeouts_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          charge_fault(reply.node);
-          break;
-        case net::FaultClass::kTransient:
-          ++out.faults.transient_errors;
-          transient_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          charge_fault(reply.node);
-          break;
-        default:
-          PRLC_ASSERT(false, "channel returned an in-band fault class");
-      }
-      if (!delivered) {
-        ++out.blocks_lost;
-        lost_ctr.add();
-      }
+      const Reply r = account(loc, reply);
+      if (r == Reply::kWireRejected || r == Reply::kRetryable) charge_fault(reply.node);
+      if (r != Reply::kDelivered) write_off();
       return;
     }
   };
@@ -271,94 +273,41 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
         hedge_fetch();
       }
 
-      switch (reply.fault) {
-        case net::FaultClass::kNone: {
-          const Delivery d = deliver(loc, reply);
-          log_attempt(loc, reply, d, d == Delivery::kOk);
-          if (d == Delivery::kOk) return;  // healed or clean — done with this block
-          if (d == Delivery::kIntegrityRejected) {
-            // The node is quarantined and the lie sticky: retrying this
-            // location can only replay the same forged bytes.
-            ++out.blocks_lost;
-            lost_ctr.add();
+      const Reply r = account(loc, reply);
+      if (r == Reply::kDelivered) return;  // healed or clean — done with this block
+      // An integrity rejection is sticky (the node is quarantined and a
+      // refetch replays the same forged bytes), and a gone node has
+      // nothing to retry against: both write the block off at once.
+      if (r == Reply::kWireRejected || r == Reply::kRetryable) {
+        ++attempt;
+        if (!charge_fault(node) && attempt < policy.max_attempts) {
+          ++out.retries;
+          retries_ctr.add();
+          obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
+                    static_cast<double>(attempt));
+          if (r == Reply::kWireRejected) {
+            // Defer the location so the next fetch targets a different
+            // node; no backoff — the collector moves on immediately.
+            order.push_back(loc);
             return;
           }
-          // Wire-rejected: charge the node and defer the location so the
-          // next fetch targets a different node.
-          ++attempt;
-          if (charge_fault(node)) break;  // budget gone: write the block off
-          if (attempt < policy.max_attempts) {
-            order.push_back(loc);
-            ++out.retries;
-            retries_ctr.add();
-            obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
-                      static_cast<double>(attempt));
-            return;  // no backoff — the collector moves on immediately
-          }
-          break;  // attempts exhausted
+          out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
+          continue;
         }
-        case net::FaultClass::kDeadNode:
-          ++out.faults.dead_nodes;
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++out.blocks_lost;
-          lost_ctr.add();
-          return;  // nothing to retry against
-        case net::FaultClass::kCrash:
-          ++out.faults.crashes;
-          crashes_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++out.blocks_lost;
-          lost_ctr.add();
-          return;  // the node is gone for the rest of the collection
-        case net::FaultClass::kTimeout:
-          ++out.faults.timeouts;
-          timeouts_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++attempt;
-          if (charge_fault(node)) break;
-          if (attempt < policy.max_attempts) {
-            ++out.retries;
-            retries_ctr.add();
-            obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
-                      static_cast<double>(attempt));
-            out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
-            continue;
-          }
-          break;
-        case net::FaultClass::kTransient:
-          ++out.faults.transient_errors;
-          transient_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++attempt;
-          if (charge_fault(node)) break;
-          if (attempt < policy.max_attempts) {
-            ++out.retries;
-            retries_ctr.add();
-            obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
-                      static_cast<double>(attempt));
-            out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
-            continue;
-          }
-          break;
-        default:
-          PRLC_ASSERT(false, "channel returned an in-band fault class");
       }
       // Budget exhausted or attempts spent: write the block off.
-      ++out.blocks_lost;
-      lost_ctr.add();
+      write_off();
       return;
     }
     // Deferred location whose attempts ran out before it resurfaced.
-    ++out.blocks_lost;
-    lost_ctr.add();
+    write_off();
   };
 
   while (cursor < order.size() && !done()) {
     const net::LocationId loc = order[cursor++];
     const net::NodeId node = channel.owner_of(loc);
     if (blacklisted.contains(node) || channel.node_crashed(node)) {
-      ++out.blocks_lost;
-      lost_ctr.add();
+      write_off();
       continue;
     }
     fetch_with_retry(loc);

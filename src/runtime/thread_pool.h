@@ -1,230 +1,96 @@
-// Work-stealing thread pool — the library's parallelism substrate.
+// Fixed-size thread pool with one operation, for_each_index(n, fn): the
+// calling thread and the pool's persistent workers claim indices from one
+// shared atomic counter until all n calls have run. TrialRunner runs one
+// Monte-Carlo trial per index and PayloadCodec::encode one block of rows;
+// claiming one index at a time balances trials whose latencies vary 10x.
 //
-// Design goals, in order:
-//   1. No deadlocks under nesting. A pool task may submit subtasks and
-//      wait for them: every wait primitive here (TaskFuture::get,
-//      for_each_index) *helps* — it executes pending pool tasks instead
-//      of blocking the thread — so the pool makes progress even when all
-//      workers are waiting on child work.
-//   2. Load balance, not microseconds. Tasks in this library are whole
-//      Monte-Carlo trials (milliseconds to seconds), so the queues are
-//      plain mutex-protected deques: each worker pushes/pops its own
-//      deque LIFO and steals FIFO from its siblings when dry. Lock cost
-//      is irrelevant at this granularity; steal-based balance is what
-//      keeps 16 threads busy when trial latencies vary 10x.
-//   3. Observability. Workers surface per-thread utilization through the
-//      obs registry ("runtime.pool.t<i>.busy_ns" / ".tasks") plus
-//      pool-wide task/steal counters, so a bench's --metrics-json shows
-//      exactly how evenly the trial load spread.
+//   * ThreadPool(N) runs every loop on exactly N threads: N-1 workers plus
+//     the caller. ThreadPool(1) starts no thread and runs loops inline.
+//   * Every index runs even when some throw; the loop then rethrows the
+//     exception of the lowest failing index, whatever the thread count.
+//   * One loop at a time: calling for_each_index from inside fn, or from
+//     another thread while a loop runs, throws PreconditionError.
 //
-// The deterministic seed-stream discipline that makes parallel
-// Monte-Carlo runs reproducible lives one layer up, in TrialRunner.
+// Per-thread utilization lands in the obs registry as
+// "runtime.pool.t<i>.busy_ns" and ".tasks"; t0 is the calling thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "util/check.h"
+namespace prlc::obs {
+class Counter;
+}
 
 namespace prlc::runtime {
 
-class ThreadPool;
-
-namespace detail {
-
-/// Shared completion state behind a TaskFuture.
-template <typename T>
-struct FutureState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-  // Result storage; absent for void (the partial specialization below).
-  std::optional<T> value;
-};
-
-template <>
-struct FutureState<void> {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-};
-
-}  // namespace detail
-
-/// Handle to a submitted task's result. get() blocks until the task ran
-/// and rethrows any exception it threw. While waiting, the calling thread
-/// executes other pending pool tasks ("helping"), so a pool task can
-/// submit subtasks and get() them without deadlocking even on a
-/// single-thread pool.
-template <typename T>
-class TaskFuture {
- public:
-  /// True once the task has finished (normally or with an exception).
-  bool ready() const {
-    std::lock_guard<std::mutex> lk(state_->mu);
-    return state_->done;
-  }
-
-  /// Wait (helping), then return the result or rethrow the task's error.
-  /// Single-shot: moves the value out.
-  T get();
-
- private:
-  friend class ThreadPool;
-  TaskFuture(ThreadPool* pool, std::shared_ptr<detail::FutureState<T>> state)
-      : pool_(pool), state_(std::move(state)) {}
-
-  ThreadPool* pool_;
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
 class ThreadPool {
  public:
-  /// Spawn `threads` workers; 0 = one per hardware thread.
+  /// `threads` threads, the calling thread included; 0 = one per hardware thread.
   explicit ThreadPool(std::size_t threads = 0);
-
-  /// Drains nothing: outstanding futures must be get() before destruction
-  /// (for_each_index always satisfies this). Remaining queued tasks are
-  /// still executed by the exiting workers so no future is abandoned.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
+  /// Threads every loop runs on, the calling thread included.
+  std::size_t thread_count() const { return probes_.size(); }
 
   /// std::thread::hardware_concurrency(), clamped to at least 1.
-  static std::size_t default_thread_count();
-
-  /// Schedule `fn()` and return a helping future for its result. Calls
-  /// from inside a worker push onto that worker's own deque (LIFO —
-  /// depth-first, cache-warm); external calls round-robin across workers.
-  template <typename F>
-  auto submit(F&& fn) -> TaskFuture<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto state = std::make_shared<detail::FutureState<R>>();
-    enqueue([state, task = std::forward<F>(fn)]() mutable {
-      try {
-        if constexpr (std::is_void_v<R>) {
-          task();
-        } else {
-          state->value.emplace(task());
-        }
-      } catch (...) {
-        state->error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lk(state->mu);
-        state->done = true;
-      }
-      state->cv.notify_all();
-    });
-    return TaskFuture<R>(this, std::move(state));
+  static std::size_t default_thread_count() {
+    return std::max(1u, std::thread::hardware_concurrency());
   }
 
-  /// Run fn(i) for every i in [0, n), distributing across the pool; the
-  /// calling thread participates. Returns when all n calls finished;
-  /// rethrows the first exception any call threw (the remaining calls
-  /// still run to completion — trial slots stay consistent). Safe to
-  /// call from inside a pool task (nested parallelism).
+  /// Run fn(i) for every i in [0, n) on the pool's threads; once all n calls
+  /// have run, rethrow the exception of the lowest index that threw, if any.
   template <typename F>
   void for_each_index(std::size_t n, F&& fn) {
-    if (n == 0) return;
-    struct Job {
-      std::atomic<std::size_t> remaining;
-      std::mutex mu;
-      std::condition_variable cv;
-      std::once_flag first_error;
-      std::exception_ptr error;
-    };
-    auto job = std::make_shared<Job>();
-    job->remaining.store(n, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < n; ++i) {
-      enqueue([job, &fn, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          std::call_once(job->first_error,
-                         [&] { job->error = std::current_exception(); });
-        }
-        if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> lk(job->mu);
-          job->cv.notify_all();
-        }
-      });
-    }
-    while (job->remaining.load(std::memory_order_acquire) > 0) {
-      if (!try_run_one()) {
-        // Nothing runnable right now (our tasks are in flight elsewhere):
-        // sleep until the job finishes. The timeout re-arms helping in
-        // case new stealable work appears meanwhile.
-        std::unique_lock<std::mutex> lk(job->mu);
-        job->cv.wait_for(lk, std::chrono::milliseconds(1), [&] {
-          return job->remaining.load(std::memory_order_acquire) == 0;
-        });
-      }
-    }
-    if (job->error) std::rethrow_exception(job->error);
+    using Fn = std::remove_reference_t<F>;
+    run(n, [](void* f, std::size_t i) { (*static_cast<Fn*>(f))(i); },
+        const_cast<void*>(static_cast<const void*>(&fn)));
   }
 
  private:
-  template <typename>
-  friend class TaskFuture;
-
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
+  using Call = void (*)(void* fn, std::size_t index);
+  struct Probes {
+    obs::Counter* busy_ns;
+    obs::Counter* tasks;
   };
 
-  void worker_loop(std::size_t index);
-  void enqueue(std::function<void()> task);
+  void run(std::size_t n, Call call, void* fn);
+  void worker_loop(std::size_t thread);
+  /// Claim and run indices of the current loop until none are left.
+  void drain(std::size_t thread);
 
-  /// Pop one task (own deque back first, then steal siblings' fronts) and
-  /// run it. False when every queue is empty.
-  bool try_run_one();
-  std::optional<std::function<void()>> take_task();
-  static void run_task(std::function<void()>& task);
+  std::vector<Probes> probes_;  // one per thread; [0] is the caller
 
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
+  // Loop state, guarded by mu_ except the two index counters. The caller
+  // writes a loop's fields while no worker is active_, bumps loop_ to wake
+  // the workers and returns once remaining_ is 0; a late worker finds no
+  // index left, so it never calls fn after that.
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
   bool stop_ = false;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
+  bool busy_ = false;
+  std::uint64_t loop_ = 0;
+  std::size_t active_ = 0;  // workers inside drain()
+  Call call_ = nullptr;
+  void* fn_ = nullptr;
+  std::size_t n_ = 0;
+  std::atomic<std::size_t> next_{0};       // next index to claim
+  std::atomic<std::size_t> remaining_{0};  // indices not yet run
+  std::size_t error_index_ = 0;
+  std::exception_ptr error_;
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
-
-template <typename T>
-T TaskFuture<T>::get() {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(state_->mu);
-      if (state_->done) break;
-    }
-    if (!pool_->try_run_one()) {
-      std::unique_lock<std::mutex> lk(state_->mu);
-      state_->cv.wait_for(lk, std::chrono::milliseconds(1),
-                          [&] { return state_->done; });
-    }
-  }
-  if (state_->error) std::rethrow_exception(state_->error);
-  if constexpr (!std::is_void_v<T>) {
-    return std::move(*state_->value);
-  }
-}
 
 }  // namespace prlc::runtime

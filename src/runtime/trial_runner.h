@@ -1,9 +1,8 @@
 // Deterministic parallel Monte-Carlo trial engine.
 //
 // Every figure in the paper is an average over independent experiments;
-// TrialRunner shards those trials across a work-stealing ThreadPool while
-// keeping the results bit-identical at any thread count. Two rules make
-// that hold:
+// TrialRunner runs one trial per index of a ThreadPool loop while keeping
+// the results bit-identical at any thread count. Two rules make that hold:
 //
 //   * Counter-based seed streams. Trial i always draws from
 //     Rng(trial_seed(root_seed, i)) — a stateless hash of (root_seed, i)
@@ -22,6 +21,7 @@
 // simulator and their tests rely on this.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -49,8 +49,8 @@ inline std::uint64_t trial_seed(std::uint64_t root_seed, std::uint64_t trial) {
 /// for the determinism contract.
 class TrialRunner {
  public:
-  /// `threads` = 0: one per hardware thread; 1: inline on the calling
-  /// thread (no pool spun up — the serial baseline for speedup numbers).
+  /// Trials run on `threads` threads, the calling thread included; 0: one
+  /// per hardware thread. 1 runs them inline on the calling thread.
   explicit TrialRunner(std::size_t threads = 0)
       : threads_(threads == 0 ? ThreadPool::default_thread_count() : threads) {}
 
@@ -58,7 +58,8 @@ class TrialRunner {
 
   /// Run fn(trial_index, rng) for every trial, each with its own
   /// counter-seeded Rng, and return the per-trial results in trial order.
-  /// Exceptions from trials propagate after all trials finished.
+  /// Every trial runs even when some throw; run() then rethrows the
+  /// exception of the lowest failing trial, at any thread count.
   template <typename Fn>
   auto run(std::size_t trials, std::uint64_t root_seed, Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
@@ -78,12 +79,9 @@ class TrialRunner {
       results[i] = fn(i, rng);
       record_trial_done(trial_clock_ns() - t0);
     };
-    if (threads_ <= 1 || trials <= 1) {
-      for (std::size_t i = 0; i < trials; ++i) one_trial(i);
-    } else {
-      ThreadPool pool(std::min(threads_, trials));
-      pool.for_each_index(trials, one_trial);
-    }
+    // At least one thread: ThreadPool(0) would mean one per hardware thread.
+    ThreadPool pool(std::max<std::size_t>(1, std::min(threads_, trials)));
+    pool.for_each_index(trials, one_trial);
     return results;
   }
 

@@ -107,26 +107,17 @@ std::unique_ptr<FailureProcess> make_failure_process(const FailureModelConfig& c
   PRLC_ASSERT(false, "unknown failure model kind");
 }
 
-std::vector<net::NodeId> FailureDriver::advance_to(double until, Rng& rng) {
-  std::vector<net::NodeId> killed;
-  while (auto event = process_.next(view_, rng, until)) {
-    overlay_.fail_node(event->node);
-    killed.push_back(event->node);
-  }
-
-  // Churn telemetry, kept name-compatible with the old wave-call API: one
-  // wave summary per drive, one journal event per death.
+void record_churn(const char* model, std::span<const net::NodeId> killed,
+                  std::size_t alive_after) {
   static obs::Counter& total = obs::counter("churn.nodes_killed");
   static obs::Counter& waves = obs::counter("churn.waves");
   total.add(killed.size());
   waves.add();
-  const std::size_t alive_after = overlay_.alive_count();
   obs::gauge("churn.last_alive").set(static_cast<std::int64_t>(alive_after));
   if (obs::trace_enabled()) {
-    obs::TraceRecorder::global().instant(
-        process_.name(), "churn",
-        {{"killed", static_cast<double>(killed.size())},
-         {"alive_after", static_cast<double>(alive_after)}});
+    obs::TraceRecorder::global().instant(model, "churn",
+                                         {{"killed", static_cast<double>(killed.size())},
+                                          {"alive_after", static_cast<double>(alive_after)}});
     obs::TraceRecorder::global().count("alive_nodes", "churn",
                                        {{"alive", static_cast<double>(alive_after)}});
   }
@@ -135,6 +126,15 @@ std::vector<net::NodeId> FailureDriver::advance_to(double until, Rng& rng) {
       obs::emit(obs::EventType::kNodeFailed, static_cast<double>(v));
     }
   }
+}
+
+std::vector<net::NodeId> FailureDriver::advance_to(double until, Rng& rng) {
+  std::vector<net::NodeId> killed;
+  while (auto event = process_.next(view_, rng, until)) {
+    overlay_.fail_node(event->node);
+    killed.push_back(event->node);
+  }
+  record_churn(process_.name(), killed, overlay_.alive_count());
   return killed;
 }
 

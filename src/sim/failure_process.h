@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/overlay.h"
@@ -155,12 +156,19 @@ struct FailureModelConfig {
 /// Materialize a process from its description (one per trial).
 std::unique_ptr<FailureProcess> make_failure_process(const FailureModelConfig& config);
 
+/// The churn telemetry of one batch of deaths: the churn.nodes_killed and
+/// churn.waves counters, the churn.last_alive gauge, one trace instant
+/// named `model` plus one alive_nodes trace counter per batch (per-node
+/// instants would swamp a trace at simulation scale), and one kNodeFailed
+/// journal event per death, in `killed` order. FailureDriver and
+/// net/churn's exponential and session models all record through it.
+void record_churn(const char* model, std::span<const net::NodeId> killed,
+                  std::size_t alive_after);
+
 /// Drives a FailureProcess against an Overlay: pulls events up to a time
-/// horizon, fails the nodes, and emits the same churn telemetry
-/// (churn.nodes_killed / churn.waves counters, per-node kNodeFailed
-/// journal events) the old wave-call API produced. Both the legacy
-/// net::kill_uniform_fraction and the persistence experiment's sweep loop
-/// run their churn through one of these.
+/// horizon, fails the nodes, and records them with record_churn. Both the
+/// legacy net::kill_uniform_fraction and the persistence experiment's
+/// sweep loop run their churn through one of these.
 class FailureDriver {
  public:
   FailureDriver(FailureProcess& process, net::Overlay& overlay)

@@ -2,9 +2,15 @@
 // the session-churn model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "net/chord_network.h"
 #include "net/churn.h"
 #include "net/sensor_network.h"
+#include "obs/events.h"
 #include "util/check.h"
 
 namespace prlc::net {
@@ -74,6 +80,48 @@ TEST(Membership, SessionChurnValidated) {
   Rng rng(72);
   EXPECT_THROW(apply_session_churn(net, -0.1, 0.5, rng), PreconditionError);
   EXPECT_THROW(apply_session_churn(net, 0.5, 1.1, rng), PreconditionError);
+}
+
+/// Node ids of the node_failed events in the journal's events export.
+std::vector<NodeId> journaled_failures() {
+  std::vector<NodeId> ids;
+  const std::string jsonl = obs::Journal::global().events_jsonl();
+  const std::string key = "\"event\":\"node_failed\",\"node\":";
+  for (std::size_t at = jsonl.find(key); at != std::string::npos; at = jsonl.find(key, at)) {
+    at += key.size();
+    ids.push_back(static_cast<NodeId>(std::stoul(jsonl.substr(at))));
+  }
+  return ids;
+}
+
+TEST(Membership, ChurnModelsJournalEveryDeathInOrder) {
+  // Session and exponential churn record through sim::record_churn, as the
+  // wave driver does: one node_failed event per death, in id order.
+  obs::reset_telemetry();
+  obs::set_telemetry_enabled(true);
+  auto net = make_ring(400);
+  Rng rng(74);
+  std::size_t left = 0;
+  std::vector<NodeId> killed;
+  {
+    obs::TrialScope scope(obs::begin_telemetry_run(), 0);
+    left = apply_session_churn(net, 0.25, 0.0, rng).first;
+    killed = apply_exponential_churn(net, 2.0, 1.0, rng);
+  }
+  const std::vector<NodeId> journaled = journaled_failures();
+  obs::set_telemetry_enabled(false);
+  obs::reset_telemetry();
+
+  ASSERT_EQ(journaled.size(), left + killed.size());
+  ASSERT_GT(left, 0u);
+  ASSERT_FALSE(killed.empty());
+  const std::vector<NodeId> session(journaled.begin(),
+                                    journaled.begin() + static_cast<std::ptrdiff_t>(left));
+  EXPECT_TRUE(std::is_sorted(session.begin(), session.end()));
+  for (const NodeId v : session) EXPECT_FALSE(net.alive(v)) << "node " << v;
+  EXPECT_EQ(std::vector<NodeId>(journaled.begin() + static_cast<std::ptrdiff_t>(left),
+                                journaled.end()),
+            killed);
 }
 
 TEST(Membership, SteadyStateTurnover) {

@@ -3,33 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
-#include <numeric>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "util/check.h"
 
 namespace prlc::runtime {
 namespace {
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitVoidCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto f = pool.submit([&] { ran.fetch_add(1); });
-  f.get();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
 
 TEST(ThreadPool, ForEachIndexCoversEveryIndexOnce) {
   ThreadPool pool(4);
@@ -54,38 +39,66 @@ TEST(ThreadPool, ForEachIndexResultIndependentOfThreadCount) {
   EXPECT_EQ(serial, wide);
 }
 
-TEST(ThreadPool, ForEachIndexRethrowsFirstErrorAfterAllComplete) {
+TEST(ThreadPool, RethrowsTheLowestFailingIndex) {
+  // Index 40 fails first in time, index 7 later: the loop runs every index
+  // and then reports 7, as a serial loop that ran every index would.
   ThreadPool pool(4);
-  constexpr std::size_t kN = 64;
   std::atomic<std::size_t> completed{0};
-  EXPECT_THROW(pool.for_each_index(kN,
-                                   [&](std::size_t i) {
-                                     completed.fetch_add(1);
-                                     if (i == 7) throw std::runtime_error("trial 7 failed");
-                                   }),
-               std::runtime_error);
-  // The remaining calls still ran: slots stay consistent under errors.
-  EXPECT_EQ(completed.load(), kN);
+  try {
+    pool.for_each_index(64, [&](std::size_t i) {
+      completed.fetch_add(1);
+      if (i == 7) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("index 7");
+      }
+      if (i == 40) throw std::runtime_error("index 40");
+    });
+    FAIL() << "expected the loop to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 7");
+  }
+  EXPECT_EQ(completed.load(), 64u);
 }
 
-TEST(ThreadPool, NestedSubmitDoesNotDeadlock) {
-  // A task submits a subtask and get()s it. Helping futures must keep the
-  // pool moving even when the pool has a single worker.
-  ThreadPool pool(1);
-  auto outer = pool.submit([&] {
-    auto inner = pool.submit([] { return 7; });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 8);
+TEST(ThreadPool, RunsOnExactlyThreadCountThreads) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.thread_count(), threads);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    pool.for_each_index(64, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      std::lock_guard<std::mutex> lk(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), threads) << "pool of " << threads;
+    if (threads == 1) {
+      EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+    }
+  }
 }
 
-TEST(ThreadPool, NestedForEachDoesNotDeadlock) {
+TEST(ThreadPool, NestedCallIsAPreconditionError) {
   ThreadPool pool(2);
-  std::atomic<std::size_t> total{0};
-  pool.for_each_index(4, [&](std::size_t) {
-    pool.for_each_index(8, [&](std::size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 32u);
+  std::atomic<std::size_t> inner{0};
+  const auto nested = [&](std::size_t) {
+    pool.for_each_index(8, [&](std::size_t) { inner.fetch_add(1); });
+  };
+  EXPECT_THROW(pool.for_each_index(4, nested), PreconditionError);
+  EXPECT_EQ(inner.load(), 0u);
+  // The refused call leaves the pool usable.
+  std::atomic<std::size_t> ran{0};
+  pool.for_each_index(8, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8u);
+}
+
+TEST(ThreadPool, ReusableAcrossLoops) {
+  ThreadPool pool(3);
+  for (const std::size_t n : {0u, 1u, 5u, 1000u, 2u, 0u, 77u}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.for_each_index(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "n " << n << " index " << i;
+  }
 }
 
 TEST(ThreadPool, ZeroTasksIsNoop) {

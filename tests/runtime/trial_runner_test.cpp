@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/random.h"
@@ -60,14 +63,28 @@ TEST(TrialRunner, SeedChangesResults) {
   EXPECT_NE(sample(1), sample(2));
 }
 
-TEST(TrialRunner, ExceptionPropagates) {
-  TrialRunner runner(4);
-  EXPECT_THROW(runner.run(32, 9,
-                          [](std::size_t i, Rng&) -> int {
-                            if (i == 13) throw std::runtime_error("bad trial");
-                            return 0;
-                          }),
-               std::runtime_error);
+TEST(TrialRunner, ReportsTheLowestFailingTrialAfterAllRan) {
+  // Trial 40 fails first in time, trial 7 later. Every thread count runs
+  // all 64 trials and then reports trial 7, as the serial order would.
+  for (const std::size_t threads : {1u, 4u}) {
+    TrialRunner runner(threads);
+    std::atomic<std::size_t> ran{0};
+    try {
+      runner.run(64, 3, [&](std::size_t i, Rng&) -> int {
+        ran.fetch_add(1);
+        if (i == 7) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("trial 7");
+        }
+        if (i == 40) throw std::runtime_error("trial 40");
+        return 0;
+      });
+      ADD_FAILURE() << "expected run() to throw at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trial 7") << threads << " threads";
+    }
+    EXPECT_EQ(ran.load(), 64u) << threads << " threads";
+  }
 }
 
 TEST(TrialRunner, ZeroTrialsReturnsEmpty) {

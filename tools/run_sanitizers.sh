@@ -30,10 +30,12 @@ ctest --test-dir "${build_dir}" --output-on-failure -j"${jobs}" "$@"
 echo "sanitizer run OK (${build_dir})"
 
 # Phase 2: ThreadSanitizer over the concurrent code: the obs metrics/trace
-# layers (relaxed atomics + one mutex) and the runtime thread pool /
-# trial runner. TSan runs just those suites plus two multi-threaded bench
-# smokes rather than paying the 5-20x slowdown across everything. TSan is
-# incompatible with ASan, hence the separate build tree.
+# layers (relaxed atomics + one mutex) and the runtime thread pool (one
+# mutex-guarded loop state plus an atomic index counter, persistent
+# workers reused across loops) under the trial runner. TSan runs just
+# those suites plus a few multi-threaded bench smokes rather than paying
+# the 5-20x slowdown across everything. TSan is incompatible with ASan,
+# hence the separate build tree.
 #
 # The fault-injection suites (test_net fault model, test_proto channel +
 # resilient collector) run under ASan/UBSan as part of the full ctest
@@ -51,7 +53,7 @@ cmake --build "${tsan_build_dir}" -j"${jobs}" \
   --target abl_integrity
 
 # test_codec drives the codec's pooled encode across pools of 1/2/8
-# workers, each worker writing its own rows of the shared product.
+# threads, each thread writing its own rows of the shared product.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
   -R '^test_obs$|^test_obs_noalloc$|^test_runtime$|^test_codec$'
@@ -69,7 +71,7 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_fault" \
   --events-jsonl "${tsan_build_dir}/fault_events.jsonl" \
   --timeseries-jsonl "${tsan_build_dir}/fault_ts.jsonl" > /dev/null
 # Hybrid sparse-vs-dense decode driven through the TrialRunner at 1/2/8
-# worker threads: each trial owns its decoder, so the only shared state is
+# threads: each trial owns its decoder, so the only shared state is
 # the runner's work distribution — exactly what TSan should vet.
 "${tsan_build_dir}/tests/test_codes" \
   --gtest_filter='DecodingCurve.ThreadCountDoesNotChangeResults:DecodingCurve.SparseBlocksMatchDenseBlocksAcrossThreads' \
@@ -86,7 +88,7 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_cluster_lifetime" \
   --json "${tsan_build_dir}/cluster.json" > /dev/null
 # Integrity path under TSan: fingerprint verification + quarantine inside
 # the sharded collector trials, and the scrubber/rot event machinery in
-# the cluster simulator, both at 8 worker threads. The parallel-vs-serial
+# the cluster simulator, both at 8 threads. The parallel-vs-serial
 # in-process gates run under ASan/UBSan in the full phase above.
 "${tsan_build_dir}/tests/test_proto" \
   --gtest_filter='IntegrityExperiment.ThreadCountNeverChangesResults' > /dev/null
