@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
   base.experiment.root_seed = seed;
   base.experiment.threads = bench::options().threads;
   base.churn_fraction = s.churn_fraction;
-  base.faults = base_faults();
-  base.fault_scales = s.fault_scales;
+  for (const double scale : s.fault_scales) base.faults.push_back(base_faults().scaled(scale));
 
   std::vector<std::vector<proto::FaultPoint>> rows;
   std::vector<const char*> names;
@@ -106,9 +105,10 @@ int main(int argc, char** argv) {
   headers.insert(headers.end(), {"retries", "hedges", "wire errs", "lost"});
 
   for (std::size_t sidx = 0; sidx < rows.size(); ++sidx) {
-    for (const auto& point : rows[sidx]) {
+    for (std::size_t i = 0; i < s.fault_scales.size(); ++i) {
+      const proto::FaultPoint& point = rows[sidx][i];
       report.add_point(names[sidx],
-                       {{"fault_scale", point.fault_scale},
+                       {{"fault_scale", s.fault_scales[i]},
                         {"decoded_levels", point.mean_decoded_levels},
                         {"decoded_levels_ci95", point.ci95_decoded_levels},
                         {"decoded_blocks", point.mean_decoded_blocks},

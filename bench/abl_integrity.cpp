@@ -10,11 +10,12 @@
 //     scheme shows the headline: scrubbing turns silent decay back into
 //     repairable loss and extends level-1 time-to-first-loss, while
 //     scrub_interval = 0 (never scrub) is the silent-decay floor.
-//   * detection/<scheme> — the collector-level sweep
-//     (proto/integrity_experiment.h): GF(2^64) homomorphic fingerprints
-//     verify every fetched block against the manifest. detection_ratio
-//     must print 1 and wrong_decode_fraction must print 0 on every row —
-//     the decoder never returns wrong bytes under any silent mix.
+//   * detection/<scheme> — the collector-level sweep, the one fault
+//     sweep (proto/fault_experiment.h) over silent rot/Byzantine mixes:
+//     GF(2^64) homomorphic fingerprints verify every fetched block
+//     against the manifest. detection_ratio must print 1 and
+//     wrong_decode_fraction must print 0 on every row — the decoder never
+//     returns wrong bytes under any silent mix.
 //
 // Flags: --rot-rate / --byzantine-rate / --scrub-interval restrict the
 // grids to one value; --nodes, --churn-rate, --repair-bw, --scheme as in
@@ -22,10 +23,11 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
-#include "proto/integrity_experiment.h"
+#include "proto/fault_experiment.h"
 #include "sim/cluster_sim.h"
 #include "util/table_printer.h"
 
@@ -184,7 +186,7 @@ int main(int argc, char** argv) {
                              "quarantined", "detection", "wrong"});
   for (const codes::Scheme scheme : schemes) {
     if (!bench::options().scheme_enabled(scheme)) continue;
-    proto::IntegritySweepParams params;
+    proto::FaultSweepParams params;
     params.nodes = 200;
     params.locations = 96;
     params.experiment.level_sizes = {8, 16, 24};
@@ -194,20 +196,27 @@ int main(int argc, char** argv) {
     params.experiment.threads = bench::options().threads;
     const double rot = bench::options().rot_rate.value_or(0.1);
     const double byz = bench::options().byzantine_rate.value_or(0.1);
-    params.mixes = {{0.0, 0.0}, {rot, 0.0}, {0.0, byz}, {rot, byz}};
-    const auto points = proto::run_integrity_experiment(params);
-    for (const proto::IntegrityPoint& pt : points) {
+    const std::pair<double, double> mixes[] = {{0.0, 0.0}, {rot, 0.0}, {0.0, byz}, {rot, byz}};
+    for (const auto& [rot_rate, byz_fraction] : mixes) {
+      net::FaultSpec& mix = params.faults.emplace_back();
+      mix.bitrot_rate = rot_rate;
+      mix.byzantine_fraction = byz_fraction;
+    }
+    const auto points = proto::run_fault_experiment(params);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const proto::FaultPoint& pt = points[i];
+      const net::FaultSpec& mix = params.faults[i];
       report.add_point(std::string("detection/") + codes::to_string(scheme),
-                       {{"rot_rate", pt.rot_rate},
-                        {"byzantine_fraction", pt.byzantine_fraction},
+                       {{"rot_rate", mix.bitrot_rate},
+                        {"byzantine_fraction", mix.byzantine_fraction},
                         {"decoded_levels", pt.mean_decoded_levels},
                         {"violations", pt.mean_integrity_violations},
                         {"quarantined", pt.mean_quarantined_nodes},
                         {"detection_ratio", pt.detection_ratio},
                         {"wrong_decode_fraction", pt.wrong_decode_fraction}});
       detect_table.add_row(
-          {codes::to_string(scheme), fmt_double(pt.rot_rate, 2),
-           fmt_double(pt.byzantine_fraction, 2), fmt_double(pt.mean_decoded_levels, 2),
+          {codes::to_string(scheme), fmt_double(mix.bitrot_rate, 2),
+           fmt_double(mix.byzantine_fraction, 2), fmt_double(pt.mean_decoded_levels, 2),
            fmt_double(pt.mean_integrity_violations, 1),
            fmt_double(pt.mean_quarantined_nodes, 1), fmt_double(pt.detection_ratio, 3),
            fmt_double(pt.wrong_decode_fraction, 3)});

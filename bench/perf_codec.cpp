@@ -10,8 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,18 +41,31 @@ using F = gf::Gf256;
 
 // --- payload sweep ---------------------------------------------------------
 
-double seconds_since(std::uint64_t start_ns) {
-  return static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
+/// Median wall seconds of five calls of `run`. Each call's result goes to
+/// `keep` after its clock stops, so checking or freeing it is never timed.
+template <typename Run, typename Keep>
+double median_seconds(Run&& run, Keep&& keep) {
+  std::array<double, 5> seconds{};
+  for (double& s : seconds) {
+    const std::uint64_t start_ns = obs::now_ns();
+    auto result = run();
+    s = static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
+    keep(std::move(result));
+  }
+  std::ranges::sort(seconds);
+  return seconds[seconds.size() / 2];
 }
 
 /// Payload throughput grid: payload size x threads, PLC over 4 uniform
 /// levels. Encode runs PayloadCodec at every thread count and must match
 /// its serial output byte for byte; decode runs codes::PriorityDecoder,
-/// serially, once per payload size (every point of that size carries the
-/// one figure), and every decoded block must equal its source block.
-/// Reports bytes/s (object bytes per wall second) and encode's speedup
-/// against the serial path. Returns false when a check fails, so the run
-/// fails instead of reporting a throughput for wrong bytes.
+/// serially, per payload size (every point of that size carries the one
+/// figure), and every decoded block must equal its source block. Every
+/// figure is the median of five timed runs (a fresh decoder each), after
+/// one untimed warm-up encode. Reports bytes/s (object bytes per wall
+/// second) and encode's speedup against the serial path. Returns false
+/// when a check fails, so the run fails instead of reporting a
+/// throughput for wrong bytes.
 bool run_payload_sweep(bench::BenchReport& report) {
   const bench::Options& opt = bench::options();
   const bool fast = bench::fast_mode();
@@ -97,19 +112,23 @@ bool run_payload_sweep(bench::BenchReport& report) {
     const codec::PayloadCodec serial_codec(spec);
     // Untimed warm-up so the timed serial baseline is not paying the
     // first-touch page faults the later pool runs avoid.
-    serial_codec.encode(rows, source);
-    std::uint64_t t0 = obs::now_ns();
-    const auto coded = serial_codec.encode(rows, source);
-    const double serial_encode_s = seconds_since(t0);
+    auto coded = serial_codec.encode(rows, source);
+    const double serial_encode_s = median_seconds(
+        [&] { return serial_codec.encode(rows, source); },
+        [&](auto encoded) { coded = std::move(encoded); });
 
-    t0 = obs::now_ns();
-    codes::PriorityDecoder<F> decoder(codes::Scheme::kPlc, spec, block_size);
-    for (std::size_t b = 0; b < rows.size(); ++b) decoder.add(levels - 1, rows[b], coded[b]);
-    const double decode_s = seconds_since(t0);
+    std::optional<codes::PriorityDecoder<F>> decoder;
+    const double decode_s = median_seconds(
+        [&] {
+          codes::PriorityDecoder<F> fresh(codes::Scheme::kPlc, spec, block_size);
+          for (std::size_t b = 0; b < rows.size(); ++b) fresh.add(levels - 1, rows[b], coded[b]);
+          return fresh;
+        },
+        [&](codes::PriorityDecoder<F> done) { decoder.emplace(std::move(done)); });
     for (std::size_t j = 0; j < n; ++j) {
       const auto want = source.block(j);
-      if (!decoder.is_block_decoded(j) ||
-          !std::ranges::equal(decoder.recovered(j), want)) {
+      if (!decoder->is_block_decoded(j) ||
+          !std::ranges::equal(decoder->recovered(j), want)) {
         std::fprintf(stderr, "error: payload %zu: source block %zu did not decode intact\n",
                      object_bytes, j);
         return false;
@@ -122,10 +141,11 @@ bool run_payload_sweep(bench::BenchReport& report) {
     for (const std::size_t threads : thread_counts) {
       runtime::ThreadPool pool(threads);
       const codec::PayloadCodec codec(spec, &pool);
-      t0 = obs::now_ns();
-      const auto pooled = codec.encode(rows, source);
-      const double encode_s = seconds_since(t0);
-      if (pooled != coded) {
+      bool identical = true;
+      const double encode_s = median_seconds(
+          [&] { return codec.encode(rows, source); },
+          [&](const auto& pooled) { identical = identical && pooled == coded; });
+      if (!identical) {
         std::fprintf(stderr, "error: payload %zu: %zu-thread encode diverged from serial\n",
                      object_bytes, threads);
         return false;

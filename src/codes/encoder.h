@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "codes/coded_block.h"
@@ -183,10 +182,7 @@ class PriorityEncoder {
         return;
       }
       case CoefficientModel::kSparse: {
-        const double target =
-            std::ceil(options_.sparsity_factor * std::log(std::max<double>(2.0, width)));
-        const std::size_t nnz =
-            std::clamp<std::size_t>(static_cast<std::size_t>(target), 1, width);
+        const std::size_t nnz = sparse_row_weight(options_.sparsity_factor, width);
         symbols_drawn.add(nnz);
         idx.reserve(nnz);
         val.reserve(nnz);

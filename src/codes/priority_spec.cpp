@@ -52,6 +52,13 @@ std::pair<std::size_t, std::size_t> PrioritySpec::support(Scheme scheme,
   PRLC_ASSERT(false, "unknown scheme");
 }
 
+bool PrioritySpec::admits_columns(Scheme scheme, std::size_t level,
+                                  std::span<const std::uint32_t> columns) const {
+  if (level >= levels()) return false;
+  const auto [begin, end] = support(scheme, level);
+  return std::ranges::all_of(columns, [&](std::uint32_t j) { return j >= begin && j < end; });
+}
+
 std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
                                                      std::span<const double> weights) {
   PRLC_REQUIRE(!weights.empty(), "apportionment needs at least one weight");
@@ -77,6 +84,12 @@ std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
     ++assigned;
   }
   return out;
+}
+
+std::size_t sparse_row_weight(double factor, std::size_t width) {
+  PRLC_ASSERT(width > 0, "empty coding support");
+  const double target = std::ceil(factor * std::log(std::max<double>(2.0, width)));
+  return std::clamp<std::size_t>(static_cast<std::size_t>(target), 1, width);
 }
 
 std::optional<PrioritySpec> try_spec_from_string(std::string_view text) {

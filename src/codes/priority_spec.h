@@ -10,7 +10,9 @@
 // in the paper's notation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -71,6 +73,23 @@ class PrioritySpec {
   /// sources, PLC the sources of levels 0..level.
   std::pair<std::size_t, std::size_t> support(Scheme scheme, std::size_t level) const;
 
+  /// support()'s rule as a non-throwing check: whether `level` is a level
+  /// of this spec and `coeffs` (one per source block) is zero outside
+  /// support(scheme, level). PriorityDecoder requires it of every block;
+  /// the collector rejects a frame that fails it as a wire error.
+  template <typename Symbol>
+  bool admits(Scheme scheme, std::size_t level, std::span<const Symbol> coeffs) const {
+    if (level >= levels() || coeffs.size() != total()) return false;
+    const auto [begin, end] = support(scheme, level);
+    const auto zero = [](Symbol c) { return c == Symbol{0}; };
+    return std::ranges::all_of(coeffs.first(begin), zero) &&
+           std::ranges::all_of(coeffs.subspan(end), zero);
+  }
+
+  /// admits() for a sparse block, given by the columns of its nonzeros.
+  bool admits_columns(Scheme scheme, std::size_t level,
+                      std::span<const std::uint32_t> columns) const;
+
   bool operator==(const PrioritySpec& other) const { return sizes_ == other.sizes_; }
 
   std::span<const std::size_t> level_sizes() const { return sizes_; }
@@ -97,6 +116,12 @@ PrioritySpec spec_from_string(std::string_view text);
 /// level gets nothing (Table 1, Case 2).
 std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
                                                      std::span<const double> weights);
+
+/// Nonzero coefficients of one sparse coded block over a support of
+/// `width` > 0 source blocks: ceil(factor * ln(max(2, width))), clamped to
+/// [1, width] — the O(ln N) row weight of decentralized erasure codes. The
+/// encoder and the in-network store draw their sparse rows with it.
+std::size_t sparse_row_weight(double factor, std::size_t width);
 
 /// Per-level coded-block fractions p_1..p_n: nonnegative, summing to 1.
 class PriorityDistribution {

@@ -44,10 +44,10 @@
 //
 // Complexity: an equation that peels costs O(nnz); an innovative sparse
 // row costs O(fill-in); only densified rows pay O(window) SIMD work.
-// Priority codes keep windows small for high-priority rows (support is
-// the level prefix), and chunked sparsity (see EncoderOptions.chunk_size)
-// bounds fill-in by the chunk width, which is what makes decoding-curve
-// runs at N = 10^5 practical (bench/abl_sparsity).
+// Priority codes keep windows small for high-priority rows (add_window
+// takes a block's support: the level prefix for PLC, the level for SLC),
+// and chunked sparsity (see EncoderOptions.chunk_size) bounds fill-in by
+// the chunk width: decoding curves at N = 10^5 (bench/abl_sparsity).
 #pragma once
 
 #include <algorithm>
@@ -93,29 +93,38 @@ class ProgressiveDecoder {
   /// Insert one equation from a full-width coefficient vector. `coeffs`
   /// must have length unknowns(); `payload` must have length
   /// payload_size(). Returns true when the equation was innovative
-  /// (increased the rank). Internally routes sparse content (few
-  /// nonzeros) through the peeling/sparse path, so callers holding dense
-  /// buffers — the wire/collector path — still benefit from sparsity.
+  /// (increased the rank).
   bool add(std::span<const Symbol> coeffs, std::span<const Symbol> payload = {}) {
     PRLC_REQUIRE(coeffs.size() == unknowns_, "coefficient vector width mismatch");
+    return add_window(0, coeffs, payload);
+  }
+
+  /// add() for an equation that is zero outside the support window
+  /// [first, first + window.size()), given by the coefficients inside it:
+  /// O(window) instead of O(unknowns). Sparse content (few nonzeros for
+  /// the window) takes the peeling/sparse path, so dense callers — the
+  /// wire/collector path — still benefit from sparsity.
+  bool add_window(std::size_t first, std::span<const Symbol> window,
+                  std::span<const Symbol> payload = {}) {
+    PRLC_REQUIRE(first + window.size() <= unknowns_, "coefficient window out of range");
     // Route through the sparse path when the row is sparse enough that
     // gathering pays for itself; the two paths are exactly equivalent.
     std::size_t nnz = 0;
-    for (const Symbol c : coeffs) nnz += c != 0 ? 1 : 0;
-    if (nnz * kDensityDivisor <= unknowns_) {
+    for (const Symbol c : window) nnz += c != 0 ? 1 : 0;
+    if (nnz * kDensityDivisor <= window.size()) {
       in_idx_.clear();
       in_val_.clear();
       in_idx_.reserve(nnz);
       in_val_.reserve(nnz);
-      for (std::size_t j = 0; j < coeffs.size(); ++j) {
-        if (coeffs[j] != 0) {
-          in_idx_.push_back(static_cast<std::uint32_t>(j));
-          in_val_.push_back(coeffs[j]);
+      for (std::size_t j = 0; j < window.size(); ++j) {
+        if (window[j] != 0) {
+          in_idx_.push_back(static_cast<std::uint32_t>(first + j));
+          in_val_.push_back(window[j]);
         }
       }
       return add_gathered(in_idx_, in_val_, payload);
     }
-    return add_dense_scan(coeffs, payload);
+    return add_dense_scan(first, window, payload);
   }
 
   /// Insert one equation given in sparse form: strictly increasing
@@ -260,8 +269,9 @@ class ProgressiveDecoder {
   }
 
   /// Dense-scan forward elimination: the legacy path for rows that are
-  /// already dense. Scans columns left to right over the work buffer.
-  bool add_dense_scan(std::span<const Symbol> coeffs, std::span<const Symbol> payload) {
+  /// already dense. Scans columns left to right from the window's first.
+  bool add_dense_scan(std::size_t first, std::span<const Symbol> window,
+                      std::span<const Symbol> payload) {
     PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
     ++seen_;
     static obs::Counter& rows_received = obs::counter("decoder.rows_received");
@@ -269,14 +279,14 @@ class ProgressiveDecoder {
     static obs::Counter& rows_redundant = obs::counter("decoder.rows_redundant");
     rows_received.add();
 
-    std::copy(coeffs.begin(), coeffs.end(), work_coef_.begin());
+    std::copy(window.begin(), window.end(), work_coef_.data() + first);
     work_payload_.assign(payload.begin(), payload.end());
-    std::size_t end = unknowns_;
-    while (end > 0 && work_coef_[end - 1] == 0) --end;
+    std::size_t end = first + window.size();
+    while (end > first && work_coef_[end - 1] == 0) --end;
 
     static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
     std::size_t pivot = unknowns_;
-    for (std::size_t j = 0; j < end; ++j) {
+    for (std::size_t j = first; j < end; ++j) {
       const Symbol v = work_coef_[j];
       if (v == 0) continue;
       const Row* existing = by_pivot_[j].get();
@@ -294,9 +304,9 @@ class ProgressiveDecoder {
       PRLC_ASSERT(work_coef_[j] == 0, "forward elimination left a nonzero pivot");
     }
     if (pivot == unknowns_) {
-      // Restore the scratch row to all-zeros for the next call.
-      std::fill(work_coef_.begin(), work_coef_.begin() + static_cast<std::ptrdiff_t>(end),
-                Symbol{0});
+      // Restore the scratch row to all-zeros for the next call (forward
+      // elimination fills only columns right of `first`).
+      std::fill(work_coef_.data() + first, work_coef_.data() + end, Symbol{0});
       rows_redundant.add();
       return false;
     }

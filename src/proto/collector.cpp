@@ -29,6 +29,7 @@ void validate_options(const CollectorOptions& options, const codes::PrioritySpec
 enum class Reply {
   kDelivered,          ///< parsed, verified, fed to the decoder
   kWireRejected,       ///< CRC/bounds rejection — retryable elsewhere
+  kForeign,            ///< CRC-valid frame that does not fit the collection — written off
   kIntegrityRejected,  ///< fingerprint mismatch — block written off, node quarantined
   kGone,               ///< dead node or crash — nothing to retry against
   kRetryable,          ///< timeout or transient error
@@ -121,47 +122,58 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
     return false;
   };
 
-  /// Parse + feed one delivered frame; false (and a corrupt count) when
-  /// the wire layer rejects it or it does not belong to this collection.
+  /// Parse + feed one delivered frame. A frame the wire layer rejects
+  /// counts as a wire error and may be refetched. A CRC-valid frame that
+  /// does not belong to this collection (another scheme or width, a level
+  /// out of range, or coefficients outside its level's support, see
+  /// PrioritySpec::admits) counts as a wire error too, but it is sticky,
+  /// like a forged payload: a refetch serves the same bytes.
   /// The zero-copy view path hands the decoder spans straight into the
   /// reply buffer — no per-fetch payload copy; only sparse coefficient
   /// frames expand into a scratch vector reused across fetches.
   std::vector<std::uint8_t> coeff_scratch;
+  const auto wire_error = [&](Reply r) {
+    ++out.faults.wire_errors;
+    corrupt_ctr.add();
+    return r;
+  };
   const auto deliver = [&](net::LocationId loc, const FetchReply& reply) {
+    codes::WireBlockView view;
     try {
-      const codes::WireBlockView view = codes::decode_wire_view(reply.bytes);
-      if (view.scheme != decoder.scheme() || view.coeff_width != decoder.spec().total()) {
-        throw codes::WireFormatError("frame does not match this collection");
-      }
-      std::span<const std::uint8_t> coeffs = view.dense_coeffs;
-      if (!view.dense()) {
-        coeff_scratch.resize(view.coeff_width);
-        view.expand_coeffs(coeff_scratch);
-        coeffs = coeff_scratch;
-      }
-      if (fingerprinter.has_value() &&
-          fingerprinter->fingerprint(view.payload) !=
-              fingerprinter->combine(coeffs, options.manifest->fingerprints)) {
-        // Silent corruption, localized to this exact block: the frame is
-        // well-formed (CRC passed) yet its payload contradicts the
-        // manifest. The lie is sticky — a refetch serves the same bytes —
-        // so the block is written off and the serving node quarantined.
-        ++out.faults.integrity_violations;
-        integrity_ctr.add();
-        obs::emit(obs::EventType::kIntegrityViolation, static_cast<double>(reply.node),
-                  static_cast<double>(loc));
-        quarantine(reply.node);
-        return Reply::kIntegrityRejected;
-      }
-      ++result.blocks_retrieved;
-      if (decoder.add(view.level, coeffs, view.payload)) ++result.innovative_blocks;
-      if (trace) result.level_trace.push_back(decoder.decoded_levels());
-      return Reply::kDelivered;
+      view = codes::decode_wire_view(reply.bytes);
     } catch (const codes::WireFormatError&) {
-      ++out.faults.wire_errors;
-      corrupt_ctr.add();
-      return Reply::kWireRejected;
+      return wire_error(Reply::kWireRejected);
     }
+    if (view.scheme != decoder.scheme() || view.coeff_width != decoder.spec().total()) {
+      return wire_error(Reply::kForeign);
+    }
+    std::span<const std::uint8_t> coeffs = view.dense_coeffs;
+    if (!view.dense()) {
+      coeff_scratch.resize(view.coeff_width);
+      view.expand_coeffs(coeff_scratch);
+      coeffs = coeff_scratch;
+    }
+    if (!decoder.spec().admits(view.scheme, view.level, coeffs)) {
+      return wire_error(Reply::kForeign);
+    }
+    if (fingerprinter.has_value() &&
+        fingerprinter->fingerprint(view.payload) !=
+            fingerprinter->combine(coeffs, options.manifest->fingerprints)) {
+      // Silent corruption, localized to this exact block: the frame is
+      // well-formed (CRC passed) yet its payload contradicts the
+      // manifest. The lie is sticky — a refetch serves the same bytes —
+      // so the block is written off and the serving node quarantined.
+      ++out.faults.integrity_violations;
+      integrity_ctr.add();
+      obs::emit(obs::EventType::kIntegrityViolation, static_cast<double>(reply.node),
+                static_cast<double>(loc));
+      quarantine(reply.node);
+      return Reply::kIntegrityRejected;
+    }
+    ++result.blocks_retrieved;
+    if (decoder.add(view.level, coeffs, view.payload)) ++result.innovative_blocks;
+    if (trace) result.level_trace.push_back(decoder.decoded_levels());
+    return Reply::kDelivered;
   };
 
   /// Account for one reply: count its fault class, feed a clean frame to
@@ -200,7 +212,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
       a.location = loc;
       a.node = reply.node;
       a.fault = reply.fault;
-      a.wire_rejected = r == Reply::kWireRejected;
+      a.wire_rejected = r == Reply::kWireRejected || r == Reply::kForeign;
       a.integrity_rejected = r == Reply::kIntegrityRejected;
       a.delivered = r == Reply::kDelivered;
       out.fetch_log.push_back(a);
@@ -275,9 +287,9 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
 
       const Reply r = account(loc, reply);
       if (r == Reply::kDelivered) return;  // healed or clean — done with this block
-      // An integrity rejection is sticky (the node is quarantined and a
-      // refetch replays the same forged bytes), and a gone node has
-      // nothing to retry against: both write the block off at once.
+      // An integrity rejection or a foreign frame is sticky (a refetch
+      // replays the same bytes; a forger is also quarantined), and a gone
+      // node has nothing to retry against: all write the block off at once.
       if (r == Reply::kWireRejected || r == Reply::kRetryable) {
         ++attempt;
         if (!charge_fault(node) && attempt < policy.max_attempts) {
@@ -337,18 +349,18 @@ std::pair<CollectionResult, bool> collect_and_verify(const Predistribution& dist
   codes::PriorityDecoder<Field> decoder(dist.params().scheme, dist.spec(),
                                         dist.params().block_size);
   const CollectionResult result = collect(dist, decoder, {}, rng).result;
+  return {result, wrong_decode_fraction(decoder, original) == 0.0};
+}
 
-  bool all_match = true;
-  for (std::size_t j = 0; j < dist.spec().total(); ++j) {
+double wrong_decode_fraction(const codes::PriorityDecoder<Field>& decoder,
+                             const codes::SourceData<Field>& source) {
+  std::size_t decoded = 0, wrong = 0;
+  for (std::size_t j = 0; j < source.blocks(); ++j) {
     if (!decoder.is_block_decoded(j)) continue;
-    const auto got = decoder.recovered(j);
-    const auto want = original.block(j);
-    if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
-      all_match = false;
-      break;
-    }
+    ++decoded;
+    if (!std::ranges::equal(decoder.recovered(j), source.block(j))) ++wrong;
   }
-  return {result, all_match};
+  return decoded == 0 ? 0.0 : static_cast<double>(wrong) / static_cast<double>(decoded);
 }
 
 }  // namespace prlc::proto

@@ -101,14 +101,17 @@ struct CollectionResult {
 
 /// Faults the collector *detected*, by class. wire_errors counts frames
 /// decode_wire rejected (injected corruption/truncation, or any real
-/// serialization bug) — the collector never sees the channel's injection
-/// tally, only what the CRC/bounds checks catch.
+/// serialization bug) and CRC-valid frames that do not fit the collection
+/// (scheme, width, level, or coefficients outside the level's support;
+/// such a frame is written off without a retry, since a refetch serves the
+/// same bytes) — the collector never sees the channel's injection tally,
+/// only what its checks catch.
 struct DetectedFaults {
   std::size_t dead_nodes = 0;        ///< fetches that hit a gone owner
   std::size_t crashes = 0;           ///< nodes that died mid-collection
   std::size_t timeouts = 0;
   std::size_t transient_errors = 0;
-  std::size_t wire_errors = 0;       ///< decode_wire rejections
+  std::size_t wire_errors = 0;       ///< frames the wire checks rejected
   /// Well-formed frames (CRC passed) whose payload contradicted the
   /// fingerprint manifest — silent corruption (bit rot, Byzantine nodes)
   /// the wire checks cannot see. Zero unless a manifest was supplied.
@@ -126,7 +129,7 @@ struct FetchAttempt {
   net::LocationId location = 0;
   net::NodeId node = 0;
   net::FaultClass fault = net::FaultClass::kNone;  ///< channel-visible class
-  bool wire_rejected = false;       ///< CRC/bounds rejected the frame
+  bool wire_rejected = false;       ///< a wire error (see DetectedFaults::wire_errors)
   bool integrity_rejected = false;  ///< fingerprint contradicted the manifest
   bool delivered = false;           ///< frame fed to the decoder
 };
@@ -174,5 +177,11 @@ CollectionOutcome collect(const Predistribution& dist, codes::PriorityDecoder<Fi
 std::pair<CollectionResult, bool> collect_and_verify(const Predistribution& dist,
                                                      const codes::SourceData<Field>& original,
                                                      Rng& rng);
+
+/// Decode-then-compare: the fraction of the decoder's recovered blocks that
+/// differ from `source` (0 when none is recovered). Needs the source bytes,
+/// so it serves experiments and tests, not a collector in the field.
+double wrong_decode_fraction(const codes::PriorityDecoder<Field>& decoder,
+                             const codes::SourceData<Field>& source);
 
 }  // namespace prlc::proto

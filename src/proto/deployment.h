@@ -1,18 +1,20 @@
 // One deployment-trial harness for the system-level experiments.
 //
-// The persistence, fault, integrity and refresh experiments all test the
-// paper's system claim with one procedure: deploy an overlay, pre-
-// distribute PRLC blocks by in-network encoding (Sec. 4), perturb the
-// network, collect, and count the levels that still decode. Deployment is
-// the shared first half of that procedure; run_sweep is the shared trial
-// loop around it. A driver keeps only its axis validation, its per-point
-// body (churn wave, fault plan, silent-corruption mix, kill + refresh) and
-// the mapping from column statistics to its Point struct.
+// The persistence, fault and refresh experiments all test the paper's
+// system claim with one procedure: deploy an overlay, pre-distribute PRLC
+// blocks by in-network encoding (Sec. 4), perturb the network, collect,
+// and count the levels that still decode. Deployment is the shared first
+// half of that procedure; run_sweep is the shared trial loop around it. A
+// driver keeps only its axis validation, its per-point body (churn wave,
+// fault plan — loud or silent — , kill + refresh) and the mapping from
+// column statistics to its Point struct.
 //
 // Draw order per trial, from the trial's counter-seeded Rng: overlay seed
 // (one rng() draw), source payloads, dissemination — then, only when the
-// driver asks, the manifest seed (manifest(rng)). Drivers that never build
-// a manifest therefore keep the draw stream they had before it existed.
+// driver asks, the manifest seed (manifest(rng)); the fault sweep asks
+// after its churn wave, and only when a point injects silent faults.
+// Drivers that never build a manifest keep the draw stream they had
+// before it existed.
 #pragma once
 
 #include <cstdint>

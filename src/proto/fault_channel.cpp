@@ -47,10 +47,7 @@ FetchReply FaultyChannel::fetch(net::LocationId loc, Rng& rng) {
 
   FetchReply reply;
   reply.node = slot->owner;
-  const net::Overlay& overlay = dist_.overlay();
-  if (!overlay.alive(slot->owner) ||
-      overlay.generation(slot->owner) != slot->owner_generation ||
-      crashed_.contains(slot->owner)) {
+  if (!slot->retrievable(dist_.overlay()) || crashed_.contains(slot->owner)) {
     reply.fault = net::FaultClass::kDeadNode;
     return reply;
   }

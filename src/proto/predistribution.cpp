@@ -1,7 +1,6 @@
 #include "proto/predistribution.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "gf/gf256_kernels.h"
@@ -103,10 +102,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
       selected.resize(width);
       std::iota(selected.begin(), selected.end(), begin);
     } else {
-      const double target =
-          std::ceil(params_.sparsity_factor * std::log(std::max<double>(2.0, width)));
-      const std::size_t take =
-          std::clamp<std::size_t>(static_cast<std::size_t>(target), 1, width);
+      const std::size_t take = codes::sparse_row_weight(params_.sparsity_factor, width);
       for (std::size_t offset : rng.sample_without_replacement(width, take)) {
         selected.push_back(begin + offset);
       }
@@ -200,10 +196,7 @@ std::vector<net::LocationId> Predistribution::lost_locations() const {
   std::vector<net::LocationId> out;
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     const auto& slot = storage_[loc];
-    if (!slot.has_value() || !overlay_.alive(slot->owner) ||
-        overlay_.generation(slot->owner) != slot->owner_generation) {
-      out.push_back(loc);
-    }
+    if (!slot.has_value() || !slot->retrievable(overlay_)) out.push_back(loc);
   }
   return out;
 }
@@ -227,10 +220,7 @@ std::vector<net::LocationId> Predistribution::surviving_locations() const {
   std::vector<net::LocationId> out;
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     const auto& slot = storage_[loc];
-    if (slot.has_value() && overlay_.alive(slot->owner) &&
-        overlay_.generation(slot->owner) == slot->owner_generation) {
-      out.push_back(loc);
-    }
+    if (slot.has_value() && slot->retrievable(overlay_)) out.push_back(loc);
   }
   return out;
 }

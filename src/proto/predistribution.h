@@ -68,6 +68,11 @@ struct StoredBlock {
   std::uint32_t owner_generation = 0;  ///< owner's incarnation at placement
   codes::CodedBlock<Field> block;
   std::size_t arrivals = 0;  ///< source blocks accumulated into it
+
+  /// Retrievable while the owner incarnation that received it is alive.
+  bool retrievable(const net::Overlay& overlay) const {
+    return overlay.alive(owner) && overlay.generation(owner) == owner_generation;
+  }
 };
 
 class Predistribution {

@@ -176,10 +176,7 @@ std::optional<QueryResult> TimelineStore::query(std::size_t round_id, Rng& rng) 
     std::vector<net::LocationId> alive_locs;
     for (net::LocationId loc : round.locations) {
       const auto& slot = slots_[loc];
-      if (slot.stored.has_value() && overlay_.alive(slot.stored->owner) &&
-          overlay_.generation(slot.stored->owner) == slot.stored->owner_generation) {
-        alive_locs.push_back(loc);
-      }
+      if (slot.stored.has_value() && slot.stored->retrievable(overlay_)) alive_locs.push_back(loc);
     }
     result.blocks_retrievable = alive_locs.size();
     rng.shuffle(std::span<net::LocationId>(alive_locs));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "util/check.h"
 
 namespace prlc::codes {
@@ -189,6 +193,30 @@ TEST(Apportion, Validates) {
   EXPECT_THROW(apportion_largest_remainder(5, zero), PreconditionError);
   const std::vector<double> neg = {1.0, -0.5};
   EXPECT_THROW(apportion_largest_remainder(5, neg), PreconditionError);
+}
+
+TEST(PrioritySpec, AdmitsOnlyCoefficientsInsideTheSupport) {
+  const PrioritySpec spec({2, 3, 4});  // levels [0,2) [2,5) [5,9)
+  std::vector<std::uint8_t> coeffs(spec.total(), 0);
+  coeffs[3] = 5;  // one term in level 1
+  const std::span<const std::uint8_t> c(coeffs);
+  EXPECT_TRUE(spec.admits(Scheme::kSlc, 1, c));
+  EXPECT_FALSE(spec.admits(Scheme::kSlc, 0, c));
+  EXPECT_FALSE(spec.admits(Scheme::kSlc, 2, c));
+  EXPECT_FALSE(spec.admits(Scheme::kPlc, 0, c));
+  EXPECT_TRUE(spec.admits(Scheme::kPlc, 1, c));
+  EXPECT_TRUE(spec.admits(Scheme::kPlc, 2, c));
+  EXPECT_TRUE(spec.admits(Scheme::kRlc, 0, c));
+  // Never throws: a level the spec lacks or a wrong width is a "no".
+  EXPECT_FALSE(spec.admits(Scheme::kRlc, 3, c));
+  EXPECT_FALSE(spec.admits(Scheme::kRlc, 0, c.first(8)));
+  // The sparse form checks the columns of the nonzeros.
+  const std::vector<std::uint32_t> level1 = {2, 4};
+  const std::vector<std::uint32_t> straddle = {1, 2};
+  EXPECT_TRUE(spec.admits_columns(Scheme::kSlc, 1, level1));
+  EXPECT_FALSE(spec.admits_columns(Scheme::kSlc, 1, straddle));
+  EXPECT_TRUE(spec.admits_columns(Scheme::kPlc, 1, straddle));
+  EXPECT_FALSE(spec.admits_columns(Scheme::kPlc, 3, level1));
 }
 
 }  // namespace

@@ -54,6 +54,8 @@ TEST(ProgressiveDecoder, WidthMismatchThrows) {
   ProgressiveDecoder<F> d(4);
   const std::vector<std::uint8_t> bad(3, 1);
   EXPECT_THROW(d.add(bad), PreconditionError);
+  EXPECT_THROW(d.add_window(2, bad), PreconditionError);  // window ends past unknown 3
+  EXPECT_TRUE(d.add_window(1, bad));                       // columns 1..3 fit
 }
 
 TEST(ProgressiveDecoder, FullSystemDecodesAllUnknowns) {

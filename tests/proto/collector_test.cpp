@@ -105,13 +105,7 @@ TEST(Collector, ChurnDegradesGracefully) {
   EXPECT_LT(result.surviving_locations, 60u);
   EXPECT_LE(result.decoded_levels, 3u);
   // Whatever did decode must still verify against the original data.
-  for (std::size_t j = 0; j < s.spec.total(); ++j) {
-    if (decoder.is_block_decoded(j)) {
-      const auto got = decoder.recovered(j);
-      const auto want = source.block(j);
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
-    }
-  }
+  EXPECT_EQ(wrong_decode_fraction(decoder, source), 0.0);
 }
 
 TEST(Collector, SlcSchemeEndToEnd) {
@@ -122,6 +116,36 @@ TEST(Collector, SlcSchemeEndToEnd) {
   const auto [result, verified] = collect_and_verify(pd, source, s.rng);
   EXPECT_EQ(result.decoded_levels, 3u);
   EXPECT_TRUE(verified);
+}
+
+TEST(Collector, FrameOutsideItsLevelSupportIsAWireError) {
+  // A CRC-valid frame whose coefficients leave its level's support is
+  // malformed: the collector counts it as a wire error instead of feeding
+  // it to the decoder, never throws, and decodes every block intact. A
+  // refetch would serve the same bytes, so the block is written off at
+  // once: no retry, and nothing charged to the serving node.
+  for (const Scheme scheme : {Scheme::kSlc, Scheme::kPlc}) {
+    SCOPED_TRACE(codes::to_string(scheme));
+    TestHarness s(scheme);
+    Predistribution pd(s.overlay, s.spec, s.dist, s.params);
+    const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
+    pd.disseminate(source, s.rng);
+    net::LocationId target = 0;
+    while (pd.stored(target) == nullptr || pd.level_of_location(target) != 0) ++target;
+    codes::CodedBlock<Field> stray = pd.stored(target)->block;
+    stray.coeffs[19] = 7;  // source block 19 lies in level 2
+    pd.store_rebuilt(target, stray);
+
+    codes::PriorityDecoder<Field> decoder(scheme, s.spec, s.params.block_size);
+    CollectionOutcome outcome;
+    ASSERT_NO_THROW(outcome = collect(pd, decoder, {}, s.rng));
+    EXPECT_EQ(outcome.faults.wire_errors, 1u);
+    EXPECT_EQ(outcome.retries, 0u);
+    EXPECT_EQ(outcome.blocks_lost, 1u);
+    EXPECT_EQ(outcome.blacklisted_nodes, 0u);
+    EXPECT_EQ(outcome.result.decoded_levels, 3u);
+    EXPECT_EQ(wrong_decode_fraction(decoder, source), 0.0);
+  }
 }
 
 TEST(Collector, OptionsValidated) {
@@ -184,12 +208,7 @@ struct FaultHarness : TestHarness {
 
   /// Every decoded payload must match the original source data.
   void expect_verified(const codes::PriorityDecoder<Field>& d) {
-    for (std::size_t j = 0; j < spec.total(); ++j) {
-      if (!d.is_block_decoded(j)) continue;
-      const auto got = d.recovered(j);
-      const auto want = source.block(j);
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end())) << j;
-    }
+    EXPECT_EQ(wrong_decode_fraction(d, source), 0.0);
   }
 };
 
@@ -418,7 +437,9 @@ TEST(IntegrityCollector, BitRotIsDetectedLocalizedAndQuarantined) {
   EXPECT_TRUE(outcome.degraded);
   // Localization: each violation names a location the channel really rotted.
   for (const FetchAttempt& a : outcome.fetch_log) {
-    if (a.integrity_rejected) EXPECT_TRUE(channel.location_rotten(a.location));
+    if (a.integrity_rejected) {
+      EXPECT_TRUE(channel.location_rotten(a.location));
+    }
     EXPECT_FALSE(a.delivered);
   }
   h.expect_verified(decoder);  // vacuous but proves no garbage decoded
@@ -464,14 +485,7 @@ TEST(IntegrityCollector, WithoutAManifestForgedPayloadsPoisonTheDecode) {
   const CollectionOutcome outcome = collect(channel, decoder, {}, h.rng);
   EXPECT_EQ(outcome.faults.integrity_violations, 0u);  // nothing to catch it
   ASSERT_EQ(outcome.result.decoded_levels, 3u);
-  bool any_wrong = false;
-  for (std::size_t j = 0; j < h.spec.total(); ++j) {
-    if (!decoder.is_block_decoded(j)) continue;
-    const auto got = decoder.recovered(j);
-    const auto want = h.source.block(j);
-    if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) any_wrong = true;
-  }
-  EXPECT_TRUE(any_wrong);
+  EXPECT_GT(wrong_decode_fraction(decoder, h.source), 0.0);
 }
 
 TEST(IntegrityCollector, MixedSilentAndLoudFaultsNeverYieldWrongBytes) {

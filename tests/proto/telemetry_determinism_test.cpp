@@ -65,9 +65,10 @@ TEST(TelemetryDeterminism, FaultSweepJournalsIdenticallyAcrossThreads) {
   params.experiment.root_seed = 3;
   params.experiment.level_sizes = {4, 8};
   params.churn_fraction = 0.2;
-  params.faults.timeout_rate = 0.2;
-  params.faults.transient_rate = 0.1;
-  params.fault_scales = {0.5, 1.0, 1.5};
+  net::FaultSpec base;
+  base.timeout_rate = 0.2;
+  base.transient_rate = 0.1;
+  for (const double scale : {0.5, 1.0, 1.5}) params.faults.push_back(base.scaled(scale));
   params.retry.max_attempts = 3;
   const auto exports = telemetry_across_threads([&](std::size_t threads) {
     params.experiment.threads = threads;

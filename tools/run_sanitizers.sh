@@ -17,9 +17,12 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${BUILD_DIR:-${repo_root}/build-sanitize}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
+# -Werror here: the tree builds warning-free, and a new warning fails this
+# run instead of scrolling past in a log.
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  "-DPRLC_SANITIZE=address;undefined"
+  "-DPRLC_SANITIZE=address;undefined" \
+  -DPRLC_WERROR=ON
 cmake --build "${build_dir}" -j"${jobs}"
 
 # halt_on_error makes UBSan findings fail the run instead of just logging.
@@ -86,16 +89,14 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_fault" \
 PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_cluster_lifetime" \
   --threads 8 \
   --json "${tsan_build_dir}/cluster.json" > /dev/null
-# Integrity path under TSan: fingerprint verification + quarantine inside
-# the sharded collector trials, and the scrubber/rot event machinery in
-# the cluster simulator, both at 8 threads. The parallel-vs-serial
-# in-process gates run under ASan/UBSan in the full phase above.
-"${tsan_build_dir}/tests/test_proto" \
-  --gtest_filter='IntegrityExperiment.ThreadCountNeverChangesResults' > /dev/null
 # ChordNetwork lookups are const but fill the overlay's alive-ring and
 # finger caches. Every trial owns its overlay, so trials on several
 # threads must never touch one cache together: persistence (Chord) and
-# fault (sensor and Chord) sweeps, serial against multi-threaded.
+# fault (sensor and Chord) sweeps, serial against multi-threaded. The
+# fault test also runs a silent sweep: fingerprint verification and
+# quarantine inside the sharded collector trials. The scrubber/rot event
+# machinery of the cluster simulator follows, at 8 threads; the
+# parallel-vs-serial in-process gates run under ASan/UBSan above.
 "${tsan_build_dir}/tests/test_proto" \
   --gtest_filter='Persistence.ThreadCountDoesNotChangeResults:FaultExperiment.ThreadCountNeverChangesResults' \
   > /dev/null
