@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "runtime/trial_runner.h"
 #include "util/check.h"
 #include "util/flags.h"
 
@@ -143,8 +144,9 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown) {
   }
   if (!threads_text.empty()) {
     const auto threads = try_parse_u64(threads_text);
-    if (!threads) {
-      usage_error("--threads wants a nonnegative integer, got '" + threads_text + "'");
+    if (!threads || *threads > runtime::kMaxThreads) {
+      usage_error("--threads wants an integer in [0, " + std::to_string(runtime::kMaxThreads) +
+                  "], got '" + threads_text + "'");
     }
     g_options.threads = static_cast<std::size_t>(*threads);
   }

@@ -10,7 +10,8 @@
 // downstream parsers — e.g. google-benchmark's — never see them:
 //   --trials <n>           override the bench's trial count
 //   --seed <u64>           override the bench's root seed
-//   --threads <n>          Monte-Carlo thread budget (0 = hardware, 1 = serial)
+//   --threads <n>          Monte-Carlo thread budget (0 = hardware, 1 = serial,
+//                          at most runtime::kMaxThreads)
 //   --scheme <rlc|slc|plc> restrict a multi-scheme bench to one scheme
 //   --payload-bytes <n>    payload size for throughput benches (positive;
 //                          suffixes k/m/g = KiB/MiB/GiB accepted)

@@ -2,11 +2,11 @@
 //
 // Not a paper figure; engineering numbers for the library itself: field
 // kernels, encoder throughput, progressive-decoder cost at the paper's
-// scales, batch RREF — and the payload sweep: PayloadCodec encode across
-// threads and PriorityDecoder decode over real multi-MB objects, checked
-// against the source, the numbers behind BENCH_codec.json. The sweep runs
-// first (a custom timed loop, not google-benchmark) so its series is
-// series[0] of --json.
+// scales, batch RREF — and the payload sweep: gf256_combine_batch encode
+// and PriorityDecoder decode over real multi-MB objects, checked against
+// the source, the numbers behind BENCH_codec.json. The sweep runs first (a
+// custom timed loop, not google-benchmark) so its series is series[0] of
+// --json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "codec/payload_codec.h"
 #include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "gf/aligned_buffer.h"
@@ -29,7 +28,6 @@
 #include "linalg/progressive_decoder.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "runtime/thread_pool.h"
 #include "util/crc32.h"
 #include "util/gf64_fingerprint.h"
 #include "util/random.h"
@@ -56,16 +54,14 @@ double median_seconds(Run&& run, Keep&& keep) {
   return seconds[seconds.size() / 2];
 }
 
-/// Payload throughput grid: payload size x threads, PLC over 4 uniform
-/// levels. Encode runs PayloadCodec at every thread count and must match
-/// its serial output byte for byte; decode runs codes::PriorityDecoder,
-/// serially, per payload size (every point of that size carries the one
-/// figure), and every decoded block must equal its source block. Every
-/// figure is the median of five timed runs (a fresh decoder each), after
-/// one untimed warm-up encode. Reports bytes/s (object bytes per wall
-/// second) and encode's speedup against the serial path. Returns false
-/// when a check fails, so the run fails instead of reporting a
-/// throughput for wrong bytes.
+/// Payload throughput per payload size, PLC over 4 uniform levels. Encode
+/// allocates the coded payloads and fills them with one serial
+/// gf256_combine_batch call over the coefficient rows and the source
+/// blocks, the store's product; decode runs codes::PriorityDecoder, and
+/// every decoded block must equal its source block. Every figure is the median of five timed runs (a fresh decoder
+/// each), after one untimed warm-up encode. Reports bytes/s (object bytes
+/// per wall second). Returns false when a check fails, so the run fails
+/// instead of reporting a throughput for wrong bytes.
 bool run_payload_sweep(bench::BenchReport& report) {
   const bench::Options& opt = bench::options();
   const bool fast = bench::fast_mode();
@@ -78,14 +74,6 @@ bool run_payload_sweep(bench::BenchReport& report) {
   } else {
     payload_sizes = {std::size_t{64} << 10, std::size_t{1} << 20, std::size_t{4} << 20,
                      std::size_t{16} << 20, std::size_t{64} << 20};
-  }
-  std::vector<std::size_t> thread_counts;
-  if (opt.threads != 0) {
-    thread_counts = {opt.threads};
-  } else if (fast) {
-    thread_counts = {1, 2};
-  } else {
-    thread_counts = {1, 2, 4, 8};
   }
 
   const std::size_t levels = 4;
@@ -109,13 +97,24 @@ bool run_payload_sweep(bench::BenchReport& report) {
       rank_probe.add(levels - 1, rows.back(), {});
     }
 
-    const codec::PayloadCodec serial_codec(spec);
-    // Untimed warm-up so the timed serial baseline is not paying the
-    // first-touch page faults the later pool runs avoid.
-    auto coded = serial_codec.encode(rows, source);
-    const double serial_encode_s = median_seconds(
-        [&] { return serial_codec.encode(rows, source); },
-        [&](auto encoded) { coded = std::move(encoded); });
+    std::vector<const std::uint8_t*> row_ptrs;
+    for (const auto& row : rows) row_ptrs.push_back(row.data());
+    std::vector<const std::uint8_t*> sources;
+    for (std::size_t j = 0; j < n; ++j) sources.push_back(source.block(j).data());
+    const auto encode = [&] {
+      std::vector<std::vector<std::uint8_t>> out(rows.size(),
+                                                 std::vector<std::uint8_t>(block_size));
+      std::vector<std::uint8_t*> dsts;
+      for (auto& payload : out) dsts.push_back(payload.data());
+      gf::gf256_combine_batch(dsts.data(), row_ptrs.data(), rows.size(), sources.data(), n,
+                              block_size);
+      return out;
+    };
+    // Untimed warm-up, so the first timed encode does not pay the
+    // first-touch page faults the later ones avoid.
+    auto coded = encode();
+    const double encode_s =
+        median_seconds(encode, [&](auto encoded) { coded = std::move(encoded); });
 
     std::optional<codes::PriorityDecoder<F>> decoder;
     const double decode_s = median_seconds(
@@ -134,34 +133,16 @@ bool run_payload_sweep(bench::BenchReport& report) {
         return false;
       }
     }
+
+    const double enc_bps = static_cast<double>(object_bytes) / encode_s;
     const double dec_bps = static_cast<double>(object_bytes) / decode_s;
-    std::printf("  payload %9zu  decode %8.1f MB/s (serial, %zu rows, all %zu blocks verified)\n",
-                object_bytes, dec_bps * 1e-6, rows.size(), n);
-
-    for (const std::size_t threads : thread_counts) {
-      runtime::ThreadPool pool(threads);
-      const codec::PayloadCodec codec(spec, &pool);
-      bool identical = true;
-      const double encode_s = median_seconds(
-          [&] { return codec.encode(rows, source); },
-          [&](const auto& pooled) { identical = identical && pooled == coded; });
-      if (!identical) {
-        std::fprintf(stderr, "error: payload %zu: %zu-thread encode diverged from serial\n",
-                     object_bytes, threads);
-        return false;
-      }
-
-      const double enc_bps = static_cast<double>(object_bytes) / encode_s;
-      report.add_point("payload_sweep",
-                       {{"payload_bytes", json::Value(static_cast<std::int64_t>(object_bytes))},
-                        {"threads", json::Value(static_cast<std::int64_t>(threads))},
-                        {"encode_bytes_per_s", json::Value(enc_bps)},
-                        {"encode_speedup_vs_serial", json::Value(serial_encode_s / encode_s)},
-                        {"decode_bytes_per_s", json::Value(dec_bps)},
-                        {"identical_to_serial", json::Value(true)}});
-      std::printf("  payload %9zu  threads %zu  encode %8.1f MB/s (x%.2f)\n", object_bytes,
-                  threads, enc_bps * 1e-6, serial_encode_s / encode_s);
-    }
+    report.add_point("payload_sweep",
+                     {{"payload_bytes", json::Value(static_cast<std::int64_t>(object_bytes))},
+                      {"encode_bytes_per_s", json::Value(enc_bps)},
+                      {"decode_bytes_per_s", json::Value(dec_bps)}});
+    std::printf("  payload %9zu  encode %8.1f MB/s  decode %8.1f MB/s (%zu rows, all %zu "
+                "blocks verified)\n",
+                object_bytes, enc_bps * 1e-6, dec_bps * 1e-6, rows.size(), n);
   }
   return true;
 }

@@ -23,7 +23,7 @@
 // Two batch entry points tile those ops for cache reuse: gf256_axpy_batch
 // applies one source row to many rows (decoder back-elimination) and
 // gf256_combine_batch computes many rows from many sources (the coded
-// payloads of the in-network store and of the payload codec's encode).
+// payloads of the in-network store).
 //
 // The vector tiers are compiled behind __x86_64__/__i386__ guards using
 // GCC/Clang `target` attributes (no special -m flags needed) and chosen
@@ -78,8 +78,8 @@ Gf256Kernel gf256_active_kernel();
 /// Ops of gf256_active_kernel().
 const Gf256KernelOps& gf256_active_ops();
 
-/// Cache tile of gf256_axpy_batch and the payload codec's default chunk:
-/// 8 KiB leaves room in L1 for the target chunk.
+/// Cache tile of gf256_axpy_batch and gf256_combine_batch: 8 KiB leaves
+/// room in L1 for the target chunk.
 inline constexpr std::size_t kGf256TileBytes = 8192;
 
 /// Batched multi-row axpy: ys[r] ^= coeffs[r] * x for r in [0, rows),

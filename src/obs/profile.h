@@ -6,7 +6,7 @@
 // B/E stack per tid and merges same-named children at each level, so
 // `decode` called 50 times under `trial` becomes one node with count 50.
 // Threads merge into the same tree — a span name means the same work
-// regardless of which pool thread ran it.
+// regardless of which thread ran it.
 //
 // Robustness over strictness: an unmatched "E" is ignored, and spans left
 // open at the end of the trace are closed at the last observed timestamp,

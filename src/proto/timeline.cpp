@@ -64,7 +64,7 @@ std::vector<std::size_t> TimelineStore::target_allocation(std::size_t active_rou
 }
 
 void TimelineStore::fill_location(net::LocationId loc, const codes::SourceData<Field>& source,
-                                  net::NodeId /*origin_hint*/, Rng& rng, IngestStats& stats) {
+                                  Rng& rng, IngestStats& stats) {
   Slot& slot = slots_[loc];
   const std::size_t level = slot.level;
   const auto [begin, end] = spec_.support(params_.scheme, level);
@@ -152,7 +152,7 @@ IngestStats TimelineStore::ingest(const codes::SourceData<Field>& source, Rng& r
     }
   }
   for (net::LocationId loc : fresh.locations) {
-    fill_location(loc, source, 0, rng, stats);
+    fill_location(loc, source, rng, stats);
   }
   return stats;
 }

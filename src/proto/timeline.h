@@ -95,8 +95,8 @@ class TimelineStore {
   std::vector<std::size_t> target_allocation(std::size_t active_rounds) const;
 
   /// Encode-and-store one location's coded block for `round`'s data.
-  void fill_location(net::LocationId loc, const codes::SourceData<Field>& source,
-                     net::NodeId origin, Rng& rng, IngestStats& stats);
+  void fill_location(net::LocationId loc, const codes::SourceData<Field>& source, Rng& rng,
+                     IngestStats& stats);
 
   net::Overlay& overlay_;
   codes::PrioritySpec spec_;

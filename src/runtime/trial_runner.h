@@ -1,8 +1,11 @@
 // Deterministic parallel Monte-Carlo trial engine.
 //
-// Every figure in the paper is an average over independent experiments;
-// TrialRunner runs one trial per index of a ThreadPool loop while keeping
-// the results bit-identical at any thread count. Two rules make that hold:
+// Every figure in the paper is an average over independent experiments.
+// TrialRunner::run() starts its threads, lets them and the calling thread
+// claim trial indices from one atomic counter (one at a time, which
+// balances trials whose latencies vary 10x) and joins them before it
+// returns; nothing is kept between runs. Results stay bit-identical at any
+// thread count because of two rules:
 //
 //   * Counter-based seed streams. Trial i always draws from
 //     Rng(trial_seed(root_seed, i)) — a stateless hash of (root_seed, i)
@@ -19,17 +22,17 @@
 // the persistence, fault (loud and silent) and refresh experiments and
 // the capacity and session-churn benches), codes/decoding_curve, the
 // cluster simulator and their tests rely on this.
+//
+// Each run sets the obs gauge runtime.pool.threads and adds each thread's
+// load to runtime.pool.t<i>.busy_ns and .tasks (t0: the calling thread).
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/events.h"
-#include "runtime/thread_pool.h"
-#include "util/check.h"
 #include "util/random.h"
 
 namespace prlc::runtime {
@@ -45,14 +48,16 @@ inline std::uint64_t trial_seed(std::uint64_t root_seed, std::uint64_t trial) {
   return a ^ splitmix64_next(state);
 }
 
-/// Shards independent trials over a ThreadPool; see the header comment
-/// for the determinism contract.
+/// The most threads a TrialRunner runs on, the calling thread included.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// Shards independent trials over threads (the header comment has the contract).
 class TrialRunner {
  public:
   /// Trials run on `threads` threads, the calling thread included; 0: one
-  /// per hardware thread. 1 runs them inline on the calling thread.
-  explicit TrialRunner(std::size_t threads = 0)
-      : threads_(threads == 0 ? ThreadPool::default_thread_count() : threads) {}
+  /// per hardware thread, at most kMaxThreads. 1 runs them inline on the
+  /// calling thread. More than kMaxThreads is a PreconditionError.
+  explicit TrialRunner(std::size_t threads = 0);
 
   std::size_t threads() const { return threads_; }
 
@@ -71,25 +76,29 @@ class TrialRunner {
     // calling thread so ids follow the program's experiment order; each
     // trial journals under (run, trial), thread count invisible.
     const std::uint64_t telemetry_run = obs::begin_telemetry_run();
-    auto one_trial = [&](std::size_t i) {
+    const auto one_trial = [&](std::size_t i) {
       obs::TrialScope telemetry(telemetry_run, i);
-      record_trial_start();
-      const std::uint64_t t0 = trial_clock_ns();
+      const std::uint64_t start_ns = record_trial_start();
       Rng rng(trial_seed(root_seed, i));
       results[i] = fn(i, rng);
-      record_trial_done(trial_clock_ns() - t0);
+      record_trial_done(start_ns);
     };
-    // At least one thread: ThreadPool(0) would mean one per hardware thread.
-    ThreadPool pool(std::max<std::size_t>(1, std::min(threads_, trials)));
-    pool.for_each_index(trials, one_trial);
+    using Trial = decltype(one_trial);
+    for_each_index(
+        trials, [](const void* trial, std::size_t i) { (*static_cast<Trial*>(trial))(i); },
+        &one_trial);
     return results;
   }
 
  private:
+  /// call(fn, i) for every i in [0, n) on min(threads_, n) threads; then
+  /// rethrow the exception of the lowest index that threw, if any.
+  void for_each_index(std::size_t n, void (*call)(const void*, std::size_t),
+                      const void* fn) const;
+
   // obs probes, out-of-line so this header does not pull in the registry.
-  static std::uint64_t trial_clock_ns();
-  static void record_trial_start();
-  static void record_trial_done(std::uint64_t elapsed_ns);
+  static std::uint64_t record_trial_start();  // its clock reading; 0 with metrics off
+  static void record_trial_done(std::uint64_t start_ns);
 
   std::size_t threads_;
 };

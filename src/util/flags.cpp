@@ -124,19 +124,6 @@ std::vector<double> Flags::get_double_list(const std::string& name,
   return out;
 }
 
-std::vector<std::size_t> Flags::get_size_list(const std::string& name,
-                                              std::vector<std::size_t> fallback) const {
-  const auto doubles = get_double_list(
-      name, std::vector<double>(fallback.begin(), fallback.end()));
-  std::vector<std::size_t> out;
-  for (double v : doubles) {
-    PRLC_REQUIRE(v >= 0 && v == static_cast<double>(static_cast<std::size_t>(v)),
-                 "flag --" + name + " expects nonnegative integers");
-    out.push_back(static_cast<std::size_t>(v));
-  }
-  return out;
-}
-
 std::vector<std::string> Flags::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : values_) {

@@ -50,10 +50,6 @@ class Flags {
   std::vector<double> get_double_list(const std::string& name,
                                       std::vector<double> fallback) const;
 
-  /// Comma-separated list of nonnegative integers.
-  std::vector<std::size_t> get_size_list(const std::string& name,
-                                         std::vector<std::size_t> fallback) const;
-
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Flags that were provided but never read — typo detection for mains.

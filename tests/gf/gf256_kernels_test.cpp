@@ -146,8 +146,8 @@ TEST(Gf256Kernels, CombineBatchMatchesReferenceAxpys) {
   Rng rng(106);
   // Source counts from none to the store's 64; lengths below, at and past
   // a vector stride and past the tile boundary with an unaligned tail;
-  // misaligned sources; rows with no nonzero coefficient, a single term
-  // of 1, all terms nonzero and scattered zeros.
+  // misaligned sources; no rows at all, rows with no nonzero coefficient,
+  // a single term of 1, all terms nonzero and scattered zeros.
   for (const std::size_t k : {0, 1, 2, 17, 64}) {
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{65},
                                 std::size_t{4097}, 3 * kGf256TileBytes + 37}) {
@@ -181,6 +181,8 @@ TEST(Gf256Kernels, CombineBatchMatchesReferenceAxpys) {
           ASSERT_EQ(got[r], expect[r]) << "k " << k << " n " << n << " offset " << offset
                                        << " row " << r;
         }
+        // No rows: nothing is written, and the null row arrays are never read.
+        gf256_combine_batch(nullptr, nullptr, 0, srcs.data(), k, n);
       }
     }
   }

@@ -6,11 +6,15 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace prlc::runtime {
@@ -87,15 +91,79 @@ TEST(TrialRunner, ReportsTheLowestFailingTrialAfterAllRan) {
   }
 }
 
+TEST(TrialRunner, RunsOnAtMostThreadCountThreads) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    TrialRunner(threads).run(64, 1, [&](std::size_t, Rng&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const std::lock_guard<std::mutex> lk(mu);
+      ids.insert(std::this_thread::get_id());
+      return 0;
+    });
+    EXPECT_LE(ids.size(), threads) << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+    }
+  }
+}
+
+TEST(TrialRunner, ReusableAcrossRuns) {
+  TrialRunner runner(3);
+  for (const std::size_t n : {0u, 1u, 5u, 1000u, 2u, 0u, 77u}) {
+    std::vector<std::atomic<int>> hits(n);
+    const auto out = runner.run(n, 2, [&](std::size_t i, Rng&) {
+      hits[i].fetch_add(1);
+      return i;
+    });
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], i) << "n " << n;
+      EXPECT_EQ(hits[i].load(), 1) << "n " << n << " trial " << i;
+    }
+  }
+}
+
+TEST(TrialRunner, RecordsPerThreadUtilization) {
+  const bool metrics_before = obs::enabled();
+  obs::set_enabled(true);
+  const auto tasks = [](std::size_t t) {
+    return obs::counter("runtime.pool.t" + std::to_string(t) + ".tasks").value();
+  };
+  for (const std::size_t threads : {4u, 1u}) {
+    std::vector<std::uint64_t> before;
+    for (std::size_t t = 0; t < 4; ++t) before.push_back(tasks(t));
+    TrialRunner(threads).run(64, 9, [](std::size_t i, Rng&) { return i; });
+    EXPECT_EQ(obs::gauge("runtime.pool.threads").value(), static_cast<std::int64_t>(threads));
+    std::uint64_t ran = 0;
+    for (std::size_t t = 0; t < 4; ++t) ran += tasks(t) - before[t];
+    EXPECT_EQ(ran, 64u) << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(tasks(0) - before[0], 64u);
+    }
+  }
+  obs::set_enabled(metrics_before);
+}
+
 TEST(TrialRunner, ZeroTrialsReturnsEmpty) {
   TrialRunner runner(2);
-  const auto out = runner.run(0, 1, [](std::size_t, Rng&) { return 1; });
+  const auto out = runner.run(0, 1, [](std::size_t, Rng&) {
+    ADD_FAILURE() << "no trial may run";
+    return 1;
+  });
   EXPECT_TRUE(out.empty());
 }
 
 TEST(TrialRunner, ZeroThreadsMeansHardware) {
   TrialRunner runner(0);
   EXPECT_GE(runner.threads(), 1u);
+  EXPECT_LE(runner.threads(), kMaxThreads);
+}
+
+TEST(TrialRunner, RejectsMoreThanMaxThreads) {
+  // Only run() starts threads, so constructing these starts none.
+  EXPECT_EQ(TrialRunner(kMaxThreads).threads(), kMaxThreads);
+  EXPECT_THROW((void)TrialRunner(kMaxThreads + 1), PreconditionError);
 }
 
 }  // namespace

@@ -41,11 +41,9 @@ TEST(Flags, Positional) {
 }
 
 TEST(Flags, Lists) {
-  const auto f = make({"--dist", "0.5,0.3,0.2", "--levels=1,2,3"});
+  const auto f = make({"--dist", "0.5,0.3,0.2"});
   EXPECT_EQ(f.get_double_list("dist", {}), (std::vector<double>{0.5, 0.3, 0.2}));
-  EXPECT_EQ(f.get_size_list("levels", {}), (std::vector<std::size_t>{1, 2, 3}));
   EXPECT_THROW(make({"--l", "1,x"}).get_double_list("l", {}), PreconditionError);
-  EXPECT_THROW(make({"--l", "1.5,2"}).get_size_list("l", {}), PreconditionError);
 }
 
 TEST(Flags, TypeErrors) {

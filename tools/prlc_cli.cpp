@@ -22,9 +22,10 @@
 //                           --timeseries-out ts.jsonl --events-out ev.jsonl
 //
 // Every subcommand accepts --seed; curve and persist also accept
-// --threads (0 = one per hardware thread, 1 = serial; results do not
-// depend on the thread count). Unknown flags are reported; malformed
-// flag values exit 64 with a usage message.
+// --threads (0 = one per hardware thread, 1 = serial, at most
+// runtime::kMaxThreads; results do not depend on the thread count).
+// Unknown flags are reported; malformed flag values and arguments that are
+// not flags exit 64 with a usage message.
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -359,6 +360,9 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     const Flags flags = Flags::parse(argc - 2, argv + 2);
+    if (!flags.positional().empty()) {
+      throw UsageError("unexpected argument '" + flags.positional().front() + "'");
+    }
     int rc;
     if (cmd == "curve") {
       rc = cmd_curve(flags);

@@ -33,12 +33,12 @@ ctest --test-dir "${build_dir}" --output-on-failure -j"${jobs}" "$@"
 echo "sanitizer run OK (${build_dir})"
 
 # Phase 2: ThreadSanitizer over the concurrent code: the obs metrics/trace
-# layers (relaxed atomics + one mutex) and the runtime thread pool (one
-# mutex-guarded loop state plus an atomic index counter, persistent
-# workers reused across loops) under the trial runner. TSan runs just
-# those suites plus a few multi-threaded bench smokes rather than paying
-# the 5-20x slowdown across everything. TSan is incompatible with ASan,
-# hence the separate build tree.
+# layers (relaxed atomics + one mutex) and the trial runner's index loop
+# (threads started for each run and joined before it returns, one atomic
+# index counter, one mutex for the error slot). TSan runs just those
+# suites plus a few multi-threaded bench smokes rather than paying the
+# 5-20x slowdown across everything. TSan is incompatible with ASan, hence
+# the separate build tree.
 #
 # The fault-injection suites (test_net fault model, test_proto channel +
 # resilient collector) run under ASan/UBSan as part of the full ctest
@@ -51,15 +51,13 @@ cmake -B "${tsan_build_dir}" -S "${repo_root}" \
   -DPRLC_SANITIZE=thread
 cmake --build "${tsan_build_dir}" -j"${jobs}" \
   --target test_obs --target test_obs_noalloc --target test_runtime \
-  --target test_codec --target test_codes --target test_proto --target test_sim \
+  --target test_codes --target test_proto --target test_sim \
   --target abl_persistence_e2e --target abl_fault --target abl_cluster_lifetime \
   --target abl_integrity
 
-# test_codec drives the codec's pooled encode across pools of 1/2/8
-# threads, each thread writing its own rows of the shared product.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
-  -R '^test_obs$|^test_obs_noalloc$|^test_runtime$|^test_codec$'
+  -R '^test_obs$|^test_obs_noalloc$|^test_runtime$'
 # The telemetry determinism tests run parallel trials that record into the
 # journal's event and sample rings — the exact thread-local-handoff code
 # TSan exists to vet.
