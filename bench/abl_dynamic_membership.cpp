@@ -7,8 +7,10 @@
 // priority-coded archive stays decodable — with and without the refresh
 // maintenance round between epochs. Expected shape: without maintenance
 // the archive dies within a handful of epochs even though the *population*
-// stays large (rejoined peers hold nothing); with refresh it persists
-// indefinitely, at a bounded repair cost per epoch.
+// stays large (rejoined peers hold nothing); with refresh, which rebuilds
+// only the lost locations whose support decoded, the levels still drift
+// down, but far more slowly (the default run goes from 2.92 to 2.42 levels
+// between epochs 1 and 19 while repairs fall from 37 to 25 per epoch).
 #include <iostream>
 
 #include "bench_common.h"
@@ -99,8 +101,9 @@ int main(int argc, char** argv) {
   table.emit("abl_dynamic_membership");
   std::cout << "\nExpected shape: the population equilibrates at ~2/3 alive, yet the\n"
                "unmaintained archive decays to zero levels (rejoined peers are\n"
-               "empty); with a refresh round per epoch all three levels persist\n"
-               "for the whole run at a steady repair cost.\n";
+               "empty); a refresh round per epoch rebuilds only the lost locations\n"
+               "whose support decoded, so the levels still drift down, far more\n"
+               "slowly, as the repairs per epoch fall.\n";
   bench::finalize(&report);
   return 0;
 }

@@ -2,10 +2,13 @@
 //
 // Extension experiment (see proto/refresh.h): after each churn wave a
 // maintainer decodes the survivors and re-disseminates coded blocks to
-// the locations that lost theirs. Expected shape: without refresh the
+// the lost locations whose whole coding support decoded; every other lost
+// location stays lost. Expected shape: without refresh the
 // retrievable-block pool only shrinks, and decoding collapses after a few
-// waves; with refresh the pool snaps back to M after every wave and all
-// levels survive until the node population itself is exhausted.
+// waves; with refresh storage and decoded levels still drift down, but
+// far more slowly (the default run goes from 227 to 170 of 240 blocks and
+// from 2.47 to 2.00 levels over 8 waves, while the unmaintained pool
+// falls to 25 blocks and no level).
 //
 // Both arms share the same root seed, so trial i deploys the identical
 // network and suffers the identical churn with and without refresh — the
@@ -76,10 +79,10 @@ int main(int argc, char** argv) {
                    fmt_double(without[wave].mean_surviving_locations, 0)});
   }
   table.emit("abl_refresh");
-  std::cout << "\nExpected shape: refreshed storage holds all 3 levels for many more\n"
-               "waves (retrievable blocks reset to M each round) while the\n"
-               "unmaintained network decays geometrically and loses deep levels\n"
-               "first.\n";
+  std::cout << "\nExpected shape: refresh rebuilds only the lost locations whose support\n"
+               "decoded, so storage and decoded levels still drift down, but far\n"
+               "more slowly than in the unmaintained network, which decays\n"
+               "geometrically and loses deep levels first.\n";
   bench::finalize(&report);
   return 0;
 }

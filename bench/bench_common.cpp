@@ -92,7 +92,7 @@ std::optional<std::size_t> try_parse_bytes(std::string_view text) {
 
 const Options& options() { return g_options; }
 
-void parse_args(int& argc, char** argv, UnknownArgs unknown) {
+void parse_args(int& argc, char** argv, UnknownArgs unknown, Threads threads) {
   g_options = Options{};
   std::string trials_text, seed_text, threads_text, scheme_text;
   std::string payload_text;
@@ -143,12 +143,13 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown) {
     g_options.seed = *seed;
   }
   if (!threads_text.empty()) {
-    const auto threads = try_parse_u64(threads_text);
-    if (!threads || *threads > runtime::kMaxThreads) {
+    if (threads == Threads::kUnused) usage_error("--threads: this bench runs no trial loop");
+    const auto count = try_parse_u64(threads_text);
+    if (!count || *count > runtime::kMaxThreads) {
       usage_error("--threads wants an integer in [0, " + std::to_string(runtime::kMaxThreads) +
                   "], got '" + threads_text + "'");
     }
-    g_options.threads = static_cast<std::size_t>(*threads);
+    g_options.threads = static_cast<std::size_t>(*count);
   }
   if (!scheme_text.empty()) {
     const auto scheme = codes::try_scheme_from_string(scheme_text);

@@ -11,7 +11,8 @@
 //   --trials <n>           override the bench's trial count
 //   --seed <u64>           override the bench's root seed
 //   --threads <n>          Monte-Carlo thread budget (0 = hardware, 1 = serial,
-//                          at most runtime::kMaxThreads)
+//                          at most runtime::kMaxThreads); a usage error on a
+//                          bench that runs no trial loop (Threads::kUnused)
 //   --scheme <rlc|slc|plc> restrict a multi-scheme bench to one scheme
 //   --payload-bytes <n>    payload size for throughput benches (positive;
 //                          suffixes k/m/g = KiB/MiB/GiB accepted)
@@ -106,12 +107,18 @@ const Options& options();
 /// --benchmark_* flags to google-benchmark this way).
 enum class UnknownArgs { kReject, kKeep };
 
+/// Whether the bench runs a trial loop that --threads sizes. A bench
+/// without one passes kUnused, so --threads is refused, not ignored.
+enum class Threads { kUsed, kUnused };
+
 /// Strip the flags above out of argc/argv and arm the requested sinks:
 /// metrics/trace paths enable obs metrics, the trace path also starts the
-/// global TraceRecorder. A missing or malformed flag value — or, under
-/// UnknownArgs::kReject, any unrecognized argument — prints a usage error
-/// and exits 64. Safe to call before benchmark::Initialize().
-void parse_args(int& argc, char** argv, UnknownArgs unknown = UnknownArgs::kReject);
+/// global TraceRecorder. A missing or malformed flag value, --threads under
+/// Threads::kUnused or, under UnknownArgs::kReject, any unrecognized
+/// argument prints a usage error and exits 64. Safe to call before
+/// benchmark::Initialize().
+void parse_args(int& argc, char** argv, UnknownArgs unknown = UnknownArgs::kReject,
+                Threads threads = Threads::kUsed);
 
 /// Accumulates one bench's structured results for --json.
 ///

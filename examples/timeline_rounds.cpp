@@ -49,9 +49,11 @@ int main() {
 
   TablePrinter table({"round", "age", "storage share", "blocks retrievable",
                       "alarms?", "aggregates?", "raw samples?"});
+  bool alarms_kept = true;
   for (std::size_t id : store.retained_rounds()) {
     const auto q = store.query(id, rng);
     if (!q.has_value()) continue;
+    alarms_kept = alarms_kept && q->decoded_levels >= 1;
     table.add_row({std::to_string(q->round_id), std::to_string(q->age),
                    std::to_string(q->locations_allotted),
                    std::to_string(q->blocks_retrievable),
@@ -59,8 +61,12 @@ int main() {
                    q->decoded_levels >= 2 ? "yes" : "lost",
                    q->decoded_levels >= 3 ? "yes" : "lost"});
   }
-  std::cout << "\n" << table.to_text()
-            << "\nGraceful aging: old rounds lose detail tiers first, never the\n"
+  std::cout << "\n" << table.to_text();
+  if (!alarms_kept) {
+    std::cout << "\nALARMS LOST: a retained round no longer decodes its alarm tier.\n";
+    return 1;
+  }
+  std::cout << "\nGraceful aging: old rounds lose detail tiers first, never the\n"
                "alarms — and rounds older than the window are gone by design.\n";
   return 0;
 }

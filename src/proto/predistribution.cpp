@@ -10,23 +10,61 @@
 
 namespace prlc::proto {
 
+namespace {
+
+std::vector<net::LocationId> all_locations(const net::Overlay& overlay) {
+  std::vector<net::LocationId> at(overlay.locations());
+  std::iota(at.begin(), at.end(), net::LocationId{0});
+  return at;
+}
+
+}  // namespace
+
 Predistribution::Predistribution(net::Overlay& overlay, codes::PrioritySpec spec,
                                  codes::PriorityDistribution dist, ProtocolParams params)
-    : overlay_(overlay), spec_(std::move(spec)), dist_(std::move(dist)), params_(params) {
+    : Predistribution(overlay, std::move(spec), std::move(dist), params,
+                      all_locations(overlay)) {}
+
+Predistribution::Predistribution(net::Overlay& overlay, codes::PrioritySpec spec,
+                                 codes::PriorityDistribution dist, ProtocolParams params,
+                                 std::vector<net::LocationId> at)
+    : overlay_(overlay),
+      spec_(std::move(spec)),
+      dist_(std::move(dist)),
+      params_(params),
+      at_(std::move(at)) {
   PRLC_REQUIRE(spec_.levels() == dist_.levels(), "spec/distribution level mismatch");
-  PRLC_REQUIRE(overlay_.locations() >= spec_.levels(),
+  PRLC_REQUIRE(at_.size() >= spec_.levels(),
                "need at least one storage location per priority level");
   PRLC_REQUIRE(params_.sparsity_factor > 0, "sparsity factor must be positive");
+  for (net::LocationId loc : at_) {
+    PRLC_REQUIRE(loc < overlay_.locations(), "location outside the overlay");
+  }
 
-  // Step 2: partition the M locations into n parts sized ~ M * p_i.
-  // Zero-weight levels legitimately get zero locations (Table 1, Case 2).
-  const auto part_sizes = codes::apportion_largest_remainder(overlay_.locations(), dist_.values());
-  location_level_.reserve(overlay_.locations());
+  // Step 2: partition the locations into n parts sized ~ |at| * p_i, in
+  // list order. Zero-weight levels legitimately get zero locations
+  // (Table 1, Case 2).
+  const auto part_sizes = codes::apportion_largest_remainder(at_.size(), dist_.values());
+  location_level_.reserve(at_.size());
   for (std::size_t level = 0; level < part_sizes.size(); ++level) {
     location_level_.insert(location_level_.end(), part_sizes[level], level);
   }
-  PRLC_ASSERT(location_level_.size() == overlay_.locations(), "partition size mismatch");
-  storage_.assign(overlay_.locations(), std::nullopt);
+  PRLC_ASSERT(location_level_.size() == at_.size(), "partition size mismatch");
+  storage_.assign(at_.size(), std::nullopt);
+}
+
+std::vector<net::LocationId> Predistribution::shrink_to(std::size_t count) {
+  if (count >= at_.size()) return {};
+  std::vector<net::LocationId> dropped(at_.rbegin(),
+                                       at_.rend() - static_cast<std::ptrdiff_t>(count));
+  // Release the capacity too: an aging round's memory follows its share.
+  at_.resize(count);
+  at_.shrink_to_fit();
+  location_level_.resize(count);
+  location_level_.shrink_to_fit();
+  storage_.resize(count);
+  storage_.shrink_to_fit();
+  return dropped;
 }
 
 std::size_t Predistribution::level_of_location(net::LocationId loc) const {
@@ -61,12 +99,12 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
   std::vector<std::optional<net::NodeId>> host(storage_.size());
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     if (params_.node_capacity == 0) {
-      host[loc] = overlay_.owner_of(loc);
+      host[loc] = overlay_.owner_of(at_[loc]);
       continue;
     }
     // Geometric growth of the candidate window keeps this O(alive) total.
     for (std::size_t window = 4; !host[loc].has_value(); window *= 2) {
-      const auto candidates = overlay_.owner_candidates(loc, window);
+      const auto candidates = overlay_.owner_candidates(at_[loc], window);
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (node_load[candidates[i]] < params_.node_capacity) {
           host[loc] = candidates[i];
@@ -114,7 +152,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
 
     bool placed = false;
     for (std::size_t j : selected) {
-      const auto route = overlay_.route(origin[j], loc);
+      const auto route = overlay_.route(origin[j], at_[loc]);
       ++stats.messages;
       if (!route.delivered) {
         ++stats.failed_routes;
@@ -136,7 +174,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
       if (obs::trace_enabled()) {
         obs::TraceRecorder::global().instant(
             "block_placed", "predist",
-            {{"location", static_cast<double>(loc)},
+            {{"location", static_cast<double>(at_[loc])},
              {"owner", static_cast<double>(entry.owner)},
              {"level", static_cast<double>(level)},
              {"arrivals", static_cast<double>(entry.arrivals)}});
@@ -207,7 +245,7 @@ void Predistribution::store_rebuilt(net::LocationId loc, codes::CodedBlock<Field
   PRLC_REQUIRE(block.coeffs.size() == spec_.total(), "rebuilt block width mismatch");
   PRLC_REQUIRE(block.payload.size() == params_.block_size, "rebuilt block payload mismatch");
   StoredBlock entry;
-  entry.owner = overlay_.owner_of(loc);
+  entry.owner = overlay_.owner_of(at_[loc]);
   entry.owner_generation = overlay_.generation(entry.owner);
   std::size_t nnz = 0;
   for (auto c : block.coeffs) nnz += c != 0 ? 1 : 0;

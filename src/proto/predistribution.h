@@ -6,6 +6,8 @@
 //     does this — see SensorNetwork / ChordNetwork).
 //  2. The M locations are partitioned into n parts, part i holding
 //     round(M * p_i) locations — the priority distribution made physical.
+//     A store may also hold a list of the overlay's locations instead of
+//     all M (proto/timeline.h keeps one such store per measurement round).
 //  3. A source block of level i is disseminated to the locations that
 //     will encode it: part i only under SLC; parts i..n under PLC; all
 //     locations under RLC. Each delivery is geometric routing from the
@@ -77,10 +79,18 @@ struct StoredBlock {
 
 class Predistribution {
  public:
-  /// Partitions the overlay's locations per `dist` (largest-remainder
-  /// rounding, so every part size is within one block of M * p_i).
+  /// A store over all M of the overlay's locations: store location i is
+  /// overlay location i.
   Predistribution(net::Overlay& overlay, codes::PrioritySpec spec,
                   codes::PriorityDistribution dist, ProtocolParams params);
+
+  /// A store over the listed overlay locations: store location i stands
+  /// for overlay location `at[i]`. The list is partitioned per `dist` in
+  /// its own order, so levels ascend along it (largest-remainder rounding,
+  /// so every part size is within one block of |at| * p_i).
+  Predistribution(net::Overlay& overlay, codes::PrioritySpec spec,
+                  codes::PriorityDistribution dist, ProtocolParams params,
+                  std::vector<net::LocationId> at);
 
   /// Run the full dissemination of `source` (must match the spec and the
   /// params' block size). Each source block originates at a random alive
@@ -89,6 +99,16 @@ class Predistribution {
 
   /// Level a location's coded block belongs to (the partition of step 2).
   std::size_t level_of_location(net::LocationId loc) const;
+
+  /// The overlay location each store location stands for (the store's
+  /// LocationIds index this list). Inside the store only routing and
+  /// ownership read it.
+  const std::vector<net::LocationId>& overlay_locations() const { return at_; }
+
+  /// Keep at most the first `count` locations: the tail, which holds the
+  /// lowest-priority levels, is dropped together with its blocks. Returns
+  /// the dropped overlay locations, last first.
+  std::vector<net::LocationId> shrink_to(std::size_t count);
 
   /// Stored block at a location; nullopt when nothing ever arrived there
   /// (possible under sparse mode) or dissemination has not run.
@@ -117,6 +137,7 @@ class Predistribution {
   codes::PrioritySpec spec_;
   codes::PriorityDistribution dist_;
   ProtocolParams params_;
+  std::vector<net::LocationId> at_;          ///< overlay location per location
   std::vector<std::size_t> location_level_;  ///< partition: level per location
   std::vector<std::optional<StoredBlock>> storage_;
 };

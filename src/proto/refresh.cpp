@@ -66,7 +66,7 @@ RefreshResult refresh(Predistribution& dist, net::NodeId maintainer, Rng& rng) {
     }
 
     // Ship it from the maintainer to the location's current owner.
-    const auto route = overlay.route(maintainer, loc);
+    const auto route = overlay.route(maintainer, dist.overlay_locations()[loc]);
     ++result.messages;
     if (!route.delivered) continue;  // partitioned; stays lost this round
     result.total_hops += route.hops;

@@ -5,37 +5,36 @@
 // grow to substantial volumes over time") with strictly limited per-node
 // storage — so a deployment cannot keep every snapshot at full
 // redundancy forever. TimelineStore manages the overlay's M locations
-// across measurement rounds:
+// across measurement rounds. It is a retention policy only: each retained
+// round is one Sec.-4 Predistribution over the overlay locations that
+// round holds, so storing and reading a round are the store's own:
 //
-//  * every ingest() stores a fresh N-block snapshot, priority-coded like
-//    a standalone Sec.-4 pre-distribution but over only the locations
-//    allotted to that round;
+//  * every ingest() builds a fresh store over the locations allotted to
+//    the new round and stores its N-block snapshot through disseminate();
 //  * a retention policy reallocates the location budget as rounds age:
 //      - kSlidingWindow: the most recent `window` rounds share the budget
 //        equally; older rounds are evicted outright;
 //      - kExponentialDecay: a round of age a keeps a share proportional
 //        to 2^-a (within the window) — snapshots fade gracefully;
-//  * shrinking is *priority-aware*: a round's locations are ordered by
-//    ascending priority level, and surplus is recycled from the back, so
-//    an aging round gives up its lowest-priority coded blocks first and
-//    its decodable prefix shrinks level by level instead of collapsing
-//    (the priority code's partial-recovery property is exactly what makes
-//    shrinking redundancy useful);
-//  * query() decodes any retained round from whatever blocks survive
+//  * shrinking is *priority-aware*: a round's store is partitioned in
+//    ascending priority level, and Predistribution::shrink_to recycles
+//    surplus from the back, so an aging round gives up its lowest-priority
+//    coded blocks first and its decodable prefix shrinks level by level
+//    instead of collapsing (the priority code's partial-recovery property
+//    is exactly what makes shrinking redundancy useful);
+//  * query() reads any retained round through collect(), so every block
+//    travels the CRC-checked wire path, and decodes whatever survives
 //    churn and reallocation.
 #pragma once
 
 #include <deque>
 #include <optional>
 
-#include "codes/decoder.h"
 #include "proto/predistribution.h"
 
 namespace prlc::proto {
 
 enum class RetentionPolicy { kSlidingWindow, kExponentialDecay };
-
-const char* to_string(RetentionPolicy policy);
 
 struct TimelineParams {
   codes::Scheme scheme = codes::Scheme::kPlc;
@@ -77,33 +76,20 @@ class TimelineStore {
   /// Decode a retained round; nullopt if it was evicted / never existed.
   std::optional<QueryResult> query(std::size_t round_id, Rng& rng) const;
 
-  const codes::PrioritySpec& spec() const { return spec_; }
-  const TimelineParams& params() const { return params_; }
-
  private:
-  struct Slot {
-    std::size_t level = 0;  ///< priority level assigned to this location
-    std::optional<StoredBlock> stored;
-  };
-
   struct Round {
     std::size_t id = 0;
-    std::vector<net::LocationId> locations;
+    Predistribution store;
   };
 
   /// Target location share per age under the policy (sums to <= budget).
   std::vector<std::size_t> target_allocation(std::size_t active_rounds) const;
-
-  /// Encode-and-store one location's coded block for `round`'s data.
-  void fill_location(net::LocationId loc, const codes::SourceData<Field>& source, Rng& rng,
-                     IngestStats& stats);
 
   net::Overlay& overlay_;
   codes::PrioritySpec spec_;
   codes::PriorityDistribution dist_;
   TimelineParams params_;
   std::deque<Round> rounds_;           ///< newest at front
-  std::vector<Slot> slots_;            ///< by LocationId
   std::vector<net::LocationId> free_;  ///< unassigned budget
   std::size_t next_round_id_ = 0;
 };

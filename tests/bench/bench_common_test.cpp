@@ -16,14 +16,15 @@ struct ParseResult {
 };
 
 ParseResult parse(std::vector<std::string> args,
-                  UnknownArgs unknown = UnknownArgs::kReject) {
+                  UnknownArgs unknown = UnknownArgs::kReject,
+                  Threads threads = Threads::kUsed) {
   std::vector<char*> argv;
   std::string name = "bench_test";
   argv.push_back(name.data());
   for (auto& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);
   int argc = static_cast<int>(argv.size()) - 1;
-  parse_args(argc, argv.data(), unknown);
+  parse_args(argc, argv.data(), unknown, threads);
   ParseResult out;
   out.options = options();
   for (int i = 1; i < argc; ++i) out.leftover.emplace_back(argv[i]);
@@ -161,6 +162,17 @@ TEST(BenchCommonFlagsDeathTest, RejectsUnknownArgumentsUnlessKept) {
   ASSERT_EQ(kept.leftover.size(), 1u);
   EXPECT_EQ(kept.leftover[0], "--benchmark_filter=BM_x");
   EXPECT_EQ(*kept.options.payload_bytes, std::size_t{64} << 10);
+}
+
+TEST(BenchCommonFlagsDeathTest, RejectsThreadsWithoutATrialLoop) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(parse({"--threads", "2"}).options.threads, 2u);
+  EXPECT_EQ(parse({"--trials", "3"}, UnknownArgs::kKeep, Threads::kUnused).options.threads, 0u);
+  EXPECT_EXIT(parse({"--threads", "2"}, UnknownArgs::kReject, Threads::kUnused),
+              testing::ExitedWithCode(64), "no trial loop");
+  EXPECT_EXIT(parse({"--threads=8", "--benchmark_filter=BM_x"}, UnknownArgs::kKeep,
+                    Threads::kUnused),
+              testing::ExitedWithCode(64), "no trial loop");
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "gf/gf256_kernels.h"
 #include "net/chord_network.h"
@@ -211,6 +213,89 @@ TEST(Predistribution, ValidatesInputs) {
   EXPECT_THROW(pd.disseminate(wrong_count, rng), PreconditionError);
   const auto wrong_size = codes::SourceData<Field>::random(f.spec.total(), 3, rng);
   EXPECT_THROW(pd.disseminate(wrong_size, rng), PreconditionError);
+}
+
+// Ten of the fixture's 40 overlay locations, in no particular order.
+const std::vector<net::LocationId> kListed{37, 2, 19, 11, 30, 5, 23, 8, 14, 33};
+
+TEST(Predistribution, StoreOverALocationListPartitionsInListOrder) {
+  Fixture f;
+  net::ChordNetwork overlay(f.net_params);
+  const Predistribution pd(overlay, f.spec, f.dist, ProtocolParams{}, kListed);
+  EXPECT_EQ(pd.overlay_locations(), kListed);
+  // 10 * (0.3, 0.3, 0.4) locations per level, levels ascending along the list.
+  const std::vector<std::size_t> levels{0, 0, 0, 1, 1, 1, 2, 2, 2, 2};
+  for (net::LocationId loc = 0; loc < kListed.size(); ++loc) {
+    EXPECT_EQ(pd.level_of_location(loc), levels[loc]) << loc;
+  }
+  EXPECT_THROW(pd.level_of_location(10), PreconditionError);
+}
+
+TEST(Predistribution, StoreOverALocationListPlacesOnTheListedOwners) {
+  Fixture f;
+  net::ChordNetwork overlay(f.net_params);
+  ProtocolParams params;
+  params.block_size = 8;
+  Predistribution pd(overlay, f.spec, f.dist, params, kListed);
+  Rng rng(108);
+  const auto source = codes::SourceData<Field>::random(f.spec.total(), 8, rng);
+  pd.disseminate(source, rng);
+  for (net::LocationId loc = 0; loc < kListed.size(); ++loc) {
+    ASSERT_NE(pd.stored(loc), nullptr);
+    EXPECT_EQ(pd.stored(loc)->owner, overlay.owner_of(kListed[loc])) << loc;
+  }
+  // A rebuilt block goes to the listed location's current owner too.
+  overlay.fail_node(pd.stored(4)->owner);
+  codes::CodedBlock<Field> rebuilt = pd.stored(4)->block;
+  pd.store_rebuilt(4, std::move(rebuilt));
+  EXPECT_EQ(pd.stored(4)->owner, overlay.owner_of(kListed[4]));
+  EXPECT_TRUE(pd.stored(4)->retrievable(overlay));
+}
+
+TEST(Predistribution, StoreOverALocationListListsOnlyItsOwnLocations) {
+  Fixture f;
+  net::ChordNetwork overlay(f.net_params);
+  Predistribution pd(overlay, f.spec, f.dist, ProtocolParams{}, kListed);
+  Rng rng(109);
+  pd.disseminate(codes::SourceData<Field>::random(f.spec.total(), 16, rng), rng);
+  net::kill_uniform_fraction(overlay, 0.5, rng);
+  const auto surviving = pd.surviving_locations();
+  const auto lost = pd.lost_locations();
+  EXPECT_FALSE(surviving.empty());
+  EXPECT_FALSE(lost.empty());
+  std::vector<net::LocationId> all = surviving;
+  all.insert(all.end(), lost.begin(), lost.end());
+  std::sort(all.begin(), all.end());
+  std::vector<net::LocationId> own(kListed.size());
+  std::iota(own.begin(), own.end(), net::LocationId{0});
+  EXPECT_EQ(all, own);  // each store location exactly once, no overlay id
+}
+
+TEST(Predistribution, ShrinkToDropsTheLowestPriorityTail) {
+  Fixture f;
+  net::ChordNetwork overlay(f.net_params);
+  Predistribution pd(overlay, f.spec, f.dist, ProtocolParams{}, kListed);
+  Rng rng(110);
+  pd.disseminate(codes::SourceData<Field>::random(f.spec.total(), 16, rng), rng);
+  EXPECT_EQ(pd.shrink_to(7), (std::vector<net::LocationId>{33, 14, 8}));
+  EXPECT_EQ(pd.overlay_locations(),
+            std::vector<net::LocationId>(kListed.begin(), kListed.begin() + 7));
+  EXPECT_THROW(pd.stored(7), PreconditionError);
+  EXPECT_EQ(pd.surviving_locations().size(), 7u);
+  EXPECT_EQ(pd.level_of_location(6), 2u);  // the kept blocks keep their levels
+  EXPECT_TRUE(pd.shrink_to(9).empty());    // never grows
+  EXPECT_EQ(pd.shrink_to(0).size(), 7u);
+  EXPECT_TRUE(pd.surviving_locations().empty());
+  EXPECT_TRUE(pd.lost_locations().empty());
+}
+
+TEST(Predistribution, RejectsALocationListOutsideTheOverlay) {
+  Fixture f;
+  net::ChordNetwork overlay(f.net_params);
+  EXPECT_THROW(Predistribution(overlay, f.spec, f.dist, ProtocolParams{}, {0, 1, 40}),
+               PreconditionError);
+  EXPECT_THROW(Predistribution(overlay, f.spec, f.dist, ProtocolParams{}, {0, 1}),
+               PreconditionError);  // fewer locations than levels
 }
 
 }  // namespace

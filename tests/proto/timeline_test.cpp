@@ -4,6 +4,7 @@
 
 #include "net/chord_network.h"
 #include "net/churn.h"
+#include "proto/collector.h"
 #include "util/check.h"
 
 namespace prlc::proto {
@@ -166,12 +167,36 @@ TEST(Timeline, ValidatesConstructionAndInput) {
   EXPECT_THROW(store.ingest(wrong, w.rng), PreconditionError);
 }
 
-TEST(Timeline, EqualityOperators) {
-  // QueryResult is compared via std::optional in tests above; make sure a
-  // missing round compares equal to nullopt (compile-time sanity).
+TEST(Timeline, RoundIsAStoreReadThroughCollect) {
+  // Window 1: the round holds the whole budget, claimed last location
+  // first. A Predistribution over the same overlay locations in the same
+  // order, from an equal Rng state, draws exactly what the round draws,
+  // and collect() on it reads exactly what query() reads.
   World w;
-  TimelineStore store(w.overlay, w.spec, w.dist, w.params(RetentionPolicy::kSlidingWindow));
-  EXPECT_FALSE(store.query(7, w.rng).has_value());
+  TimelineStore store(w.overlay, w.spec, w.dist, w.params(RetentionPolicy::kSlidingWindow, 1));
+  std::vector<net::LocationId> at(w.overlay.locations());
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    at[i] = static_cast<net::LocationId>(at.size() - 1 - i);
+  }
+  Predistribution pd(w.overlay, w.spec, w.dist, ProtocolParams{}, at);
+  const auto snap = w.snapshot();
+  Rng round_rng(7);
+  Rng store_rng(7);
+  const IngestStats ingested = store.ingest(snap, round_rng);
+  const DisseminationStats stored = pd.disseminate(snap, store_rng);
+  EXPECT_EQ(ingested.locations_assigned, at.size());
+  EXPECT_EQ(ingested.messages, stored.messages);
+  EXPECT_EQ(ingested.total_hops, stored.total_hops);
+
+  net::kill_uniform_fraction(w.overlay, 0.8, w.rng);
+  const auto q = store.query(0, round_rng);
+  codes::PriorityDecoder<Field> decoder(codes::Scheme::kPlc, w.spec, 16);
+  const CollectionResult read = collect(pd, decoder, {}, store_rng).result;
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->blocks_retrievable, read.surviving_locations);
+  EXPECT_EQ(q->decoded_levels, read.decoded_levels);
+  EXPECT_EQ(q->decoded_blocks, read.decoded_blocks);
+  EXPECT_EQ(round_rng(), store_rng());
 }
 
 }  // namespace
