@@ -51,21 +51,24 @@ constexpr int kUsageExit = 64;  // EX_USAGE
 }
 
 /// Match `--name value` / `--name=value`; on a hit, store the value and
-/// report how many argv slots were consumed (1 or 2).
+/// report how many argv slots were consumed (1 or 2). An empty value is a
+/// usage error: stored empty, it would read as "not given".
 std::size_t match_flag(std::string_view name, int argc, char** argv, int i,
                        std::string& out) {
   const std::string_view arg = argv[i];
+  std::size_t used = 0;
   if (arg == name) {
     if (i + 1 >= argc) usage_error(std::string(name) + " is missing its value");
     out = argv[i + 1];
-    return 2;
-  }
-  if (arg.size() > name.size() + 1 && arg.substr(0, name.size()) == name &&
-      arg[name.size()] == '=') {
+    used = 2;
+  } else if (arg.size() > name.size() && arg.starts_with(name) && arg[name.size()] == '=') {
     out = std::string(arg.substr(name.size() + 1));
-    return 1;
+    used = 1;
+  } else {
+    return 0;
   }
-  return 0;
+  if (out.empty()) usage_error(std::string(name) + " wants a value, got ''");
+  return used;
 }
 
 /// Byte-count parse: decimal digits with an optional single k/m/g suffix

@@ -31,9 +31,10 @@
 //   --events-jsonl <path>  the journal's deterministic typed events
 //   --timeseries-jsonl <path>  the journal's deterministic logical-time
 //                          series (either flag arms the whole journal)
-// A malformed value ("--trials zero", "--scheme xyz") is a usage error:
-// parse_args prints a message to stderr and exits with code 64, it never
-// aborts through PRLC_REQUIRE.
+// A malformed or empty value ("--trials zero", "--scheme xyz",
+// "--json ''", "--threads=") is a usage error: parse_args prints a
+// message to stderr and exits with code 64, it never aborts through
+// PRLC_REQUIRE.
 //
 // The metrics/trace flags force-enable the metrics probes regardless of
 // PRLC_METRICS, and the two journal flags arm the telemetry switch, so a
@@ -113,10 +114,10 @@ enum class Threads { kUsed, kUnused };
 
 /// Strip the flags above out of argc/argv and arm the requested sinks:
 /// metrics/trace paths enable obs metrics, the trace path also starts the
-/// global TraceRecorder. A missing or malformed flag value, --threads under
-/// Threads::kUnused or, under UnknownArgs::kReject, any unrecognized
-/// argument prints a usage error and exits 64. Safe to call before
-/// benchmark::Initialize().
+/// global TraceRecorder. A missing, empty or malformed flag value,
+/// --threads under Threads::kUnused or, under UnknownArgs::kReject, any
+/// unrecognized argument prints a usage error and exits 64. Safe to call
+/// before benchmark::Initialize().
 void parse_args(int& argc, char** argv, UnknownArgs unknown = UnknownArgs::kReject,
                 Threads threads = Threads::kUsed);
 

@@ -17,12 +17,29 @@ namespace {
 void validate_options(const CollectorOptions& options, const codes::PrioritySpec& spec) {
   PRLC_REQUIRE(!options.max_blocks.has_value() || *options.max_blocks > 0,
                "max_blocks must be positive when set (use nullopt for unlimited)");
-  PRLC_REQUIRE(!options.target_levels.has_value() || *options.target_levels <= spec.levels(),
-               "target_levels exceeds the spec's level count");
+  PRLC_REQUIRE(!options.target_levels.has_value() ||
+                   (*options.target_levels >= 1 && *options.target_levels <= spec.levels()),
+               "target_levels must be in [1, the spec's level count] when set "
+               "(use nullopt to drain all)");
   PRLC_REQUIRE(options.manifest == nullptr ||
                    options.manifest->fingerprints.size() == spec.total(),
                "fingerprint manifest must cover exactly the spec's source blocks");
   options.retry.validate();
+}
+
+/// Lay the fetch plan of a read that stops at `k` levels over the shuffled
+/// `order` (collector.h says why): levels k-1, ..., 0, then k, ..., n-1,
+/// and under SLC no level >= k at all. The sort is stable, so each level
+/// keeps its shuffled order.
+void plan_partial_read(std::vector<net::LocationId>& order, const Predistribution& dist,
+                       std::size_t k) {
+  if (dist.params().scheme == codes::Scheme::kSlc) {
+    std::erase_if(order, [&](net::LocationId loc) { return dist.level_of_location(loc) >= k; });
+  }
+  std::ranges::stable_sort(order, {}, [&](net::LocationId loc) {
+    const std::size_t level = dist.level_of_location(loc);
+    return level < k ? k - 1 - level : level;
+  });
 }
 
 /// The class of one fetch reply, as the collector accounted it.
@@ -85,6 +102,10 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   std::vector<net::LocationId> order = channel.retrievable_locations();
   result.surviving_locations = order.size();
   rng.shuffle(std::span<net::LocationId>(order));
+  // One order for the main loop, the hedges and the deferrals.
+  if (options.target_levels.has_value() && *options.target_levels < dist.spec().levels()) {
+    plan_partial_read(order, dist, *options.target_levels);
+  }
 
   std::unordered_map<net::NodeId, std::size_t> node_faults;
   std::unordered_set<net::NodeId> blacklisted;

@@ -2,11 +2,22 @@
 // for retrieval under adversity.
 //
 // At analysis time a collector contacts the network and retrieves coded
-// blocks from surviving locations in random order, feeding each into the
-// progressive decoder as it arrives and stopping early once the
-// application's requirement (a number of priority levels) is met — the
-// paper's "the data collecting server can stop collecting coded data once
-// the partially decoded data fulfill the application requirement".
+// blocks from surviving locations, feeding each into the progressive
+// decoder as it arrives and stopping early once the application's
+// requirement (a number of priority levels) is met — the paper's "the data
+// collecting server can stop collecting coded data once the partially
+// decoded data fulfill the application requirement".
+//
+// The fetch order is planned once per collection. The surviving locations
+// are shuffled; a full read fetches them in that random order. The common
+// seed fixes every location's level (§4), so a read that stops at k of the
+// spec's n levels knows before any fetch which blocks serve its prefix: it
+// stable-sorts the shuffled order to levels k-1, k-2, ..., 0 first, then
+// k, ..., n-1. A level-(k-1) block covers the whole target prefix, so under
+// PLC it stays innovative until the prefix decodes; under SLC no block
+// straddles a level boundary, so the locations of level >= k are dropped
+// from the order. Retries, hedged fetches and deferred locations all read
+// that one order.
 //
 // Every fetch travels the CRC-checked wire format through a FaultyChannel
 // (proto/fault_channel.h); the fault-free path is simply a channel with a
@@ -65,7 +76,9 @@ struct RetryPolicy {
 
 struct CollectorOptions {
   /// Stop after decoding this many leading levels (nullopt = drain all).
-  /// Must be <= the spec's level count.
+  /// Must be in [1, the spec's level count] when set. A target below the
+  /// level count also plans the fetch order: the target's levels first,
+  /// highest of them first (see the header comment).
   std::optional<std::size_t> target_levels;
   /// Retrieve at most this many blocks (nullopt = all surviving).
   /// Must be positive when set.
@@ -147,7 +160,8 @@ struct CollectionOutcome {
   std::size_t quarantined_nodes = 0;
   /// Locations retrievable at the start that were written off: their node
   /// died/was blacklisted or every attempt failed. Untried locations
-  /// (early stop via target/max_blocks) are not "lost".
+  /// (early stop via target/max_blocks, or SLC locations a partial read's
+  /// plan dropped) are not "lost".
   std::size_t blocks_lost = 0;
   bool degraded = false;              ///< blocks_lost > 0
   std::uint64_t sim_elapsed_us = 0;   ///< simulated retrieval time

@@ -154,6 +154,23 @@ TEST(BenchCommonFlagsDeathTest, RejectsMalformedIntegrityFlags) {
               "missing its value");
 }
 
+TEST(BenchCommonFlagsDeathTest, RejectsAnEmptyValueForEveryValueFlag) {
+  // Stored empty, a value would read as "not given": `--json ""` would
+  // write no report and say nothing.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const std::string flag :
+       {"--trials", "--seed", "--threads", "--scheme", "--payload-bytes", "--nodes",
+        "--churn-rate", "--repair-bw", "--rot-rate", "--byzantine-rate", "--scrub-interval",
+        "--json", "--metrics-json", "--trace-json", "--events-jsonl", "--timeseries-jsonl"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EXIT(parse({flag, ""}), testing::ExitedWithCode(64), flag + " wants a value");
+    EXPECT_EXIT(parse({flag + "="}), testing::ExitedWithCode(64), flag + " wants a value");
+    // The downstream parser never gets the chance to swallow it.
+    EXPECT_EXIT(parse({flag + "=", "--benchmark_filter=BM_x"}, UnknownArgs::kKeep),
+                testing::ExitedWithCode(64), flag + " wants a value");
+  }
+}
+
 TEST(BenchCommonFlagsDeathTest, RejectsUnknownArgumentsUnlessKept) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(parse({"--frobnicate"}), testing::ExitedWithCode(64), "unknown argument");

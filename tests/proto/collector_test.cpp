@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <unordered_set>
+
+#include "analysis/count_model.h"
 #include "net/chord_network.h"
 #include "net/churn.h"
 #include "obs/metrics.h"
@@ -22,8 +27,9 @@ struct TestHarness {
   ProtocolParams params;
   Rng rng{55};
 
-  explicit TestHarness(Scheme scheme = Scheme::kPlc, std::size_t locations = 60)
-      : overlay(make_net(locations)) {
+  explicit TestHarness(Scheme scheme = Scheme::kPlc, std::size_t locations = 60,
+                       std::uint64_t seed = 55)
+      : overlay(make_net(locations)), rng(seed) {
     params.scheme = scheme;
     params.block_size = 6;
   }
@@ -52,17 +58,28 @@ TEST(Collector, FullCollectionDecodesEverything) {
 }
 
 TEST(Collector, TargetLevelsStopsEarly) {
-  TestHarness s;
-  Predistribution pd(s.overlay, s.spec, s.dist, s.params);
-  const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
-  pd.disseminate(source, s.rng);
-  codes::PriorityDecoder<Field> decoder(s.params.scheme, s.spec, s.params.block_size);
-  CollectorOptions opt;
-  opt.target_levels = 1;
-  const auto result = collect(pd, decoder, opt, s.rng).result;
-  EXPECT_TRUE(result.target_met);
-  EXPECT_GE(result.decoded_levels, 1u);
-  EXPECT_LT(result.blocks_retrieved, 60u);  // stopped before draining
+  // 18 of the 60 locations hold level 0 (4 blocks). With no churn and no
+  // faults a level-1 read fetches nothing else, under PLC and SLC alike.
+  for (const Scheme scheme : {Scheme::kPlc, Scheme::kSlc}) {
+    SCOPED_TRACE(codes::to_string(scheme));
+    TestHarness s(scheme);
+    Predistribution pd(s.overlay, s.spec, s.dist, s.params);
+    const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
+    pd.disseminate(source, s.rng);
+    codes::PriorityDecoder<Field> decoder(s.params.scheme, s.spec, s.params.block_size);
+    CollectorOptions opt;
+    opt.target_levels = 1;
+    opt.trace = true;
+    const CollectionOutcome outcome = collect(pd, decoder, opt, s.rng);
+    EXPECT_TRUE(outcome.result.target_met);
+    EXPECT_GE(outcome.result.decoded_levels, 1u);
+    EXPECT_LT(outcome.result.blocks_retrieved, 60u);  // stopped before draining
+    ASSERT_FALSE(outcome.fetch_log.empty());
+    for (const FetchAttempt& a : outcome.fetch_log) {
+      EXPECT_EQ(pd.level_of_location(a.location), 0u) << a.location;
+    }
+    EXPECT_EQ(wrong_decode_fraction(decoder, source), 0.0);
+  }
 }
 
 TEST(Collector, MaxBlocksCapsRetrieval) {
@@ -160,6 +177,9 @@ TEST(Collector, OptionsValidated) {
   CollectorOptions too_many_levels;
   too_many_levels.target_levels = s.spec.levels() + 1;  // previously never met
   EXPECT_THROW(collect(pd, decoder, too_many_levels, s.rng), PreconditionError);
+  CollectorOptions zero_levels;
+  zero_levels.target_levels = 0;  // previously met at once with nothing fetched
+  EXPECT_THROW(collect(pd, decoder, zero_levels, s.rng), PreconditionError);
   CollectorOptions bad_retry;
   bad_retry.retry.max_attempts = 0;
   EXPECT_THROW(collect(pd, decoder, bad_retry, s.rng), PreconditionError);
@@ -188,14 +208,18 @@ TEST(Collector, MismatchedDecoderRejected) {
 namespace {
 
 /// Deploy and hand back the pieces a resilient-collection test needs.
+/// `churn` is the fraction of nodes killed after dissemination.
 struct FaultHarness : TestHarness {
   Predistribution pd;
   codes::SourceData<Field> source;
 
-  FaultHarness()
-      : pd(overlay, spec, dist, params),
+  explicit FaultHarness(Scheme scheme = Scheme::kPlc, double churn = 0.0,
+                        std::uint64_t seed = 55)
+      : TestHarness(scheme, 60, seed),
+        pd(overlay, spec, dist, params),
         source(codes::SourceData<Field>::random(spec.total(), 6, rng)) {
     pd.disseminate(source, rng);
+    if (churn > 0.0) net::kill_uniform_fraction(overlay, churn, rng);
   }
 
   FaultyChannel channel(const net::FaultSpec& fault_spec) {
@@ -210,27 +234,49 @@ struct FaultHarness : TestHarness {
   void expect_verified(const codes::PriorityDecoder<Field>& d) {
     EXPECT_EQ(wrong_decode_fraction(d, source), 0.0);
   }
+
+  /// Surviving blocks per level: the counts the Theorem-1 model reads.
+  std::vector<std::size_t> survivor_counts() const {
+    std::vector<std::size_t> counts(spec.levels(), 0);
+    for (const net::LocationId loc : pd.surviving_locations()) ++counts[pd.level_of_location(loc)];
+    return counts;
+  }
 };
 
 }  // namespace
 
 TEST(ResilientCollector, NullChannelMatchesPlainCollect) {
+  // A full read and partial reads alike: the null-plan channel is the
+  // plain path, fetch for fetch and draw for draw.
   FaultHarness h;
-  auto d1 = h.decoder();
-  Rng r1(9);
-  const CollectionResult plain = collect(h.pd, d1, {}, r1).result;
-  auto d2 = h.decoder();
-  Rng r2(9);
-  FaultyChannel channel(h.pd);
-  const CollectionOutcome outcome = collect(channel, d2, {}, r2);
-  EXPECT_EQ(outcome.result.decoded_levels, plain.decoded_levels);
-  EXPECT_EQ(outcome.result.blocks_retrieved, plain.blocks_retrieved);
-  EXPECT_EQ(outcome.result.innovative_blocks, plain.innovative_blocks);
-  EXPECT_EQ(outcome.faults.total(), 0u);
-  EXPECT_EQ(outcome.retries, 0u);
-  EXPECT_EQ(outcome.hedges, 0u);
-  EXPECT_FALSE(outcome.degraded);
-  EXPECT_EQ(r1(), r2());  // identical draw streams
+  for (const std::optional<std::size_t> target :
+       {std::optional<std::size_t>{}, std::optional<std::size_t>{1},
+        std::optional<std::size_t>{2}}) {
+    SCOPED_TRACE(target.value_or(0));
+    CollectorOptions options;
+    options.target_levels = target;
+    options.trace = true;
+    auto d1 = h.decoder();
+    Rng r1(9);
+    const CollectionOutcome plain = collect(h.pd, d1, options, r1);
+    auto d2 = h.decoder();
+    Rng r2(9);
+    FaultyChannel channel(h.pd);
+    const CollectionOutcome outcome = collect(channel, d2, options, r2);
+    EXPECT_EQ(outcome.result.decoded_levels, plain.result.decoded_levels);
+    EXPECT_EQ(outcome.result.blocks_retrieved, plain.result.blocks_retrieved);
+    EXPECT_EQ(outcome.result.innovative_blocks, plain.result.innovative_blocks);
+    EXPECT_EQ(outcome.result.target_met, plain.result.target_met);
+    ASSERT_EQ(outcome.fetch_log.size(), plain.fetch_log.size());
+    for (std::size_t i = 0; i < plain.fetch_log.size(); ++i) {
+      EXPECT_EQ(outcome.fetch_log[i].location, plain.fetch_log[i].location);
+    }
+    EXPECT_EQ(outcome.faults.total(), 0u);
+    EXPECT_EQ(outcome.retries, 0u);
+    EXPECT_EQ(outcome.hedges, 0u);
+    EXPECT_FALSE(outcome.degraded);
+    EXPECT_EQ(r1(), r2());  // identical draw streams
+  }
 }
 
 TEST(ResilientCollector, RetriesHealTransientCorruption) {
@@ -338,18 +384,53 @@ TEST(ResilientCollector, MidCollectionCrashesLoseBlocksNotLevels) {
 }
 
 TEST(ResilientCollector, TargetLevelsStillStopsEarlyUnderFaults) {
-  FaultHarness h;
-  net::FaultSpec faults;
-  faults.corrupt_rate = 0.2;
-  faults.timeout_rate = 0.1;
-  auto channel = h.channel(faults);
-  auto decoder = h.decoder();
-  CollectorOptions options;
-  options.target_levels = 1;
-  const CollectionOutcome outcome = collect(channel, decoder, options, h.rng);
-  EXPECT_TRUE(outcome.result.target_met);
-  EXPECT_GE(outcome.result.decoded_levels, 1u);
-  EXPECT_LT(outcome.result.blocks_retrieved, 60u);
+  // Corruption, timeouts and slow nodes: retries, hedges and deferrals all
+  // read the one planned order (levels 1, 0, then 2 for a level-2 read). A
+  // hedge is logged before the slow reply that triggered it, so a first
+  // attempt may come one entry ahead of a lower-ranked one, never further.
+  std::size_t hedges = 0, rejections = 0;
+  for (const Scheme scheme : {Scheme::kPlc, Scheme::kSlc}) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      SCOPED_TRACE(::testing::Message() << codes::to_string(scheme) << " seed=" << seed);
+      FaultHarness h(scheme, 0.0, seed);
+      net::FaultSpec faults;
+      faults.corrupt_rate = 0.2;
+      faults.timeout_rate = 0.1;
+      faults.slow_fraction = 0.5;
+      faults.slow_multiplier = 64.0;
+      faults.mean_latency_us = 1000;
+      auto channel = h.channel(faults);
+      auto decoder = h.decoder();
+      CollectorOptions options;
+      options.target_levels = 2;
+      options.trace = true;
+      const CollectionOutcome outcome = collect(channel, decoder, options, h.rng);
+      EXPECT_TRUE(outcome.result.target_met);
+      EXPECT_GE(outcome.result.decoded_levels, 2u);
+      EXPECT_LT(outcome.result.blocks_retrieved, 60u);
+      h.expect_verified(decoder);
+      hedges += outcome.hedges;
+
+      std::unordered_set<net::LocationId> tried;
+      std::size_t high = 0, previous = 0;  // highest rank before the previous first attempt
+      for (const FetchAttempt& a : outcome.fetch_log) {
+        if (!tried.insert(a.location).second) continue;
+        const std::size_t level = h.pd.level_of_location(a.location);
+        const std::size_t rank = level < 2 ? 1 - level : level;
+        EXPECT_GE(rank, high) << a.location;
+        high = std::max(high, previous);
+        previous = rank;
+      }
+      // A wire-rejected location is deferred, never refetched next.
+      for (std::size_t i = 0; i + 1 < outcome.fetch_log.size(); ++i) {
+        if (!outcome.fetch_log[i].wire_rejected) continue;
+        ++rejections;
+        EXPECT_NE(outcome.fetch_log[i + 1].location, outcome.fetch_log[i].location);
+      }
+    }
+  }
+  EXPECT_GT(hedges, 0u);
+  EXPECT_GT(rejections, 0u);
 }
 
 // --- satellite regression: CRC rejection routes around the bad node ------
@@ -387,6 +468,109 @@ TEST(ResilientCollector, WireRejectedBlockRetriesAgainstADifferentNode) {
   }
   ASSERT_GT(rejections_followed, 0u);
   EXPECT_GT(different_node, 0u);
+}
+
+// --- partial reads: the level plan ------------------------------------------
+
+TEST(PartialRead, SlcNeverFetchesALevelAtOrAboveTheTarget) {
+  // No SLC block straddles a level boundary, so a block of level >= k
+  // cannot help the first k levels: the read leaves those locations alone
+  // even when churn leaves too few survivors to meet the target.
+  std::size_t reads = 0, unmet = 0;
+  for (const std::size_t k : {1u, 2u}) {
+    for (const double churn : {0.5, 0.8, 0.9}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        FaultHarness h(Scheme::kSlc, churn, seed);
+        auto decoder = h.decoder();
+        CollectorOptions options;
+        options.target_levels = k;
+        options.trace = true;
+        const CollectionOutcome outcome = collect(h.pd, decoder, options, h.rng);
+        for (const FetchAttempt& a : outcome.fetch_log) {
+          EXPECT_LT(h.pd.level_of_location(a.location), k) << "k=" << k << " seed=" << seed;
+        }
+        EXPECT_EQ(outcome.blocks_lost, 0u);  // a dropped location is untried, not lost
+        ++reads;
+        unmet += outcome.result.target_met ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(unmet, 0u);
+  EXPECT_LT(unmet, reads);
+}
+
+TEST(PartialRead, PlcFetchesTheTopTargetLevelFirst) {
+  // Target 2: every level-1 block covers the whole target prefix b_2, so
+  // level 1 comes before level 0, and no level >= 2 is fetched while a
+  // location of level 0 or 1 is still pending.
+  std::size_t both_lower = 0, beyond = 0;
+  for (const double churn : {0.0, 0.5, 0.7}) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "churn=" << churn << " seed=" << seed);
+      FaultHarness h(Scheme::kPlc, churn, seed);
+      const std::vector<std::size_t> counts = h.survivor_counts();
+      auto decoder = h.decoder();
+      CollectorOptions options;
+      options.target_levels = 2;
+      options.trace = true;
+      const CollectionOutcome outcome = collect(h.pd, decoder, options, h.rng);
+      std::size_t fetched[2] = {0, 0};
+      for (const FetchAttempt& a : outcome.fetch_log) {
+        const std::size_t level = h.pd.level_of_location(a.location);
+        if (level == 1) {
+          EXPECT_EQ(fetched[0], 0u) << "level 1 after level 0";
+        }
+        if (level >= 2) {
+          EXPECT_EQ(fetched[0], counts[0]);
+          EXPECT_EQ(fetched[1], counts[1]);
+        } else {
+          ++fetched[level];
+        }
+      }
+      both_lower += fetched[0] > 0 && fetched[1] > 0 ? 1 : 0;
+      beyond += outcome.fetch_log.size() > fetched[0] + fetched[1] ? 1 : 0;
+      h.expect_verified(decoder);
+    }
+  }
+  // Both clauses were exercised.
+  EXPECT_GT(both_lower, 0u);
+  EXPECT_GT(beyond, 0u);
+}
+
+TEST(PartialRead, MeetsTheTargetWheneverTheSurvivorsCan) {
+  // On a fault-free channel the plan gives up no target: a met target has
+  // the Theorem-1 counts, and a missed one is missed by a full read of
+  // the same survivors too, so it misses only by GF(256) rank deficiency.
+  for (const Scheme scheme : {Scheme::kPlc, Scheme::kSlc}) {
+    for (const std::size_t k : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << codes::to_string(scheme) << " k=" << k);
+      std::size_t reads = 0, met = 0, deficient = 0;
+      for (const double churn : {0.4, 0.6, 0.75, 0.85}) {
+        for (std::uint64_t seed = 0; seed < 25; ++seed) {
+          FaultHarness h(scheme, churn, seed);
+          const std::size_t predicted =
+              analysis::levels_from_counts(scheme, h.spec, h.survivor_counts());
+          auto partial = h.decoder();
+          CollectorOptions options;
+          options.target_levels = k;
+          const CollectionResult read = collect(h.pd, partial, options, h.rng).result;
+          auto all = h.decoder();
+          const CollectionResult full = collect(h.pd, all, {}, h.rng).result;
+          if (read.target_met) {
+            EXPECT_GE(predicted, k) << "churn=" << churn << " seed=" << seed;
+          }
+          EXPECT_EQ(read.target_met, full.decoded_levels >= k)
+              << "churn=" << churn << " seed=" << seed;
+          ++reads;
+          met += read.target_met ? 1 : 0;
+          deficient += predicted >= k && !read.target_met ? 1 : 0;
+        }
+      }
+      EXPECT_GT(met, 0u);
+      EXPECT_LT(met, reads);
+      EXPECT_LE(deficient, reads / 20);
+    }
+  }
 }
 
 // --- integrity: fingerprint manifest against silent corruption -----------
