@@ -49,7 +49,8 @@ struct TrialOutcome {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--json"});
   bench::banner("Ablation — PLC vs RLC vs replication vs Growth Codes",
                 "N = 500 blocks in levels {50, 150, 300}; level 1 is critical.");
   const std::size_t trials = bench::options().trials_or(20, 4);

@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace prlc;
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--json"});
   bench::banner("Ablation — per-node storage capacity",
                 "W = 200 nodes, M = 800 locations, N = 200 source blocks.");
   proto::DeploymentParams params;

@@ -55,7 +55,9 @@ sim::ClusterParams base_params(std::size_t nodes, double churn_rate,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--scheme", "--nodes", "--churn-rate",
+                     "--repair-bw", "--json"});
   bench::banner("Ablation — cluster lifetime under continuous churn",
                 "Poisson node deaths, bandwidth-limited repair; "
                 "time-to-first-priority-loss per level.");

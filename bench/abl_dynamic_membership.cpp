@@ -54,7 +54,8 @@ proto::SweepTable run_epochs(bool use_refresh, proto::Deployment& dep, Rng& rng)
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--json"});
   bench::banner("Ablation — session churn (join/leave) over many epochs",
                 "15% leave / 30% rejoin per epoch; refresh on/off.");
   proto::DeploymentParams params;

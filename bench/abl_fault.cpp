@@ -59,7 +59,8 @@ net::FaultSpec base_faults() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--scheme", "--json"});
   bench::banner("Ablation — collection under fault injection",
                 "Timeouts, corruption, stragglers and crashes during retrieval; "
                 "self-healing collector with retries, budgets and hedging.");

@@ -46,7 +46,7 @@ RunningStats overhead(runtime::TrialRunner& runner, codes::Scheme scheme, std::s
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {"--trials", "--seed", "--threads"});
   bench::banner("Ablation — field size vs decoding overhead",
                 "Extra blocks beyond N = 128 to reach full rank.");
   const std::size_t trials = bench::options().trials_or(200, 30);

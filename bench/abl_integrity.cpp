@@ -67,7 +67,10 @@ void loud_churn(sim::ClusterParams* params, double churn_rate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--scheme", "--nodes", "--churn-rate",
+                     "--repair-bw", "--rot-rate", "--byzantine-rate", "--scrub-interval",
+                     "--json"});
   bench::banner("Ablation — integrity: rot, Byzantine hosts, scrubbing",
                 "Silent corruption vs periodic fingerprint scrubbing; "
                 "collector-level detection must be exact.");

@@ -40,7 +40,7 @@ RunningStats max_load(runtime::TrialRunner& runner, Params params, std::size_t t
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {"--trials", "--seed", "--threads"});
   bench::banner("Ablation — power of two choices for location placement",
                 "Max coded blocks on any node; M locations over W nodes.");
   const std::size_t trials = bench::options().trials_or(20, 5);

@@ -97,7 +97,8 @@ void run_overlay(proto::OverlayKind kind, const Shape& shape, std::size_t trials
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--scheme", "--json"});
   bench::banner("Ablation — end-to-end persistence under churn",
                 "Pre-distribution protocol + uniform mass failures + collection.");
   const Shape s = shape();

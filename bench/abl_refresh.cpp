@@ -26,7 +26,8 @@ using namespace prlc;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--json"});
   bench::banner("Ablation — refresh protocol across churn waves",
                 "25% of surviving nodes die each wave; refresh on/off.");
   proto::RefreshExperimentParams params;

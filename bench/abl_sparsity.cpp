@@ -95,7 +95,8 @@ RunResult run_decode(codes::Scheme scheme, const codes::PrioritySpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, bench::Threads::kUnused);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--scheme", "--json"});
   bench::banner("Ablation — sparse coding x hybrid peeling/GE decoder",
                 "Decode cost per equation: dense regime (N=500) and chunked "
                 "sparse runs at N = 1e4..1e5.");

@@ -70,7 +70,8 @@ TrialOutcome run_trial(proto::RetentionPolicy policy, const codes::PrioritySpec&
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
+                    {"--trials", "--seed", "--threads", "--json"});
   bench::banner("Ablation — timeline retention policies",
                 "10 rounds, churn 12%/round, budget 480 locations, window 5.");
   const std::size_t trials = bench::options().trials_or(12, 3);

@@ -33,7 +33,7 @@ std::string dist_string(const std::vector<double>& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, bench::Threads::kUnused);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {});
   bench::banner("Ablation — feasibility vs utility-based design",
                 "N = 200 in levels {20, 60, 120}; scenarios 60/150/400 survivors.");
 

@@ -1,9 +1,11 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string_view>
+#include <utility>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -33,20 +35,17 @@ void banner(const std::string& title, const std::string& description) {
 namespace {
 
 Options g_options;
+/// The optional flags the running bench reads (parse_args' `reads`).
+std::vector<std::string_view> g_reads;
 
 constexpr int kUsageExit = 64;  // EX_USAGE
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "error: " << message << "\n"
-            << "bench flags: --trials <n> --seed <u64> --threads <n> "
-               "--scheme <rlc|slc|plc>\n"
-            << "             --payload-bytes <n[kmg]>\n"
-            << "             --nodes <n> --churn-rate <x> --repair-bw <x>\n"
-            << "             --rot-rate <x> --byzantine-rate <x> "
-               "--scrub-interval <x>\n"
-            << "             --json <path> --metrics-json <path> "
-               "--trace-json <path>\n"
-            << "             --events-jsonl <path> --timeseries-jsonl <path>\n";
+            << "this bench reads:";
+  for (const std::string_view name : g_reads) std::cerr << ' ' << name;
+  std::cerr << " --metrics-json --trace-json --events-jsonl --timeseries-jsonl\n"
+            << "(bench/bench_common.h describes every bench flag)\n";
   std::exit(kUsageExit);
 }
 
@@ -95,31 +94,51 @@ std::optional<std::size_t> try_parse_bytes(std::string_view text) {
 
 const Options& options() { return g_options; }
 
-void parse_args(int& argc, char** argv, UnknownArgs unknown, Threads threads) {
+void parse_args(int& argc, char** argv, UnknownArgs unknown,
+                std::initializer_list<std::string_view> reads) {
   g_options = Options{};
+  g_reads.assign(reads.begin(), reads.end());
   std::string trials_text, seed_text, threads_text, scheme_text;
   std::string payload_text;
   std::string nodes_text, churn_text, repair_text;
   std::string rot_text, byzantine_text, scrub_text;
+  // Every flag and where its value goes: an optional flag is accepted only
+  // when the bench reads it; the outputs finalize() writes, everywhere.
+  using Flag = std::pair<std::string_view, std::string*>;
+  const Flag optional_flags[] = {
+      {"--trials", &trials_text},
+      {"--seed", &seed_text},
+      {"--threads", &threads_text},
+      {"--scheme", &scheme_text},
+      {"--payload-bytes", &payload_text},
+      {"--nodes", &nodes_text},
+      {"--churn-rate", &churn_text},
+      {"--repair-bw", &repair_text},
+      {"--rot-rate", &rot_text},
+      {"--byzantine-rate", &byzantine_text},
+      {"--scrub-interval", &scrub_text},
+      {"--json", &g_options.json_path}};
+  const Flag output_flags[] = {
+      {"--metrics-json", &g_options.metrics_json_path},
+      {"--trace-json", &g_options.trace_json_path},
+      {"--events-jsonl", &g_options.events_jsonl_path},
+      {"--timeseries-jsonl", &g_options.timeseries_jsonl_path}};
+  for (const std::string_view name : reads) {
+    PRLC_REQUIRE(std::ranges::find(optional_flags, name, &Flag::first) != std::end(optional_flags),
+                 "a bench can only read the optional flags bench_common.h lists");
+  }
   int out = 1;
   for (int i = 1; i < argc;) {
-    std::size_t used = match_flag("--trials", argc, argv, i, trials_text);
-    if (used == 0) used = match_flag("--seed", argc, argv, i, seed_text);
-    if (used == 0) used = match_flag("--threads", argc, argv, i, threads_text);
-    if (used == 0) used = match_flag("--scheme", argc, argv, i, scheme_text);
-    if (used == 0) used = match_flag("--payload-bytes", argc, argv, i, payload_text);
-    if (used == 0) used = match_flag("--nodes", argc, argv, i, nodes_text);
-    if (used == 0) used = match_flag("--churn-rate", argc, argv, i, churn_text);
-    if (used == 0) used = match_flag("--repair-bw", argc, argv, i, repair_text);
-    if (used == 0) used = match_flag("--rot-rate", argc, argv, i, rot_text);
-    if (used == 0) used = match_flag("--byzantine-rate", argc, argv, i, byzantine_text);
-    if (used == 0) used = match_flag("--scrub-interval", argc, argv, i, scrub_text);
-    if (used == 0) used = match_flag("--json", argc, argv, i, g_options.json_path);
-    if (used == 0) used = match_flag("--metrics-json", argc, argv, i, g_options.metrics_json_path);
-    if (used == 0) used = match_flag("--trace-json", argc, argv, i, g_options.trace_json_path);
-    if (used == 0) used = match_flag("--events-jsonl", argc, argv, i, g_options.events_jsonl_path);
-    if (used == 0) {
-      used = match_flag("--timeseries-jsonl", argc, argv, i, g_options.timeseries_jsonl_path);
+    std::size_t used = 0;
+    for (const auto& [name, text] : optional_flags) {
+      if (used != 0) break;
+      used = match_flag(name, argc, argv, i, *text);
+      if (used != 0 && std::ranges::find(reads, name) == reads.end()) {
+        usage_error("this bench does not read " + std::string(name));
+      }
+    }
+    for (const auto& [name, text] : output_flags) {
+      if (used == 0) used = match_flag(name, argc, argv, i, *text);
     }
     if (used == 0) {
       argv[out++] = argv[i++];
@@ -146,7 +165,6 @@ void parse_args(int& argc, char** argv, UnknownArgs unknown, Threads threads) {
     g_options.seed = *seed;
   }
   if (!threads_text.empty()) {
-    if (threads == Threads::kUnused) usage_error("--threads: this bench runs no trial loop");
     const auto count = try_parse_u64(threads_text);
     if (!count || *count > runtime::kMaxThreads) {
       usage_error("--threads wants an integer in [0, " + std::to_string(runtime::kMaxThreads) +

@@ -7,12 +7,13 @@
 //
 // Flags. Every bench main calls parse_args(), which strips these flags
 // out of argv (both `--flag value` and `--flag=value` forms) so
-// downstream parsers — e.g. google-benchmark's — never see them:
+// downstream parsers — e.g. google-benchmark's — never see them. The
+// optional ones, from --trials to --json, count only where the bench
+// declares that it reads them:
 //   --trials <n>           override the bench's trial count
 //   --seed <u64>           override the bench's root seed
 //   --threads <n>          Monte-Carlo thread budget (0 = hardware, 1 = serial,
-//                          at most runtime::kMaxThreads); a usage error on a
-//                          bench that runs no trial loop (Threads::kUnused)
+//                          at most runtime::kMaxThreads)
 //   --scheme <rlc|slc|plc> restrict a multi-scheme bench to one scheme
 //   --payload-bytes <n>    payload size for throughput benches (positive;
 //                          suffixes k/m/g = KiB/MiB/GiB accepted)
@@ -25,6 +26,7 @@
 //   --scrub-interval <x>   integrity scrub period; 0 disables scrubbing
 //                          (nonnegative)
 //   --json <path>          structured bench results (BenchReport)
+// and four outputs finalize() writes for every bench:
 //   --metrics-json <path>  dump of the obs::Registry after the run
 //   --trace-json <path>    Chrome-tracing timeline (chrome://tracing,
 //                          Perfetto) of the run
@@ -32,20 +34,24 @@
 //   --timeseries-jsonl <path>  the journal's deterministic logical-time
 //                          series (either flag arms the whole journal)
 // A malformed or empty value ("--trials zero", "--scheme xyz",
-// "--json ''", "--threads=") is a usage error: parse_args prints a
-// message to stderr and exits with code 64, it never aborts through
-// PRLC_REQUIRE.
+// "--json ''", "--threads=") and an optional flag the bench does not read
+// ("--threads" on a bench without a trial loop, "--json" on one that
+// writes no report) are usage errors: parse_args prints a message to
+// stderr and exits with code 64 before any work runs; it never aborts
+// through PRLC_REQUIRE.
 //
-// The metrics/trace flags force-enable the metrics probes regardless of
-// PRLC_METRICS, and the two journal flags arm the telemetry switch, so a
-// plain bench invocation stays on the zero-overhead disabled path.
-// finalize() writes whichever outputs were requested.
+// The metrics/trace flags enable the metrics probes and the two journal
+// flags arm the telemetry switch; both switches start off, so a plain
+// bench invocation stays on the zero-overhead disabled path. finalize()
+// writes whichever outputs were requested.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -108,18 +114,17 @@ const Options& options();
 /// --benchmark_* flags to google-benchmark this way).
 enum class UnknownArgs { kReject, kKeep };
 
-/// Whether the bench runs a trial loop that --threads sizes. A bench
-/// without one passes kUnused, so --threads is refused, not ignored.
-enum class Threads { kUsed, kUnused };
-
 /// Strip the flags above out of argc/argv and arm the requested sinks:
 /// metrics/trace paths enable obs metrics, the trace path also starts the
-/// global TraceRecorder. A missing, empty or malformed flag value,
-/// --threads under Threads::kUnused or, under UnknownArgs::kReject, any
-/// unrecognized argument prints a usage error and exits 64. Safe to call
-/// before benchmark::Initialize().
+/// global TraceRecorder. `reads` names the optional flags the bench reads
+/// ("--trials", "--seed", "--threads", "--json", ...); the default is
+/// perf_pipeline's. A missing, empty or malformed flag value, an optional
+/// flag outside `reads` (under either UnknownArgs) or, under
+/// UnknownArgs::kReject, any unrecognized argument prints a usage error
+/// and exits 64. Safe to call before benchmark::Initialize().
 void parse_args(int& argc, char** argv, UnknownArgs unknown = UnknownArgs::kReject,
-                Threads threads = Threads::kUsed);
+                std::initializer_list<std::string_view> reads = {"--trials", "--seed",
+                                                                 "--json"});
 
 /// Accumulates one bench's structured results for --json.
 ///

@@ -47,7 +47,7 @@ void run_panel(const char* panel, std::size_t levels, std::size_t per_level,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {"--trials", "--seed", "--threads"});
   bench::banner("Figure 5 — analysis vs simulation, SLC",
                 "N = 1000 source blocks, uniform priority distribution.");
   const std::size_t t = bench::options().trials_or(100, 10);

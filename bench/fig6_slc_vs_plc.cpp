@@ -50,7 +50,7 @@ void run_panel(const char* panel, std::size_t levels, std::size_t per_level,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {"--trials", "--seed", "--threads"});
   bench::banner("Figure 6 — SLC vs PLC decoding curves",
                 "N = 1000 source blocks; panels with 10 and 50 levels.");
   const std::size_t t = bench::options().trials_or(60, 6);

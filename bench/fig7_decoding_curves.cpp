@@ -34,7 +34,7 @@ const Case kCases[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {"--trials", "--seed", "--threads"});
   bench::banner("Figure 7 — decoding curves of the Table-1 distributions",
                 "PLC over N = 500 blocks in levels {50, 100, 350}.");
   const auto spec = codes::PrioritySpec({50, 100, 350});

@@ -474,7 +474,7 @@ int main(int argc, char** argv) {
   // first field op below resolves kernel dispatch, so the dispatch-
   // decision gauges land in the metrics dump. Leftover --benchmark_*
   // flags belong to google-benchmark, so keep them.
-  bench::parse_args(argc, argv, bench::UnknownArgs::kKeep, bench::Threads::kUnused);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kKeep, {"--payload-bytes", "--json"});
   std::printf("gf256 kernel dispatch: %s (compiled:", gf::gf256_active_ops().name);
   for (gf::Gf256Kernel k : gf::gf256_compiled_kernels()) {
     std::printf(" %s%s", gf::gf256_kernel_name(k),

@@ -41,7 +41,7 @@ std::string constraint_string(const std::vector<design::DecodingConstraint>& cs)
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, bench::Threads::kUnused);
+  bench::parse_args(argc, argv, bench::UnknownArgs::kReject, {});
   bench::banner("Table 1 — feasible priority distributions (PLC)",
                 "N = 500 blocks in levels {50, 100, 350}; alpha = 2, eps = 0.01.");
 

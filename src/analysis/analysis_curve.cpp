@@ -7,6 +7,13 @@
 
 namespace prlc::analysis {
 
+namespace {
+
+/// PLC switches from the exact DP to count-model MC above this many levels.
+constexpr std::size_t kExactLevelLimit = 12;
+
+}  // namespace
+
 std::vector<AnalysisPoint> analysis_curve(codes::Scheme scheme, const codes::PrioritySpec& spec,
                                           const codes::PriorityDistribution& dist,
                                           std::span<const std::size_t> block_counts,
@@ -16,7 +23,7 @@ std::vector<AnalysisPoint> analysis_curve(codes::Scheme scheme, const codes::Pri
   out.reserve(block_counts.size());
 
   const bool plc_exact =
-      scheme != codes::Scheme::kPlc || spec.levels() <= options.exact_level_limit;
+      scheme != codes::Scheme::kPlc || spec.levels() <= kExactLevelLimit;
 
   if (scheme == codes::Scheme::kRlc) {
     for (std::size_t m : block_counts) {

@@ -1,10 +1,11 @@
 // Analytical decoding curves E(X_M) vs M, backend-dispatched.
 //
 // SLC always uses the exact polynomial DP. PLC uses the exact Theorem-1
-// DP up to `exact_level_limit` levels, beyond which it switches to the
-// count-model Monte-Carlo backend (the role the paper's tech-report
-// approximation plays — see DESIGN.md substitutions). RLC is the trivial
-// step function at M = N under the idealized-field model.
+// DP up to 12 levels (the DP is O(n^2 M^2) per curve point), beyond which
+// it switches to the count-model Monte-Carlo backend (the role the
+// paper's tech-report approximation plays — see DESIGN.md substitutions).
+// RLC is the trivial step function at M = N under the idealized-field
+// model.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +24,6 @@ struct AnalysisPoint {
 };
 
 struct AnalysisCurveOptions {
-  /// PLC switches from the exact DP to count-model MC above this many
-  /// levels (the exact DP is O(n^2 M^2) per curve point).
-  std::size_t exact_level_limit = 12;
   /// Trials for the MC backend.
   std::size_t mc_trials = 20000;
   std::uint64_t mc_seed = 0x9d5c6e71b2a4f083ULL;

@@ -55,24 +55,6 @@ class PriorityDecoder {
     return decoder_.add_window(begin, coeffs.subspan(begin, end - begin), payload);
   }
 
-  /// Feed one sparse coded block; returns true when it was innovative.
-  bool add(const SparseCodedBlock<F>& block) {
-    return add_sparse(block.level, block.indices, block.values, block.payload);
-  }
-
-  /// Sparse twin of add(): the equation arrives as sorted (index, value)
-  /// pairs and is routed straight into the hybrid peeling/GE path without
-  /// ever materializing a dense coefficient vector — the only O(nnz) entry
-  /// point, which is what makes N = 10^5 runs practical.
-  bool add_sparse(std::size_t level, std::span<const std::uint32_t> indices,
-                  std::span<const Symbol> values, std::span<const Symbol> payload) {
-    PRLC_REQUIRE(payload.size() == decoder_.payload_size(), "coded block payload mismatch");
-    PRLC_REQUIRE(spec_.admits_columns(scheme_, level, indices),
-                 "coded block level out of range or support outside its level");
-    ++blocks_seen_;
-    return decoder_.add_sparse(indices, values, payload);
-  }
-
   std::size_t blocks_seen() const { return blocks_seen_; }
 
   /// Total rank accumulated.

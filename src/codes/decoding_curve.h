@@ -37,12 +37,6 @@ struct CurveOptions {
   std::uint64_t seed = 1;
   std::size_t threads = 0;  ///< TrialRunner convention: 0 = hardware, 1 = serial
   EncoderOptions encoder;   ///< coefficient model (dense/sparse)
-  /// Stream blocks in sparse (index, value) form through the decoder's
-  /// O(nnz) hybrid path instead of expanding dense coefficient vectors.
-  /// The encoder's sparse emitter consumes the RNG exactly like the dense
-  /// one, so the curve itself is bit-identical either way — this flag only
-  /// changes the cost model, and is what makes N = 10^5 runs practical.
-  bool sparse_blocks = false;
 };
 
 /// Simulate the decoding curve for one (scheme, spec, distribution).
@@ -77,11 +71,7 @@ std::vector<CurvePoint> simulate_decoding_curve(Scheme scheme, const PrioritySpe
         std::size_t next_point = 0;
         const std::size_t max_blocks = options.block_counts.back();
         for (std::size_t m = 1; m <= max_blocks; ++m) {
-          if (options.sparse_blocks) {
-            decoder.add(encoder.encode_sparse_random(dist, rng));
-          } else {
-            decoder.add(encoder.encode_random(dist, rng));
-          }
+          decoder.add(encoder.encode_random(dist, rng));
           if (m == options.block_counts[next_point]) {
             sample.levels.push_back(static_cast<double>(decoder.decoded_levels()));
             sample.blocks.push_back(static_cast<double>(decoder.decoded_prefix_blocks()));

@@ -52,13 +52,6 @@ std::pair<std::size_t, std::size_t> PrioritySpec::support(Scheme scheme,
   PRLC_ASSERT(false, "unknown scheme");
 }
 
-bool PrioritySpec::admits_columns(Scheme scheme, std::size_t level,
-                                  std::span<const std::uint32_t> columns) const {
-  if (level >= levels()) return false;
-  const auto [begin, end] = support(scheme, level);
-  return std::ranges::all_of(columns, [&](std::uint32_t j) { return j >= begin && j < end; });
-}
-
 std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
                                                      std::span<const double> weights) {
   PRLC_REQUIRE(!weights.empty(), "apportionment needs at least one weight");

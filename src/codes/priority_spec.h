@@ -86,10 +86,6 @@ class PrioritySpec {
            std::ranges::all_of(coeffs.subspan(end), zero);
   }
 
-  /// admits() for a sparse block, given by the columns of its nonzeros.
-  bool admits_columns(Scheme scheme, std::size_t level,
-                      std::span<const std::uint32_t> columns) const;
-
   bool operator==(const PrioritySpec& other) const { return sizes_ == other.sizes_; }
 
   std::span<const std::size_t> level_sizes() const { return sizes_; }

@@ -17,7 +17,6 @@
 // distributions satisfy the constraints is (see bench/table1).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -47,16 +46,8 @@ struct FeasibilityProblem {
 };
 
 struct FeasibilityOptions {
-  /// A constraint counts as satisfied when its shortfall (required minus
-  /// achieved, in levels / probability) is at most this. The paper's
-  /// Table-1 problems are *tight* — their published solutions sit within
-  /// ~1e-3 of the constraint boundaries under the exact analysis (MATLAB
-  /// declared them feasible under its own tolerances) — so the default
-  /// mirrors that behaviour.
-  double value_tolerance = 5e-3;
   std::size_t max_evaluations_per_start = 600;
   std::size_t restarts = 8;  ///< deterministic extra starts after uniform
-  std::uint64_t seed = 0x5eedf00dULL;
 };
 
 /// Per-constraint achieved-vs-required values, for reporting.

@@ -9,6 +9,13 @@ namespace prlc::design {
 
 namespace {
 
+/// Stop when both the simplex's objective spread and its coordinate spread
+/// fall below these.
+constexpr double kFTolerance = 1e-10;
+constexpr double kXTolerance = 1e-10;
+/// Initial simplex edge length around the starting point.
+constexpr double kInitialStep = 0.5;
+
 struct Vertex {
   std::vector<double> x;
   double f = 0;
@@ -43,7 +50,7 @@ NelderMeadResult nelder_mead(const std::function<double(const std::vector<double
   simplex[0].f = evaluate(start);
   for (std::size_t i = 0; i < d && !result.early_stopped; ++i) {
     simplex[i + 1].x = start;
-    simplex[i + 1].x[i] += options.initial_step;
+    simplex[i + 1].x[i] += kInitialStep;
     simplex[i + 1].f = evaluate(simplex[i + 1].x);
   }
 
@@ -68,7 +75,7 @@ NelderMeadResult nelder_mead(const std::function<double(const std::vector<double
       }
       x_spread = std::max(x_spread, hi - lo);
     }
-    if (f_spread < options.f_tolerance && x_spread < options.x_tolerance) break;
+    if (f_spread < kFTolerance && x_spread < kXTolerance) break;
 
     // Centroid of all but the worst vertex.
     std::vector<double> centroid(d, 0.0);

@@ -16,12 +16,6 @@ namespace prlc::design {
 
 struct NelderMeadOptions {
   std::size_t max_evaluations = 2000;
-  /// Stop when the simplex's objective spread falls below this.
-  double f_tolerance = 1e-10;
-  /// Stop when the simplex's coordinate spread falls below this.
-  double x_tolerance = 1e-10;
-  /// Initial simplex edge length around the starting point.
-  double initial_step = 0.5;
 };
 
 struct NelderMeadResult {

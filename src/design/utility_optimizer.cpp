@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "analysis/plc_analysis.h"
 #include "analysis/slc_analysis.h"
@@ -12,6 +13,9 @@
 namespace prlc::design {
 
 namespace {
+
+/// Seed of the restarts' starting points.
+constexpr std::uint64_t kRestartSeed = 0x071117ULL;
 
 std::vector<double> softmax_to_simplex(const std::vector<double>& theta) {
   std::vector<double> p(theta.size() + 1);
@@ -112,7 +116,7 @@ UtilityResult maximize_utility(const UtilityProblem& problem, const UtilityOptio
     return result;
   }
 
-  Rng rng(options.seed);
+  Rng rng(kRestartSeed);
   std::vector<double> best_theta(n - 1, 0.0);
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t start = 0; start <= options.restarts; ++start) {

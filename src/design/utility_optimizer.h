@@ -18,7 +18,6 @@
 // degenerates to soft feasibility.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "codes/priority_spec.h"
@@ -45,7 +44,6 @@ struct UtilityProblem {
 struct UtilityOptions {
   std::size_t max_evaluations_per_start = 400;
   std::size_t restarts = 4;
-  std::uint64_t seed = 0x071117ULL;
 };
 
 struct UtilityResult {

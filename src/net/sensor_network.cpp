@@ -24,10 +24,7 @@ SensorNetwork::SensorNetwork(const SensorParams& params) {
   PRLC_REQUIRE(params.locations >= 1, "need at least one storage location");
 
   const auto w = static_cast<double>(params.nodes);
-  radius_ = params.radius > 0
-                ? params.radius
-                : 2.0 * std::sqrt(std::log(w) / (std::numbers::pi * w));
-  PRLC_REQUIRE(radius_ > 0 && radius_ <= 1.5, "radio radius out of range");
+  radius_ = 2.0 * std::sqrt(std::log(w) / (std::numbers::pi * w));
 
   Rng rng(params.seed);
   positions_.resize(params.nodes);

@@ -1,7 +1,8 @@
 // 2-D sensor-field overlay with GPSR-style geographic routing (Sec. 2).
 //
 // W sensors are placed uniformly at random in the unit square and can
-// talk to every node within `radius`. Messages addressed to a *location*
+// talk to every node within radius 2 * sqrt(ln W / (pi W)), comfortably
+// above the connectivity threshold for uniform deployments. Messages addressed to a *location*
 // (a point derived from the common seed) are forwarded greedily to the
 // neighbor closest to the target point; when greedy forwarding reaches a
 // local minimum, the implementation falls back to a shortest-path detour
@@ -25,9 +26,6 @@ namespace prlc::net {
 
 struct SensorParams {
   std::size_t nodes = 500;
-  /// Communication radius; 0 = auto (2 * sqrt(ln W / (pi W)), comfortably
-  /// above the connectivity threshold for uniform deployments).
-  double radius = 0;
   std::size_t locations = 100;  ///< M seed-derived storage locations
   std::uint64_t seed = 1;
   bool two_choices = false;  ///< power-of-two-choices load balancing

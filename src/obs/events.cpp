@@ -1,7 +1,6 @@
 #include "obs/events.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -11,11 +10,6 @@ namespace prlc::obs {
 namespace detail {
 
 namespace {
-
-bool env_telemetry_on() {
-  const char* v = std::getenv("PRLC_TELEMETRY");
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
 
 /// The currently recording trial, one per thread. Only TrialScope mutates
 /// `active`; the record paths read it.
@@ -51,7 +45,7 @@ std::vector<Rec> ring_unroll(Ring<Rec>& ring) {
 
 }  // namespace
 
-std::atomic<bool> g_telemetry_enabled{env_telemetry_on()};
+std::atomic<bool> g_telemetry_enabled{false};
 
 void emit_slow(EventType type, std::uint8_t argc, double a0, double a1, double a2) {
   TrialContext& ctx = t_ctx;

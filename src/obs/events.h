@@ -140,9 +140,9 @@ void set_logical_time_slow(std::uint64_t t);
 
 }  // namespace detail
 
-/// The one telemetry switch, for events and samples alike. Defaults off
-/// (PRLC_TELEMETRY=1 preseeds it); --events-jsonl, --timeseries-jsonl,
-/// `prlc metrics` and the tests arm it explicitly.
+/// The one telemetry switch, for events and samples alike. Starts off;
+/// --events-jsonl, --timeseries-jsonl, `prlc metrics` and the tests arm it
+/// explicitly.
 inline bool telemetry_enabled() {
   return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
 }

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -10,14 +9,7 @@ namespace prlc::obs {
 
 namespace detail {
 
-namespace {
-bool env_enabled() {
-  const char* v = std::getenv("PRLC_METRICS");
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-}  // namespace
-
-std::atomic<bool> g_enabled{env_enabled()};
+std::atomic<bool> g_enabled{false};
 
 }  // namespace detail
 

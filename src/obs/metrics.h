@@ -7,9 +7,9 @@
 //     touches no shared cache line, so instrumenting a hot loop does not
 //     change its throughput (the perf_codec axpy numbers are the
 //     regression check).
-//   * The flag defaults to the PRLC_METRICS environment variable (unset
-//     or "0" = disabled); binaries that export metrics (`--metrics-json`,
-//     `prlc metrics`) call set_enabled(true) before doing work.
+//   * The flag starts off; binaries that export metrics (`--metrics-json`,
+//     `--trace-json`, `prlc metrics`) call set_enabled(true) before doing
+//     work.
 //
 // Metrics live in a process-wide Registry keyed by hierarchical names
 // ("decoder.rows_innovative", "gf256.axpy_bytes"). Lookup is find-or-
@@ -46,8 +46,7 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 }
 
-/// Master probe switch. Initialized from PRLC_METRICS (enabled iff set to
-/// a nonempty value other than "0"); override with set_enabled().
+/// Master probe switch. Starts off; set_enabled() arms it.
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on);
 

@@ -14,9 +14,20 @@ namespace prlc::proto {
 
 namespace {
 
+/// The fixed retry schedule (collector.h): retry k of a location backs
+/// off kBaseBackoffUs * 2^(k-1), jittered by +-kBackoffJitter.
+constexpr std::size_t kMaxAttempts = 4;  ///< fetch attempts per location
+constexpr double kBaseBackoffUs = 200;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.25;  ///< +- fraction of the delay
+/// Retryable faults (timeout/transient/wire error) after which a node is
+/// blacklisted and its remaining blocks written off.
+constexpr std::size_t kNodeFaultBudget = 8;
+/// A reply slower than this triggers a hedged fetch of the next pending
+/// location.
+constexpr std::uint64_t kHedgeDeadlineUs = 2000;
+
 void validate_options(const CollectorOptions& options, const codes::PrioritySpec& spec) {
-  PRLC_REQUIRE(!options.max_blocks.has_value() || *options.max_blocks > 0,
-               "max_blocks must be positive when set (use nullopt for unlimited)");
   PRLC_REQUIRE(!options.target_levels.has_value() ||
                    (*options.target_levels >= 1 && *options.target_levels <= spec.levels()),
                "target_levels must be in [1, the spec's level count] when set "
@@ -24,7 +35,6 @@ void validate_options(const CollectorOptions& options, const codes::PrioritySpec
   PRLC_REQUIRE(options.manifest == nullptr ||
                    options.manifest->fingerprints.size() == spec.total(),
                "fingerprint manifest must cover exactly the spec's source blocks");
-  options.retry.validate();
 }
 
 /// Lay the fetch plan of a read that stops at `k` levels over the shuffled
@@ -55,24 +65,13 @@ enum class Reply {
 /// Backoff before retry `attempt` (0-based), jittered deterministically
 /// from the trial Rng. Only called on the retry path, so fault-free
 /// collection consumes no extra draws.
-std::uint64_t backoff_us(const RetryPolicy& policy, std::size_t attempt, Rng& rng) {
-  double delay = static_cast<double>(policy.base_backoff_us) *
-                 std::pow(policy.backoff_multiplier, static_cast<double>(attempt));
-  delay = std::min(delay, static_cast<double>(policy.max_backoff_us));
-  if (policy.jitter > 0) {
-    delay *= 1.0 + policy.jitter * (2.0 * rng.uniform_double() - 1.0);
-  }
+std::uint64_t backoff_us(std::size_t attempt, Rng& rng) {
+  double delay = kBaseBackoffUs * std::pow(kBackoffMultiplier, static_cast<double>(attempt));
+  delay *= 1.0 + kBackoffJitter * (2.0 * rng.uniform_double() - 1.0);
   return static_cast<std::uint64_t>(delay);
 }
 
 }  // namespace
-
-void RetryPolicy::validate() const {
-  PRLC_REQUIRE(max_attempts >= 1, "need at least one fetch attempt per block");
-  PRLC_REQUIRE(backoff_multiplier >= 1.0, "backoff multiplier must be >= 1");
-  PRLC_REQUIRE(jitter >= 0.0 && jitter < 1.0, "backoff jitter must be in [0,1)");
-  PRLC_REQUIRE(node_fault_budget >= 1, "node fault budget must be >= 1");
-}
 
 CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>& decoder,
                           const CollectorOptions& options, Rng& rng) {
@@ -82,7 +81,6 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
                "decoder scheme must match the predistribution");
   PRLC_REQUIRE(decoder.spec() == dist.spec(), "decoder spec must match the predistribution");
   validate_options(options, dist.spec());
-  const RetryPolicy& policy = options.retry;
 
   static obs::Counter& retries_ctr = obs::counter("collector.retries");
   static obs::Counter& corrupt_ctr = obs::counter("collector.corrupt_blocks");
@@ -111,7 +109,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   std::unordered_set<net::NodeId> blacklisted;
   /// Attempts already spent per location, persisted across deferrals —
   /// a wire-rejected location re-enters the queue instead of retrying
-  /// in place, but its max_attempts cap still holds.
+  /// in place, but its kMaxAttempts cap still holds.
   std::unordered_map<net::LocationId, std::size_t> loc_attempts;
   std::size_t cursor = 0;
 
@@ -132,9 +130,6 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   };
 
   const auto done = [&] {
-    if (options.max_blocks.has_value() && result.blocks_retrieved >= *options.max_blocks) {
-      return true;
-    }
     if (options.target_levels.has_value() &&
         decoder.decoded_levels() >= *options.target_levels) {
       result.target_met = true;
@@ -250,7 +245,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   /// exhausted its budget and got blacklisted.
   const auto charge_fault = [&](net::NodeId node) {
     const std::size_t faults = ++node_faults[node];
-    if (faults < policy.node_fault_budget) return false;
+    if (faults < kNodeFaultBudget) return false;
     if (blacklisted.insert(node).second) {
       ++out.blacklisted_nodes;
       blacklist_ctr.add();
@@ -284,8 +279,8 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
     }
   };
 
-  /// Full self-healing fetch of one location: retry loop with capped
-  /// exponential backoff, budget charging, hedging on slow replies.
+  /// Full self-healing fetch of one location: retry loop with exponential
+  /// backoff, budget charging, hedging on slow replies.
   /// Wire-rejected frames do NOT retry in place — the location is
   /// deferred to the back of the queue (its attempt count persists in
   /// loc_attempts), so the very next fetch goes to a different node
@@ -293,7 +288,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   const auto fetch_with_retry = [&](net::LocationId loc) {
     const net::NodeId node = channel.owner_of(loc);
     std::size_t& attempt = loc_attempts[loc];
-    while (attempt < policy.max_attempts) {
+    while (attempt < kMaxAttempts) {
       const FetchReply reply = channel.fetch(loc, rng);
       latency_hist.record(reply.latency_us);
       out.sim_elapsed_us += reply.latency_us;
@@ -302,7 +297,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
       // one hedged fetch of the next pending location (more blocks in
       // flight is the erasure-coded answer to stragglers: any innovative
       // block is as good as the slow one).
-      if (policy.hedging && reply.latency_us > policy.hedge_deadline_us && !done()) {
+      if (reply.latency_us > kHedgeDeadlineUs && !done()) {
         hedge_fetch();
       }
 
@@ -313,7 +308,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
       // node has nothing to retry against: all write the block off at once.
       if (r == Reply::kWireRejected || r == Reply::kRetryable) {
         ++attempt;
-        if (!charge_fault(node) && attempt < policy.max_attempts) {
+        if (!charge_fault(node) && attempt < kMaxAttempts) {
           ++out.retries;
           retries_ctr.add();
           obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
@@ -324,7 +319,7 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
             order.push_back(loc);
             return;
           }
-          out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
+          out.sim_elapsed_us += backoff_us(attempt - 1, rng);
           continue;
         }
       }

@@ -23,13 +23,14 @@
 // (proto/fault_channel.h); the fault-free path is simply a channel with a
 // null plan, so there is ONE entry point — collect(channel, decoder,
 // options, rng) — not separate plain/resilient ones. The collector
-// survives the channel's injected adversity with:
-//   * a per-block retry loop under capped exponential backoff with
-//     deterministic (Rng-drawn) jitter;
-//   * per-node failure budgets — a node that keeps failing is
-//     blacklisted and its remaining blocks written off;
-//   * hedged re-fetch: when a reply is slower than the hedge deadline the
-//     collector opportunistically pulls the next pending location too;
+// survives the channel's injected adversity on one fixed schedule:
+//   * a per-block retry loop: at most 4 attempts per location, retry k
+//     (1-based) backing off 200 * 2^(k-1) us, jittered by +-25% with a
+//     draw from the trial Rng;
+//   * per-node failure budgets — a node is blacklisted at its 8th
+//     retryable fault and its remaining blocks written off;
+//   * hedged re-fetch: when a reply is slower than 2000 us the collector
+//     opportunistically pulls the next pending location too;
 //   * end-to-end integrity — with a fingerprint manifest
 //     (CollectorOptions::manifest) every delivered frame is verified
 //     against the homomorphic GF(2^64) fingerprints of the source blocks
@@ -54,41 +55,16 @@
 
 namespace prlc::proto {
 
-/// Self-healing knobs for collect(). Attempt k (0-based) of a block
-/// backs off min(base * multiplier^k, max) microseconds, jittered by
-/// +-jitter (a fraction, drawn deterministically from the trial Rng).
-struct RetryPolicy {
-  std::size_t max_attempts = 4;         ///< fetch attempts per block
-  std::uint64_t base_backoff_us = 200;  ///< first retry delay
-  double backoff_multiplier = 2.0;
-  std::uint64_t max_backoff_us = 5000;  ///< backoff cap
-  double jitter = 0.25;                 ///< +- fraction of the delay
-  /// Retryable faults (timeout/transient/wire error) tolerated per node
-  /// before it is blacklisted and its remaining blocks written off.
-  std::size_t node_fault_budget = 8;
-  /// A delivered reply slower than this triggers a hedged fetch of the
-  /// next pending location (when hedging is on and one exists).
-  std::uint64_t hedge_deadline_us = 2000;
-  bool hedging = true;
-
-  void validate() const;
-};
-
 struct CollectorOptions {
   /// Stop after decoding this many leading levels (nullopt = drain all).
   /// Must be in [1, the spec's level count] when set. A target below the
   /// level count also plans the fetch order: the target's levels first,
   /// highest of them first (see the header comment).
   std::optional<std::size_t> target_levels;
-  /// Retrieve at most this many blocks (nullopt = all surviving).
-  /// Must be positive when set.
-  std::optional<std::size_t> max_blocks;
   /// Record the per-retrieval decoded-levels progression in
   /// CollectionResult::level_trace, and the per-attempt fetch log in
   /// CollectionOutcome::fetch_log.
   bool trace = false;
-  /// Self-healing knobs, used when collecting over a faulty channel.
-  RetryPolicy retry;
   /// Source-block fingerprint manifest (util/gf64_fingerprint.h). When
   /// set, every delivered frame is verified — fingerprint(payload) must
   /// equal the coefficient-combination of the manifest fingerprints —
@@ -160,8 +136,8 @@ struct CollectionOutcome {
   std::size_t quarantined_nodes = 0;
   /// Locations retrievable at the start that were written off: their node
   /// died/was blacklisted or every attempt failed. Untried locations
-  /// (early stop via target/max_blocks, or SLC locations a partial read's
-  /// plan dropped) are not "lost".
+  /// (early stop at the target, or SLC locations a partial read's plan
+  /// dropped) are not "lost".
   std::size_t blocks_lost = 0;
   bool degraded = false;              ///< blocks_lost > 0
   std::uint64_t sim_elapsed_us = 0;   ///< simulated retrieval time

@@ -29,7 +29,6 @@ constexpr double FaultPoint::*kColumns[] = {
 
 std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
   params.experiment.validate();
-  params.retry.validate();
   PRLC_REQUIRE(params.churn_fraction >= 0.0 && params.churn_fraction <= 1.0,
                "churn fraction must be in [0,1]");
   PRLC_REQUIRE(!params.faults.empty(), "need at least one fault profile");
@@ -77,7 +76,6 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
           FaultyChannel channel(d.predist(), std::move(plan));
           auto decoder = d.decoder();
           CollectorOptions options;
-          options.retry = params.retry;
           if (manifest.has_value()) options.manifest = &*manifest;
           const CollectionOutcome c = collect(channel, decoder, options, rng);
 

@@ -41,7 +41,6 @@ struct FaultSweepParams : DeploymentParams {
   /// One fault profile per sweep point (at least one). The caller builds
   /// its own axis: scaled loud profiles, silent-corruption mixes, or both.
   std::vector<net::FaultSpec> faults;
-  RetryPolicy retry;
 };
 
 struct FaultPoint {

@@ -21,6 +21,9 @@ namespace {
 
 constexpr std::uint32_t kNoHost = 0xffffffffu;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kRepairStreams = 4;      ///< concurrent repair workers
+constexpr std::size_t kRepairFetchBlocks = 4;  ///< surviving blocks read per re-encoded block
+constexpr std::size_t kReplicationFactor = 3;  ///< copies per source block (replication mode)
 
 /// One stored coded block (or, in replication mode, one copy).
 struct Block {
@@ -80,7 +83,7 @@ class ClusterTrial {
         counts_(spec_.levels(), 0),
         zero_sources_(spec_.levels(), 0),
         level_queue_(spec_.levels()),
-        free_streams_(params.repair.streams) {
+        free_streams_(kRepairStreams) {
     outcome_.first_loss.assign(spec_.levels(), params.max_time);
     outcome_.lost.assign(spec_.levels(), 0);
     outcome_.levels_at.assign(params.sample_times.size(), 0);
@@ -143,14 +146,14 @@ class ClusterTrial {
 void ClusterTrial::place_blocks() {
   const std::size_t nodes = params_.nodes;
   if (params_.replication) {
-    // replication_factor copies of every source block, each on an
+    // kReplicationFactor copies of every source block, each on an
     // independently uniform node.
     const std::size_t sources = spec_.total();
-    copies_.assign(sources, static_cast<std::uint32_t>(params_.replication_factor));
-    blocks_.reserve(sources * params_.replication_factor);
+    copies_.assign(sources, static_cast<std::uint32_t>(kReplicationFactor));
+    blocks_.reserve(sources * kReplicationFactor);
     for (std::size_t j = 0; j < sources; ++j) {
       const auto level = static_cast<std::uint32_t>(spec_.level_of_block(j));
-      for (std::size_t r = 0; r < params_.replication_factor; ++r) {
+      for (std::size_t r = 0; r < kReplicationFactor; ++r) {
         const auto host = static_cast<std::uint32_t>(rng_.uniform(nodes));
         blocks_.push_back(Block{host, level, static_cast<std::uint32_t>(j)});
       }
@@ -400,7 +403,7 @@ void ClusterTrial::on_repair_done(std::uint32_t block, double now) {
   b.host = host;
   host_blocks_[host].push_back(block);
   ++outcome_.repairs_completed;
-  outcome_.repair_traffic += static_cast<double>(params_.repair.fetch_blocks + 1);
+  outcome_.repair_traffic += static_cast<double>(kRepairFetchBlocks + 1);
   if (is_byzantine(host)) {
     // Landed on an undetected Byzantine host: stored forged, never counted.
     b.rotten = true;
@@ -432,7 +435,7 @@ void ClusterTrial::finish(double final_time) {
   if (terminal_) {
     // In-flight and queued repairs will never complete; account for them
     // so traffic books balance.
-    outcome_.repairs_dropped += params_.repair.streams - free_streams_;
+    outcome_.repairs_dropped += kRepairStreams - free_streams_;
     outcome_.repairs_dropped += fifo_queue_.size();
     for (const auto& q : level_queue_) outcome_.repairs_dropped += q.size();
   }
@@ -511,10 +514,13 @@ std::optional<RepairPolicy> try_repair_policy_from_string(std::string_view name)
   return std::nullopt;
 }
 
+double RepairConfig::repair_duration() const {
+  return static_cast<double>(kRepairFetchBlocks + 1) * static_cast<double>(kRepairStreams) /
+         bandwidth;
+}
+
 void RepairConfig::validate() const {
   PRLC_REQUIRE(bandwidth > 0.0, "repair bandwidth must be positive");
-  PRLC_REQUIRE(streams > 0, "need at least one repair stream");
-  PRLC_REQUIRE(fetch_blocks > 0, "re-encoding must fetch at least one block");
 }
 
 void IntegrityConfig::validate() const {
@@ -531,9 +537,7 @@ void ClusterParams::validate() const {
   PRLC_REQUIRE(max_time > 0.0, "max_time must be positive");
   PRLC_REQUIRE(replacement_delay >= 0.0, "replacement delay must be nonnegative");
   PRLC_REQUIRE(!replication || locations == 0,
-               "replication mode sizes storage from replication_factor, not locations");
-  PRLC_REQUIRE(!replication || replication_factor > 0,
-               "replication needs at least one copy per block");
+               "replication mode stores 3 copies of every source block, not locations");
   for (std::size_t i = 1; i < sample_times.size(); ++i) {
     PRLC_REQUIRE(sample_times[i - 1] <= sample_times[i],
                  "sample times must be nondecreasing");

@@ -59,23 +59,18 @@ enum class RepairPolicy {
 const char* to_string(RepairPolicy policy);
 std::optional<RepairPolicy> try_repair_policy_from_string(std::string_view name);
 
-/// Repair-bandwidth model: `streams` concurrent repair workers (think
-/// replacement nodes), each limited to bandwidth/streams block transfers
-/// per unit time. Re-encoding one block reads `fetch_blocks` surviving
-/// blocks and writes one, so a stream holds a repair for
-/// (fetch_blocks + 1) * streams / bandwidth time units. Comparing
-/// policies at equal `bandwidth` is comparing at equal total repair
-/// capacity — only the order differs.
+/// Repair-bandwidth model: 4 concurrent repair streams (think
+/// replacement nodes), each limited to bandwidth/4 block transfers per
+/// unit time. Re-encoding one block reads 4 surviving blocks and writes
+/// one, so a stream holds a repair for (4 + 1) * 4 / bandwidth time units.
+/// Comparing policies at equal `bandwidth` is comparing at equal total
+/// repair capacity — only the order differs.
 struct RepairConfig {
   RepairPolicy policy = RepairPolicy::kPriorityAware;
-  double bandwidth = 8.0;        ///< total blocks transferred per unit time
-  std::size_t streams = 4;       ///< concurrent repair workers
-  std::size_t fetch_blocks = 4;  ///< surviving blocks read per re-encoded block
+  double bandwidth = 8.0;  ///< total blocks transferred per unit time
 
   /// Time one stream spends repairing one block.
-  double repair_duration() const {
-    return static_cast<double>(fetch_blocks + 1) * static_cast<double>(streams) / bandwidth;
-  }
+  double repair_duration() const;
 
   void validate() const;
 };
@@ -105,10 +100,10 @@ struct IntegrityConfig {
 struct ClusterParams {
   std::size_t nodes = 100000;  ///< cluster size W (10^6 is in budget)
   /// Stored coded blocks M; 0 = 2x the spec's source-block count. In
-  /// replication mode 0 = replication_factor copies of every source block.
+  /// replication mode it must stay 0: storage is 3 copies of every source
+  /// block.
   std::size_t locations = 0;
   bool replication = false;            ///< replication baseline instead of experiment.scheme
-  std::size_t replication_factor = 3;  ///< copies per source block (replication mode)
   double max_time = 50.0;              ///< simulate until here (censoring horizon)
   double replacement_delay = 0.5;      ///< failed slot rejoins empty after this
   std::vector<double> sample_times;    ///< ascending decoded-levels probe times

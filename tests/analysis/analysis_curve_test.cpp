@@ -37,12 +37,23 @@ TEST(AnalysisCurve, PlcSmallUsesExactBackend) {
   }
 }
 
+TEST(AnalysisCurve, PlcIsExactUpTo12Levels) {
+  AnalysisCurveOptions opt;
+  opt.mc_trials = 100;
+  const std::vector<std::size_t> ms = {12};
+  for (const std::size_t levels : {12u, 13u}) {
+    const auto spec = PrioritySpec::uniform(levels, 1);
+    const auto dist = PriorityDistribution::uniform(levels);
+    const auto curve = analysis_curve(Scheme::kPlc, spec, dist, ms, opt);
+    EXPECT_EQ(curve[0].exact, levels <= 12) << levels << " levels";
+  }
+}
+
 TEST(AnalysisCurve, PlcManyLevelsFallsBackToMonteCarlo) {
   const auto spec = PrioritySpec::uniform(20, 2);
   const auto dist = PriorityDistribution::uniform(20);
   const std::vector<std::size_t> ms = {40, 80};
   AnalysisCurveOptions opt;
-  opt.exact_level_limit = 10;
   opt.mc_trials = 3000;
   const auto curve = analysis_curve(Scheme::kPlc, spec, dist, ms, opt);
   for (const auto& p : curve) EXPECT_FALSE(p.exact);

@@ -2,33 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace prlc::bench {
 namespace {
 
-/// Run parse_args over a copy of `args`; returns the parsed options and
-/// the argv entries that survived stripping.
+/// Run `parse_fn` (a parse_args call) over a copy of `args`; returns the
+/// parsed options and the argv entries that survived stripping.
 struct ParseResult {
   Options options;
   std::vector<std::string> leftover;
 };
 
-ParseResult parse(std::vector<std::string> args,
-                  UnknownArgs unknown = UnknownArgs::kReject,
-                  Threads threads = Threads::kUsed) {
+template <typename ParseFn>
+ParseResult run_parse(std::vector<std::string> args, ParseFn parse_fn) {
   std::vector<char*> argv;
   std::string name = "bench_test";
   argv.push_back(name.data());
   for (auto& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);
   int argc = static_cast<int>(argv.size()) - 1;
-  parse_args(argc, argv.data(), unknown, threads);
+  parse_fn(argc, argv.data());
   ParseResult out;
   out.options = options();
   for (int i = 1; i < argc; ++i) out.leftover.emplace_back(argv[i]);
   return out;
+}
+
+/// parse_args for a bench that reads `reads`; by default every optional
+/// flag, so the value-parsing tests below can reach them all.
+ParseResult parse(std::vector<std::string> args, UnknownArgs unknown = UnknownArgs::kReject,
+                  std::initializer_list<std::string_view> reads = {
+                      "--trials", "--seed", "--threads", "--scheme", "--payload-bytes",
+                      "--nodes", "--churn-rate", "--repair-bw", "--rot-rate",
+                      "--byzantine-rate", "--scrub-interval", "--json"}) {
+  return run_parse(std::move(args),
+                   [&](int& argc, char** argv) { parse_args(argc, argv, unknown, reads); });
 }
 
 TEST(BenchCommonFlags, ParsesPayloadBytes) {
@@ -181,15 +194,64 @@ TEST(BenchCommonFlagsDeathTest, RejectsUnknownArgumentsUnlessKept) {
   EXPECT_EQ(*kept.options.payload_bytes, std::size_t{64} << 10);
 }
 
-TEST(BenchCommonFlagsDeathTest, RejectsThreadsWithoutATrialLoop) {
+TEST(BenchCommonFlagsDeathTest, RejectsAFlagTheBenchDoesNotReadInEitherMode) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EQ(parse({"--threads", "2"}).options.threads, 2u);
-  EXPECT_EQ(parse({"--trials", "3"}, UnknownArgs::kKeep, Threads::kUnused).options.threads, 0u);
-  EXPECT_EXIT(parse({"--threads", "2"}, UnknownArgs::kReject, Threads::kUnused),
-              testing::ExitedWithCode(64), "no trial loop");
+  EXPECT_EQ(parse({"--trials", "3"}, UnknownArgs::kKeep, {"--trials"}).options.threads, 0u);
+  // A bench without a trial loop reads no --threads.
+  EXPECT_EXIT(parse({"--threads", "2"}, UnknownArgs::kReject, {"--trials", "--seed"}),
+              testing::ExitedWithCode(64), "this bench does not read --threads");
   EXPECT_EXIT(parse({"--threads=8", "--benchmark_filter=BM_x"}, UnknownArgs::kKeep,
-                    Threads::kUnused),
-              testing::ExitedWithCode(64), "no trial loop");
+                    {"--payload-bytes", "--json"}),
+              testing::ExitedWithCode(64), "this bench does not read --threads");
+  // A bench that writes no report reads no --json, and one that reads no
+  // flag at all refuses every optional one.
+  EXPECT_EXIT(parse({"--json", "out.json"}, UnknownArgs::kReject, {"--trials"}),
+              testing::ExitedWithCode(64), "this bench does not read --json");
+  for (const std::string flag : {"--trials", "--seed", "--scheme", "--payload-bytes", "--nodes",
+                                 "--churn-rate", "--repair-bw", "--rot-rate",
+                                 "--byzantine-rate", "--scrub-interval"}) {
+    EXPECT_EXIT(parse({flag, "1"}, UnknownArgs::kReject, {}), testing::ExitedWithCode(64),
+                "this bench does not read " + flag);
+    EXPECT_EXIT(parse({flag + "=1", "--benchmark_filter=BM_x"}, UnknownArgs::kKeep, {}),
+                testing::ExitedWithCode(64), "this bench does not read " + flag);
+  }
+}
+
+TEST(BenchCommonFlagsDeathTest, EveryBenchAcceptsTheFourOutputs) {
+  // In a child: the trace and journal flags arm process-wide switches.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const auto r = parse({"--metrics-json", "m.json", "--trace-json", "t.json",
+                              "--events-jsonl", "e.jsonl", "--timeseries-jsonl=s.jsonl"},
+                             UnknownArgs::kReject, {});
+        const bool all = r.options.metrics_json_path == "m.json" &&
+                         r.options.trace_json_path == "t.json" &&
+                         r.options.events_jsonl_path == "e.jsonl" &&
+                         r.options.timeseries_jsonl_path == "s.jsonl";
+        std::exit(all ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+TEST(BenchCommonFlagsDeathTest, DefaultReadsAreTrialsSeedAndJson) {
+  // perf_pipeline's call: parse_args(argc, argv, UnknownArgs::kKeep).
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto pipeline = [](std::vector<std::string> args) {
+    return run_parse(std::move(args),
+                     [](int& argc, char** argv) { parse_args(argc, argv, UnknownArgs::kKeep); });
+  };
+  const auto r = pipeline({"small_objects", "--trials", "2", "--seed=5", "--json", "p.json",
+                           "--seconds", "1"});
+  EXPECT_EQ(*r.options.trials, 2u);
+  EXPECT_EQ(*r.options.seed, 5u);
+  EXPECT_EQ(r.options.json_path, "p.json");
+  EXPECT_EQ(r.leftover, (std::vector<std::string>{"small_objects", "--seconds", "1"}));
+  EXPECT_EXIT(pipeline({"small_objects", "--threads", "8", "--trials", "2"}),
+              testing::ExitedWithCode(64), "this bench does not read --threads");
+  EXPECT_EXIT(pipeline({"small_objects", "--payload-bytes", "1k"}), testing::ExitedWithCode(64),
+              "this bench does not read --payload-bytes");
 }
 
 }  // namespace

@@ -114,7 +114,6 @@ TEST(PriorityDecoder, RejectsBlocksOutsideTheirLevel) {
     past.coeffs[0] = 1;
     past.coeffs[2] = 3;  // first block of level 1
     EXPECT_THROW(dec.add(past), PreconditionError) << to_string(scheme);
-    EXPECT_THROW(dec.add(SparseCodedBlock<F>{0, {0, 2}, {1, 3}, {}}), PreconditionError);
     EXPECT_EQ(dec.blocks_seen() + dec.rank(), 0u);
   }
   // A level the spec does not have, under every scheme.
@@ -123,7 +122,6 @@ TEST(PriorityDecoder, RejectsBlocksOutsideTheirLevel) {
     CodedBlock<F> beyond{spec.levels(), std::vector<std::uint8_t>(spec.total(), 0), {}};
     beyond.coeffs[0] = 1;
     EXPECT_THROW(dec.add(beyond), PreconditionError) << to_string(scheme);
-    EXPECT_THROW(dec.add(SparseCodedBlock<F>{spec.levels(), {0}, {1}, {}}), PreconditionError);
     EXPECT_EQ(dec.blocks_seen(), 0u);
   }
 }
@@ -198,9 +196,10 @@ void expect_matches_rref(const PriorityDecoder<Field>& dec, linalg::Matrix<Field
   ASSERT_EQ(dec.decoded_prefix_blocks(), prefix);
 }
 
-/// Feed a random stream of dense, sparse, all-zero and redundant blocks
-/// (rank-deficient until late, and often for good over GF(2^4)),
-/// checking the decoder against linalg::rref after every one.
+/// Feed a random stream of dense, sparse-model, all-zero and redundant
+/// blocks (rank-deficient until late, and often for good over GF(2^4)),
+/// checking the decoder against linalg::rref after every one. Every block
+/// enters through add(CodedBlock).
 template <gf::FieldPolicy Field>
 void differential_against_rref(Scheme scheme, std::uint64_t seed) {
   SCOPED_TRACE(std::string(to_string(scheme)) + " seed " + std::to_string(seed));
@@ -226,10 +225,8 @@ void differential_against_rref(Scheme scheme, std::uint64_t seed) {
       b = dense.encode(level, rng);
       dec.add(b);
     } else if (kind < 7) {
-      const SparseCodedBlock<Field> sb = sparse.encode_sparse(level, rng);
-      for (std::size_t k = 0; k < sb.indices.size(); ++k) b.coeffs[sb.indices[k]] = sb.values[k];
-      b.payload = sb.payload;
-      dec.add(sb);
+      b = sparse.encode(level, rng);
+      dec.add(b);
     } else {
       // All-zero, or a combination of two fed rows whose supports nest
       // (SLC: same level; PLC: the higher level's covers the lower's).

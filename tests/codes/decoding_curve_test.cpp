@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "gf/gf256.h"
 #include "util/check.h"
 
@@ -96,54 +98,44 @@ TEST(DecodingCurve, DeterministicPerSeed) {
   }
 }
 
-TEST(DecodingCurve, ThreadCountDoesNotChangeResults) {
-  const auto spec = PrioritySpec({5, 10, 25});
-  const auto dist = PriorityDistribution::uniform(3);
-  CurveOptions opt;
-  opt.block_counts = {10, 25, 45, 80};
-  opt.trials = 16;
-  opt.seed = 91;
+/// The curve of `opt` at 1 thread must equal the curve at `threads`.
+void expect_same_curve_across_threads(Scheme scheme, const PrioritySpec& spec,
+                                      const PriorityDistribution& dist, CurveOptions opt,
+                                      std::initializer_list<std::size_t> threads) {
   opt.threads = 1;
-  const auto serial = simulate_decoding_curve<F>(Scheme::kPlc, spec, dist, opt);
-  opt.threads = 4;
-  const auto wide = simulate_decoding_curve<F>(Scheme::kPlc, spec, dist, opt);
-  ASSERT_EQ(serial.size(), wide.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].mean_levels, wide[i].mean_levels);
-    EXPECT_EQ(serial[i].ci95_levels, wide[i].ci95_levels);
-    EXPECT_EQ(serial[i].mean_blocks, wide[i].mean_blocks);
-    EXPECT_EQ(serial[i].ci95_blocks, wide[i].ci95_blocks);
+  const auto serial = simulate_decoding_curve<F>(scheme, spec, dist, opt);
+  for (const std::size_t t : threads) {
+    SCOPED_TRACE(::testing::Message() << to_string(scheme) << " threads " << t);
+    opt.threads = t;
+    const auto wide = simulate_decoding_curve<F>(scheme, spec, dist, opt);
+    ASSERT_EQ(serial.size(), wide.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].mean_levels, wide[i].mean_levels);
+      EXPECT_EQ(serial[i].ci95_levels, wide[i].ci95_levels);
+      EXPECT_EQ(serial[i].mean_blocks, wide[i].mean_blocks);
+      EXPECT_EQ(serial[i].ci95_blocks, wide[i].ci95_blocks);
+    }
   }
 }
 
-TEST(DecodingCurve, SparseBlocksMatchDenseBlocksAcrossThreads) {
-  // The sparse streaming path must reproduce the dense curve bit for bit
-  // (same RNG consumption in the encoder, exactly equivalent decoder
-  // arithmetic), at every thread count.
-  const auto spec = PrioritySpec::uniform(4, 12);  // N = 48
-  const auto dist = PriorityDistribution::uniform(4);
+TEST(DecodingCurve, ThreadCountDoesNotChangeResults) {
+  CurveOptions dense;
+  dense.block_counts = {10, 25, 45, 80};
+  dense.trials = 16;
+  dense.seed = 91;
+  expect_same_curve_across_threads(Scheme::kPlc, PrioritySpec({5, 10, 25}),
+                                   PriorityDistribution::uniform(3), dense, {4});
+  // The sparse coefficient model, whose low-weight rows take the decoder's
+  // sparse path, under every scheme.
+  CurveOptions sparse;
+  sparse.block_counts = make_block_counts(10, 120, 6);
+  sparse.trials = 12;
+  sparse.seed = 77;
+  sparse.encoder.model = CoefficientModel::kSparse;
+  sparse.encoder.sparsity_factor = 2.0;
   for (const auto scheme : {Scheme::kRlc, Scheme::kSlc, Scheme::kPlc}) {
-    CurveOptions opt;
-    opt.block_counts = make_block_counts(10, 120, 6);
-    opt.trials = 12;
-    opt.seed = 77;
-    opt.threads = 1;
-    opt.encoder.model = CoefficientModel::kSparse;
-    opt.encoder.sparsity_factor = 2.0;
-    const auto dense = simulate_decoding_curve<F>(scheme, spec, dist, opt);
-    opt.sparse_blocks = true;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      opt.threads = threads;
-      const auto sparse = simulate_decoding_curve<F>(scheme, spec, dist, opt);
-      ASSERT_EQ(dense.size(), sparse.size());
-      for (std::size_t i = 0; i < dense.size(); ++i) {
-        EXPECT_EQ(dense[i].mean_levels, sparse[i].mean_levels)
-            << "scheme " << static_cast<int>(scheme) << " threads " << threads;
-        EXPECT_EQ(dense[i].ci95_levels, sparse[i].ci95_levels);
-        EXPECT_EQ(dense[i].mean_blocks, sparse[i].mean_blocks);
-        EXPECT_EQ(dense[i].ci95_blocks, sparse[i].ci95_blocks);
-      }
-    }
+    expect_same_curve_across_threads(scheme, PrioritySpec::uniform(4, 12),
+                                     PriorityDistribution::uniform(4), sparse, {2, 8});
   }
 }
 
@@ -161,7 +153,6 @@ TEST(DecodingCurve, ChunkedSparsityStillDecodesEverything) {
   opt.encoder.model = CoefficientModel::kSparse;
   opt.encoder.sparsity_factor = 3.0;
   opt.encoder.chunk_size = 16;
-  opt.sparse_blocks = true;
   const auto curve = simulate_decoding_curve<F>(Scheme::kPlc, spec, dist, opt);
   EXPECT_NEAR(curve.back().mean_levels, 2.0, 1e-9);
   EXPECT_NEAR(curve.back().mean_blocks, 64.0, 1e-9);

@@ -210,13 +210,6 @@ TEST(PrioritySpec, AdmitsOnlyCoefficientsInsideTheSupport) {
   // Never throws: a level the spec lacks or a wrong width is a "no".
   EXPECT_FALSE(spec.admits(Scheme::kRlc, 3, c));
   EXPECT_FALSE(spec.admits(Scheme::kRlc, 0, c.first(8)));
-  // The sparse form checks the columns of the nonzeros.
-  const std::vector<std::uint32_t> level1 = {2, 4};
-  const std::vector<std::uint32_t> straddle = {1, 2};
-  EXPECT_TRUE(spec.admits_columns(Scheme::kSlc, 1, level1));
-  EXPECT_FALSE(spec.admits_columns(Scheme::kSlc, 1, straddle));
-  EXPECT_TRUE(spec.admits_columns(Scheme::kPlc, 1, straddle));
-  EXPECT_FALSE(spec.admits_columns(Scheme::kPlc, 3, level1));
 }
 
 }  // namespace

@@ -186,9 +186,6 @@ TEST(SensorNetwork, ValidatesParameters) {
   p.nodes = 10;
   p.locations = 0;
   EXPECT_THROW(SensorNetwork{p}, PreconditionError);
-  p.locations = 5;
-  p.radius = 7.0;
-  EXPECT_THROW(SensorNetwork{p}, PreconditionError);
 }
 
 }  // namespace

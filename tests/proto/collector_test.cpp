@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/count_model.h"
@@ -82,19 +84,6 @@ TEST(Collector, TargetLevelsStopsEarly) {
   }
 }
 
-TEST(Collector, MaxBlocksCapsRetrieval) {
-  TestHarness s;
-  Predistribution pd(s.overlay, s.spec, s.dist, s.params);
-  const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
-  pd.disseminate(source, s.rng);
-  codes::PriorityDecoder<Field> decoder(s.params.scheme, s.spec, s.params.block_size);
-  CollectorOptions opt;
-  opt.max_blocks = 7;
-  const auto result = collect(pd, decoder, opt, s.rng).result;
-  EXPECT_EQ(result.blocks_retrieved, 7u);
-  EXPECT_FALSE(result.target_met);
-}
-
 TEST(Collector, TraceRecordsProgression) {
   TestHarness s;
   Predistribution pd(s.overlay, s.spec, s.dist, s.params);
@@ -171,21 +160,12 @@ TEST(Collector, OptionsValidated) {
   const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
   pd.disseminate(source, s.rng);
   codes::PriorityDecoder<Field> decoder(s.params.scheme, s.spec, s.params.block_size);
-  CollectorOptions zero_blocks;
-  zero_blocks.max_blocks = 0;  // previously silently collected nothing
-  EXPECT_THROW(collect(pd, decoder, zero_blocks, s.rng), PreconditionError);
   CollectorOptions too_many_levels;
   too_many_levels.target_levels = s.spec.levels() + 1;  // previously never met
   EXPECT_THROW(collect(pd, decoder, too_many_levels, s.rng), PreconditionError);
   CollectorOptions zero_levels;
   zero_levels.target_levels = 0;  // previously met at once with nothing fetched
   EXPECT_THROW(collect(pd, decoder, zero_levels, s.rng), PreconditionError);
-  CollectorOptions bad_retry;
-  bad_retry.retry.max_attempts = 0;
-  EXPECT_THROW(collect(pd, decoder, bad_retry, s.rng), PreconditionError);
-  CollectorOptions bad_jitter;
-  bad_jitter.retry.jitter = 1.5;
-  EXPECT_THROW(collect(pd, decoder, bad_jitter, s.rng), PreconditionError);
   // target_levels == levels() is the boundary and stays legal.
   CollectorOptions all_levels;
   all_levels.target_levels = s.spec.levels();
@@ -323,17 +303,99 @@ TEST(ResilientCollector, CorruptedPayloadsNeverVerifyAsCorrect) {
 }
 
 TEST(ResilientCollector, FailureBudgetBlacklistsHopelessNodes) {
+  // Every attempt fails with a retryable fault and takes no time, so the
+  // fetch log and sim_elapsed_us show the fixed schedule whole: 4 attempts
+  // per location, a node blacklisted at its 8th retryable fault, and
+  // retry k backing off 200 * 2^(k-1) us +-25%.
   FaultHarness h;
   net::FaultSpec faults;
   faults.transient_rate = 1.0;  // every attempt on every node fails
+  faults.mean_latency_us = 0;
   auto channel = h.channel(faults);
   auto decoder = h.decoder();
-  const CollectionOutcome outcome = collect(channel, decoder, {}, h.rng);
+  CollectorOptions options;
+  options.trace = true;
+  const CollectionOutcome outcome = collect(channel, decoder, options, h.rng);
   EXPECT_EQ(outcome.result.blocks_retrieved, 0u);
-  EXPECT_GT(outcome.blacklisted_nodes, 0u);
-  EXPECT_GT(outcome.retries, 0u);
   EXPECT_EQ(outcome.blocks_lost, outcome.result.surviving_locations);
   EXPECT_TRUE(outcome.degraded);
+
+  // Without wire errors or slow replies a location's attempts run back to
+  // back; a node's faults add up across its locations.
+  const std::vector<FetchAttempt>& log = outcome.fetch_log;
+  std::unordered_map<net::NodeId, std::size_t> node_faults;
+  std::unordered_set<net::NodeId> blacklisted;
+  std::unordered_set<net::LocationId> fetched;
+  std::size_t retries = 0;
+  double nominal = 0;
+  for (std::size_t i = 0; i < log.size();) {
+    const net::LocationId loc = log[i].location;
+    const net::NodeId node = channel.owner_of(loc);
+    EXPECT_TRUE(fetched.insert(loc).second) << "location " << loc << " fetched twice";
+    EXPECT_FALSE(blacklisted.contains(node)) << "blacklisted node " << node << " fetched";
+    std::size_t attempts = 0;
+    for (; i < log.size() && log[i].location == loc; ++i) {
+      EXPECT_EQ(log[i].node, node);
+      EXPECT_EQ(log[i].fault, net::FaultClass::kTransient);
+      if (attempts > 0) nominal += 200.0 * static_cast<double>(1u << (attempts - 1));
+      ++attempts;
+      if (++node_faults[node] == 8) blacklisted.insert(node);
+    }
+    // Four attempts, unless the node's 8th fault cut them short.
+    if (!blacklisted.contains(node)) {
+      EXPECT_EQ(attempts, 4u) << "location " << loc;
+    }
+    EXPECT_LE(attempts, 4u) << "location " << loc;
+    retries += attempts - 1;
+  }
+  EXPECT_EQ(outcome.retries, retries);
+  EXPECT_EQ(outcome.blacklisted_nodes, blacklisted.size());
+  EXPECT_GT(blacklisted.size(), 0u);
+  // Some blacklisted node still owned locations: they were written off
+  // unfetched.
+  EXPECT_LT(fetched.size(), outcome.result.surviving_locations);
+  // Zero latency: the elapsed time is the backoffs alone, each within 25%
+  // of its nominal delay, and jittered.
+  EXPECT_GE(static_cast<double>(outcome.sim_elapsed_us), 0.75 * nominal);
+  EXPECT_LE(static_cast<double>(outcome.sim_elapsed_us), 1.25 * nominal);
+  EXPECT_NE(static_cast<double>(outcome.sim_elapsed_us), nominal);
+}
+
+TEST(ResilientCollector, EachBackoffIsItsNominalDelayWithin25Percent) {
+  // One stored location and a fault on half the attempts: the elapsed
+  // time of a zero-latency read is the sum of its r backoffs, and r = 1
+  // shows the first backoff alone.
+  net::ChordNetwork overlay(TestHarness::make_net(1));
+  const PrioritySpec spec({4});
+  const PriorityDistribution dist(std::vector<double>{1.0});
+  ProtocolParams params;
+  params.block_size = 6;
+  net::FaultSpec faults;
+  faults.transient_rate = 0.5;
+  faults.mean_latency_us = 0;
+  std::size_t singles = 0, wide = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Predistribution pd(overlay, spec, dist, params);
+    pd.disseminate(codes::SourceData<Field>::random(spec.total(), 6, rng), rng);
+    FaultyChannel channel(pd, net::FaultPlan(faults, overlay.nodes(), rng));
+    codes::PriorityDecoder<Field> decoder(params.scheme, spec, params.block_size);
+    const CollectionOutcome outcome = collect(channel, decoder, {}, rng);
+    ASSERT_LE(outcome.retries, 3u);
+    double nominal = 0;
+    for (std::size_t k = 0; k < outcome.retries; ++k) nominal += 200.0 * (1u << k);
+    const auto elapsed = static_cast<double>(outcome.sim_elapsed_us);
+    EXPECT_GE(elapsed, 0.75 * nominal);
+    EXPECT_LE(elapsed, 1.25 * nominal);
+    if (outcome.retries == 1) {
+      ++singles;
+      if (std::abs(elapsed - 200.0) > 25.0) ++wide;
+    }
+  }
+  // The jitter is drawn, and it spans the whole +-25%, not a narrower band.
+  EXPECT_GT(singles, 8u);
+  EXPECT_GT(wide, 0u);
 }
 
 TEST(ResilientCollector, SlowNodesTriggerHedges) {
@@ -344,28 +406,12 @@ TEST(ResilientCollector, SlowNodesTriggerHedges) {
   faults.mean_latency_us = 1000;  // slow draws land far beyond the deadline
   auto channel = h.channel(faults);
   auto decoder = h.decoder();
-  CollectorOptions options;
-  options.retry.hedge_deadline_us = 2000;
-  const CollectionOutcome outcome = collect(channel, decoder, options, h.rng);
+  const CollectionOutcome outcome = collect(channel, decoder, {}, h.rng);
   EXPECT_GT(outcome.hedges, 0u);
   EXPECT_GT(outcome.sim_elapsed_us, 0u);
   // Hedging costs nothing correctness-wise: everything still decodes.
   EXPECT_EQ(outcome.result.decoded_levels, 3u);
   h.expect_verified(decoder);
-}
-
-TEST(ResilientCollector, HedgingCanBeDisabled) {
-  FaultHarness h;
-  net::FaultSpec faults;
-  faults.slow_fraction = 0.5;
-  faults.slow_multiplier = 64.0;
-  faults.mean_latency_us = 1000;
-  auto channel = h.channel(faults);
-  auto decoder = h.decoder();
-  CollectorOptions options;
-  options.retry.hedging = false;
-  const CollectionOutcome outcome = collect(channel, decoder, options, h.rng);
-  EXPECT_EQ(outcome.hedges, 0u);
 }
 
 TEST(ResilientCollector, MidCollectionCrashesLoseBlocksNotLevels) {

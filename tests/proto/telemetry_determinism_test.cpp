@@ -69,7 +69,6 @@ TEST(TelemetryDeterminism, FaultSweepJournalsIdenticallyAcrossThreads) {
   base.timeout_rate = 0.2;
   base.transient_rate = 0.1;
   for (const double scale : {0.5, 1.0, 1.5}) params.faults.push_back(base.scaled(scale));
-  params.retry.max_attempts = 3;
   const auto exports = telemetry_across_threads([&](std::size_t threads) {
     params.experiment.threads = threads;
     run_fault_experiment(params);

@@ -65,7 +65,6 @@ TEST(AnalyticValidation, PlcCurveMatchesCountModelMonteCarlo) {
 TEST(AnalyticValidation, ReplicationCurveMatchesClosedForm) {
   ClusterParams params = no_repair_cluster(codes::Scheme::kPlc);
   params.replication = true;
-  params.replication_factor = 3;
   const ClusterPoint point = run_cluster_lifetime(params);
   const auto spec = params.experiment.spec();
   for (std::size_t s = 0; s < params.sample_times.size(); ++s) {

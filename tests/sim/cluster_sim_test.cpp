@@ -62,6 +62,19 @@ TEST(ClusterSim, SingleTrialReplaysFromItsSeed) {
   EXPECT_EQ(r1(), r2());  // identical draw streams all the way through
 }
 
+TEST(ClusterSim, RepairReadsFourBlocksOnFourStreams) {
+  // A stream re-encodes one block from 4 fetched blocks plus its write: 5
+  // transfers, each stream at a quarter of the bandwidth.
+  RepairConfig repair;
+  repair.bandwidth = 8.0;
+  EXPECT_DOUBLE_EQ(repair.repair_duration(), 2.5);
+  const ClusterParams params = small_cluster(1, 55);
+  Rng rng(0xABCDEF);
+  const LifetimeOutcome outcome = run_cluster_trial(params, rng);
+  EXPECT_GT(outcome.repairs_completed, 0u);
+  EXPECT_EQ(outcome.repair_traffic, 5.0 * static_cast<double>(outcome.repairs_completed));
+}
+
 TEST(ClusterSim, PriorityAwareRepairExtendsLevel1Lifetime) {
   // The headline ablation: equal storage redundancy per level (so PLC's
   // storage skew cannot carry the claim) and equal repair bandwidth; only
@@ -101,7 +114,6 @@ TEST(ClusterSim, DifferentiatedPersistenceAcrossLevels) {
 TEST(ClusterSim, ReplicationBaselineRunsAndDecays) {
   ClusterParams params = small_cluster(4, 7);
   params.replication = true;
-  params.replication_factor = 3;
   params.experiment.failure.churn_rate = 0.2;
   params.sample_times = {1.0, 5.0, 20.0, 39.0};
   const ClusterPoint point = run_cluster_lifetime(params);
@@ -229,7 +241,7 @@ TEST(ClusterSim, ValidateRejectsBadParams) {
 
   params = small_cluster(1, 1);
   params.replication = true;
-  params.locations = 10;  // replication sizes storage from the factor
+  params.locations = 10;  // replication stores 3 copies per source block
   EXPECT_THROW(params.validate(), PreconditionError);
 
   params = small_cluster(1, 1);

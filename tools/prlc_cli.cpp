@@ -21,11 +21,11 @@
 //              prlc metrics --levels 8,16 --out metrics.json
 //                           --timeseries-out ts.jsonl --events-out ev.jsonl
 //
-// Every subcommand accepts --seed; curve and persist also accept
-// --threads (0 = one per hardware thread, 1 = serial, at most
+// Every subcommand but design accepts --seed; curve and persist also
+// accept --threads (0 = one per hardware thread, 1 = serial, at most
 // runtime::kMaxThreads; results do not depend on the thread count).
-// Unknown flags are reported; malformed flag values and arguments that are
-// not flags exit 64 with a usage message.
+// A flag the subcommand never read, a malformed flag value and an argument
+// that is not a flag exit 64 with a usage message.
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -379,8 +379,9 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-    for (const auto& name : flags.unused()) {
-      std::cerr << "warning: unused flag --" << name << "\n";
+    // Checked after the run: `metrics` reads its output paths last.
+    if (!flags.unused().empty()) {
+      throw UsageError("prlc " + cmd + " does not read --" + flags.unused().front());
     }
     return rc;
   } catch (const UsageError& e) {

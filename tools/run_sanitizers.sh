@@ -71,12 +71,11 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_fault" \
   --threads 4 --trials 32 \
   --events-jsonl "${tsan_build_dir}/fault_events.jsonl" \
   --timeseries-jsonl "${tsan_build_dir}/fault_ts.jsonl" > /dev/null
-# Hybrid sparse-vs-dense decode driven through the TrialRunner at 1/2/8
-# threads: each trial owns its decoder, so the only shared state is
-# the runner's work distribution — exactly what TSan should vet.
+# Dense and sparse-model decoding curves driven through the TrialRunner
+# at 1/2/4/8 threads: each trial owns its decoder, so the only shared
+# state is the runner's work distribution — exactly what TSan should vet.
 "${tsan_build_dir}/tests/test_codes" \
-  --gtest_filter='DecodingCurve.ThreadCountDoesNotChangeResults:DecodingCurve.SparseBlocksMatchDenseBlocksAcrossThreads' \
-  > /dev/null
+  --gtest_filter='DecodingCurve.ThreadCountDoesNotChangeResults' > /dev/null
 # Cluster-simulator lifetimes sharded across TrialRunner threads: each
 # trial owns its event queue, membership bitmap and failure process, and
 # the per-trial telemetry rings hand off to the global journal at merge
