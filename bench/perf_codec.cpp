@@ -266,6 +266,45 @@ void BM_GfCombineBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GfCombineBatch)->Args({16, 64, 32768});
 
+// The store's product on each tier: 128 PLC rows over 64 source blocks,
+// 32 rows per level with supports of 16, 32, 48 and 64 sources, the
+// coefficient rows of a dense four-level store. Bytes counted are source
+// bytes folded in (nonzero terms x block bytes), so the rate reads as
+// effective axpy throughput.
+void BM_GfKernelCombine(benchmark::State& state, gf::Gf256Kernel kernel) {
+  const auto& ops = gf::gf256_kernel_ops(kernel);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSources = 64;
+  constexpr std::size_t kRows = 128;
+  constexpr std::size_t kLevels = 4;
+  Rng rng(13);
+  gf::AlignedVector<std::uint8_t> sources(kSources * n);
+  for (auto& v : sources) v = static_cast<std::uint8_t>(rng.uniform(256));
+  std::vector<const std::uint8_t*> srcs;
+  for (std::size_t j = 0; j < kSources; ++j) srcs.push_back(sources.data() + j * n);
+  std::vector<std::vector<std::uint8_t>> coeffs(kRows, std::vector<std::uint8_t>(kSources, 0));
+  std::vector<const std::uint8_t*> coeff_rows;
+  std::size_t terms = 0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::size_t width = (r / (kRows / kLevels) + 1) * (kSources / kLevels);
+    for (std::size_t j = 0; j < width; ++j) {
+      coeffs[r][j] = static_cast<std::uint8_t>(1 + rng.uniform(255));
+    }
+    terms += width;
+    coeff_rows.push_back(coeffs[r].data());
+  }
+  std::vector<std::vector<std::uint8_t>> dsts(kRows, std::vector<std::uint8_t>(n));
+  std::vector<std::uint8_t*> ptrs;
+  for (auto& d : dsts) ptrs.push_back(d.data());
+  for (auto _ : state) {
+    ops.combine(ptrs.data(), coeff_rows.data(), kRows, srcs.data(), kSources, n);
+    benchmark::DoNotOptimize(dsts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(terms * n));
+}
+
 // Integrity-check tiers: the wire CRC and the homomorphic fingerprint
 // each read every payload byte of a fetched frame.
 void BM_Crc32Kernel(benchmark::State& state, Crc32Kernel kernel) {
@@ -304,6 +343,11 @@ void register_kernel_benchmarks() {
           ->Arg(n);
       benchmark::RegisterBenchmark(("BM_GfKernelMulRegion/" + suffix).c_str(),
                                    BM_GfKernelMulRegion, k)
+          ->Arg(n);
+    }
+    for (long n : {1024L, 4096L, 32768L}) {
+      benchmark::RegisterBenchmark(("BM_GfKernelCombine/" + suffix).c_str(), BM_GfKernelCombine,
+                                   k)
           ->Arg(n);
     }
   }

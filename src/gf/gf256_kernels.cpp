@@ -50,6 +50,33 @@ void mul_region_reference(std::uint8_t* dst, const std::uint8_t* src, std::uint8
   for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
 }
 
+/// The combine of the reference and avx2 tiers, a tile-local chain: per
+/// tile, each row's tile is one mul_region for its first nonzero term and
+/// one axpy per further term, on a destination tile that stays in L1.
+template <auto Axpy, auto MulRegion>
+void combine_chain(std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows,
+                   std::size_t rows, const std::uint8_t* const* srcs, std::size_t k,
+                   std::size_t n) {
+  for (std::size_t off = 0; off < n; off += kGf256TileBytes) {
+    const std::size_t len = std::min(n - off, kGf256TileBytes);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::uint8_t* dst = dsts[r] + off;
+      bool first = true;
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::uint8_t c = coeff_rows[r][j];
+        if (c == 0) continue;
+        if (first) {
+          MulRegion(dst, srcs[j] + off, c, len);
+          first = false;
+        } else {
+          Axpy(dst, srcs[j] + off, c, len);
+        }
+      }
+      if (first) std::memset(dst, 0, len);
+    }
+  }
+}
+
 #if PRLC_GF256_X86
 
 // ---------------------------------------------------------------------------
@@ -239,16 +266,132 @@ __attribute__((target(PRLC_GF256_GFNI))) void mul_region_gfni(std::uint8_t* dst,
   }
 }
 
+/// Rows the gfni combine blocks together: each source slice it loads feeds
+/// this many rows' accumulators.
+constexpr std::size_t kBlockRows = 4;
+
+/// Up to kBlockRows consecutive rows with the same nonzero columns. Their
+/// terms are entries [term, term + terms) of the combine's source array,
+/// one per shared column, and their affine matrices start at entry `mat`
+/// of its matrix array: `rows` per column, one per row of the block.
+struct RowBlock {
+  std::size_t row;
+  std::size_t rows;
+  std::size_t term;
+  std::size_t terms;
+  std::size_t mat;
+};
+
+/// One 128-byte slice (or the masked tail of one, lanes k0 | k1) of a
+/// block's R rows at byte `at`: every term's two source vectors are loaded
+/// once and folded into 2R accumulators, row r's with term t's matrix
+/// mat[t * R + r], and each row's slice is stored once.
+template <std::size_t R>
+__attribute__((target(PRLC_GF256_GFNI), always_inline)) inline void fold_slice(
+    std::uint8_t* const* dst, const std::uint8_t* const* src, const std::uint64_t* mat,
+    std::size_t terms, std::size_t at, __mmask64 k0, __mmask64 k1) {
+  // The row loops are unrolled so that the accumulators live in registers.
+  __m512i acc[R][2];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) acc[r][0] = acc[r][1] = _mm512_setzero_si512();
+  for (std::size_t t = 0; t < terms; ++t) {
+    const __m512i x0 = _mm512_maskz_loadu_epi8(k0, src[t] + at);
+    const __m512i x1 = _mm512_maskz_loadu_epi8(k1, src[t] + at + 64);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m512i m = _mm512_set1_epi64(static_cast<long long>(mat[t * R + r]));
+      acc[r][0] = _mm512_xor_si512(acc[r][0], gf_mul(x0, m));
+      acc[r][1] = _mm512_xor_si512(acc[r][1], gf_mul(x1, m));
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm512_mask_storeu_epi8(dst[r] + at, k0, acc[r][0]);
+    _mm512_mask_storeu_epi8(dst[r] + at + 64, k1, acc[r][1]);
+  }
+}
+
+/// Bytes [off, off + len) of one block's R rows, slice by slice.
+template <std::size_t R>
+__attribute__((target(PRLC_GF256_GFNI))) void fold_block(std::uint8_t* const* dst,
+                                                         const std::uint8_t* const* src,
+                                                         const std::uint64_t* mat,
+                                                         std::size_t terms, std::size_t off,
+                                                         std::size_t len) {
+  constexpr __mmask64 kAll = ~__mmask64{0};
+  const std::size_t end = off + len;
+  std::size_t at = off;
+  for (; at + 128 <= end; at += 128) fold_slice<R>(dst, src, mat, terms, at, kAll, kAll);
+  if (at < end) {
+    const std::size_t rest = end - at;
+    fold_slice<R>(dst, src, mat, terms, at, rest >= 64 ? kAll : tail_mask(rest),
+                  rest > 64 ? tail_mask(rest - 64) : 0);
+  }
+}
+
+__attribute__((target(PRLC_GF256_GFNI))) void combine_gfni(
+    std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows, std::size_t rows,
+    const std::uint8_t* const* srcs, std::size_t k, std::size_t n) {
+  if (n == 0) return;
+  // Plan: split the rows into blocks of one support, zeroing every row
+  // with none, and lay out each block's source rows and matrices.
+  const auto same_support = [k](const std::uint8_t* a, const std::uint8_t* b) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if ((a[j] == 0) != (b[j] == 0)) return false;
+    }
+    return true;
+  };
+  std::vector<RowBlock> blocks;
+  std::vector<const std::uint8_t*> term_src;
+  std::vector<std::uint64_t> term_mat;
+  for (std::size_t r = 0; r < rows;) {
+    const std::uint8_t* lead = coeff_rows[r];
+    RowBlock block{r, 1, term_src.size(), 0, term_mat.size()};
+    while (block.rows < kBlockRows && r + block.rows < rows &&
+           same_support(lead, coeff_rows[r + block.rows])) {
+      ++block.rows;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      if (lead[j] == 0) continue;
+      term_src.push_back(srcs[j]);
+      for (std::size_t i = 0; i < block.rows; ++i) {
+        term_mat.push_back(affine().mul[coeff_rows[r + i][j]]);
+      }
+    }
+    block.terms = term_src.size() - block.term;
+    if (block.terms == 0) {
+      for (std::size_t i = 0; i < block.rows; ++i) std::memset(dsts[r + i], 0, n);
+    } else {
+      blocks.push_back(block);
+    }
+    r += block.rows;
+  }
+  // Fold tile by tile, so each source tile is read from memory once.
+  static_assert(kBlockRows == 4, "one fold_block per block height");
+  constexpr decltype(&fold_block<1>) kFold[kBlockRows + 1] = {
+      nullptr, fold_block<1>, fold_block<2>, fold_block<3>, fold_block<4>};
+  for (std::size_t off = 0; off < n; off += kGf256TileBytes) {
+    const std::size_t len = std::min(n - off, kGf256TileBytes);
+    for (const RowBlock& b : blocks) {
+      kFold[b.rows](dsts + b.row, term_src.data() + b.term, term_mat.data() + b.mat, b.terms,
+                    off, len);
+    }
+  }
+}
+
 #endif  // PRLC_GF256_X86
 
 // ---------------------------------------------------------------------------
 // Tier registry + one-time dispatch.
 // ---------------------------------------------------------------------------
 
-constexpr Gf256KernelOps kReferenceOps = {"reference", axpy_reference, mul_region_reference};
+constexpr Gf256KernelOps kReferenceOps = {
+    "reference", axpy_reference, mul_region_reference,
+    combine_chain<axpy_reference, mul_region_reference>};
 #if PRLC_GF256_X86
-constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2};
-constexpr Gf256KernelOps kGfniOps = {"gfni", axpy_gfni, mul_region_gfni};
+constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2,
+                                     combine_chain<axpy_avx2, mul_region_avx2>};
+constexpr Gf256KernelOps kGfniOps = {"gfni", axpy_gfni, mul_region_gfni, combine_gfni};
 #endif
 
 constexpr Gf256Kernel kCompiledKernels[] = {
@@ -366,34 +509,17 @@ void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
 void gf256_combine_batch(std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows,
                          std::size_t rows, const std::uint8_t* const* srcs, std::size_t k,
                          std::size_t n) {
-  const Gf256KernelOps& ops = gf256_active_ops();
   static obs::Counter& combine_calls = obs::counter("gf256.combine_calls");
   static obs::Counter& combine_bytes = obs::counter("gf256.combine_bytes");
   combine_calls.add();
-  // Tile-major: a tile of every source is read from memory once, then
-  // each row runs its chain (mul_region for the first nonzero term, axpy
-  // for the rest) on a destination tile that stays in L1.
-  std::size_t folded = 0;
-  for (std::size_t off = 0; off < n; off += kGf256TileBytes) {
-    const std::size_t len = std::min(n - off, kGf256TileBytes);
+  if (obs::enabled()) {  // counting the terms scans every coefficient
+    std::size_t terms = 0;
     for (std::size_t r = 0; r < rows; ++r) {
-      std::uint8_t* dst = dsts[r] + off;
-      bool first = true;
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::uint8_t c = coeff_rows[r][j];
-        if (c == 0) continue;
-        if (first) {
-          ops.mul_region(dst, srcs[j] + off, c, len);
-          first = false;
-        } else {
-          ops.axpy(dst, srcs[j] + off, c, len);
-        }
-        folded += len;
-      }
-      if (first) std::memset(dst, 0, len);
+      terms += k - static_cast<std::size_t>(std::count(coeff_rows[r], coeff_rows[r] + k, 0));
     }
+    combine_bytes.add(terms * n);
   }
-  combine_bytes.add(folded);
+  gf256_active_ops().combine(dsts, coeff_rows, rows, srcs, k, n);
 }
 
 }  // namespace prlc::gf

@@ -1,10 +1,11 @@
 // Vectorized GF(2^8) span kernels with one-time runtime dispatch.
 //
 // Every hot path of the library — encoding, in-network storage, progressive
-// decoding, batch RREF — reduces to two span operations over GF(2^8): axpy
-// (y ^= a*x) and mul_region (dst = a*src; scale when dst == src). Three
-// kernel tiers compute identical bytes; the fastest one the running CPU
-// supports is picked once, at first use:
+// decoding, batch RREF — reduces to span operations over GF(2^8): axpy
+// (y ^= a*x), mul_region (dst = a*src; scale when dst == src) and combine
+// (dst_r = sum_j c_rj*src_j, the coded payloads of the in-network store).
+// Three kernel tiers compute identical bytes; the fastest one the running
+// CPU supports is picked once, at first use:
 //
 //   kReference — byte-at-a-time lookups in the 64 KiB product table; the
 //                seed implementation, kept as the oracle the other tiers
@@ -18,12 +19,15 @@
 //                in the bits of x, so one GF2P8AFFINEQB applies it to 64
 //                bytes as an 8x8 bit-matrix product (this works for any
 //                field polynomial, 0x11D included); byte-masked loads and
-//                stores handle the tail.
+//                stores handle the tail. Its combine accumulates in
+//                registers: up to four consecutive rows with one support
+//                share every source load, and each destination byte is
+//                stored once.
 //
 // Two batch entry points tile those ops for cache reuse: gf256_axpy_batch
 // applies one source row to many rows (decoder back-elimination) and
-// gf256_combine_batch computes many rows from many sources (the coded
-// payloads of the in-network store).
+// gf256_combine_batch computes many rows from many sources through the
+// active tier's combine.
 //
 // The vector tiers are compiled behind __x86_64__/__i386__ guards using
 // GCC/Clang `target` attributes (no special -m flags needed) and chosen
@@ -55,6 +59,13 @@ struct Gf256KernelOps {
   /// partial overlap is not.
   void (*mul_region)(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
                      std::size_t n);
+  /// dsts[r][i] = sum_j coeff_rows[r][j] * srcs[j][i] for r in [0, rows)
+  /// and i in [0, n): the rows x k coefficient matrix times k source rows.
+  /// A row pays only for its nonzero terms, and a row with none is zeroed.
+  /// Destinations must not overlap any source.
+  void (*combine)(std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows,
+                  std::size_t rows, const std::uint8_t* const* srcs, std::size_t k,
+                  std::size_t n);
 };
 
 /// Tier name ("reference", "avx2", "gfni").
@@ -95,12 +106,14 @@ void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
 /// Batched combine: the tile-major product D = C*S of a rows x k
 /// coefficient matrix with k source rows of n bytes, dsts[r] =
 /// sum_j coeff_rows[r][j] * srcs[j]; zero coefficients are skipped and a
-/// row without nonzero ones is zeroed. Walks kGf256TileBytes at a time:
-/// one tile of every source is read from memory once and then folded into
-/// every row from cache, each row's tile by one mul_region and then one
-/// axpy per further term. Destinations must not overlap any source.
-/// Counts calls and source bytes folded in the obs counters
-/// "gf256.combine_calls" and "gf256.combine_bytes".
+/// row without nonzero ones is zeroed. The active tier's combine walks
+/// kGf256TileBytes at a time, so one tile of every source is read from
+/// memory once and then folded into every row from cache. The reference
+/// and avx2 tiers build each row's tile by one mul_region and then one
+/// axpy per further term; gfni folds each 128-byte slice of up to four
+/// rows with one support in registers and stores it once. Destinations
+/// must not overlap any source. Counts calls and source bytes folded in
+/// the obs counters "gf256.combine_calls" and "gf256.combine_bytes".
 void gf256_combine_batch(std::uint8_t* const* dsts, const std::uint8_t* const* coeff_rows,
                          std::size_t rows, const std::uint8_t* const* srcs, std::size_t k,
                          std::size_t n);

@@ -74,9 +74,46 @@ ChordNetwork::AliveRing& ChordNetwork::alive_ring() const {
     alive_.ids.push_back(ring_ids_[v]);
   }
   alive_.owners.clear();
-  alive_.finger_row.clear();
+  alive_.finger_base.clear();
   alive_.fingers.clear();
   return alive_;
+}
+
+void ChordNetwork::build_fingers(AliveRing& ring) {
+  const std::size_t alive_total = ring.nodes.size();
+  // The first bit of p's row: floor(log2) of the gap to p's alive
+  // successor. A lone alive node (gap 0) gets a full row it never reads.
+  std::vector<std::uint8_t> low_bit(alive_total);
+  ring.finger_base.resize(alive_total);
+  std::uint32_t size = 0;
+  std::uint32_t first_bit = 63;
+  for (std::size_t p = 0; p < alive_total; ++p) {
+    const std::uint64_t gap = ring.ids[p + 1 == alive_total ? 0 : p + 1] - ring.ids[p];
+    const auto low = static_cast<std::uint32_t>(std::bit_width(gap | 1)) - 1;
+    low_bit[p] = static_cast<std::uint8_t>(low);
+    ring.finger_base[p] = size - low;
+    size += 64 - low;
+    first_bit = std::min(first_bit, low);
+  }
+  ring.fingers.resize(size);
+  // One sweep per bit b. The targets ids[p] + 2^b ascend once the nodes
+  // whose target wraps past the top of the ring come first, so one forward
+  // pointer over the ids finds every successor.
+  for (std::uint32_t b = first_bit; b < 64; ++b) {
+    const std::uint64_t step = std::uint64_t{1} << b;
+    const auto wrap = static_cast<std::size_t>(
+        std::lower_bound(ring.ids.begin(), ring.ids.end(), std::uint64_t{0} - step) -
+        ring.ids.begin());
+    std::size_t succ = 0;
+    for (std::size_t i = 0; i < alive_total; ++i) {
+      const std::size_t p = wrap + i < alive_total ? wrap + i : wrap + i - alive_total;
+      if (low_bit[p] > b) continue;  // below p's row
+      const std::uint64_t target = ring.ids[p] + step;
+      while (succ < alive_total && ring.ids[succ] < target) ++succ;
+      ring.fingers[static_cast<std::uint32_t>(ring.finger_base[p] + b)] =
+          succ == alive_total ? 0 : static_cast<std::uint32_t>(succ);
+    }
+  }
 }
 
 std::size_t ChordNetwork::successor_pos(const AliveRing& ring, std::uint64_t key) {
@@ -121,58 +158,61 @@ std::vector<NodeId> ChordNetwork::owner_candidates(LocationId loc, std::size_t c
   return successors(location_key(loc), count);
 }
 
-RouteResult ChordNetwork::route(NodeId from, LocationId loc) const {
-  PRLC_REQUIRE(from < ring_ids_.size(), "node id out of range");
-  PRLC_REQUIRE(alive(from), "routing from a failed node");
+void ChordNetwork::route(std::span<const NodeId> from, LocationId loc,
+                         std::span<RouteResult> out) const {
+  PRLC_REQUIRE(out.size() == from.size(), "one route result per origin");
+  for (const NodeId v : from) {
+    PRLC_REQUIRE(v < ring_ids_.size(), "node id out of range");
+    PRLC_REQUIRE(alive(v), "routing from a failed node");
+  }
+  PRLC_REQUIRE(loc < location_keys_.size(), "location id out of range");
+  if (from.empty()) return;
   AliveRing& ring = alive_ring();
+  if (ring.fingers.empty()) build_fingers(ring);
   const std::size_t owner = owner_pos(ring, loc);
-  const std::size_t alive_total = ring.nodes.size();
-  if (ring.finger_row.empty()) {  // first route since the rebuild: size the finger rows
-    ring.finger_row.push_back(0);
-    for (std::size_t p = 0; p < alive_total; ++p) {
-      const std::uint64_t gap = ring.ids[p + 1 == alive_total ? 0 : p + 1] - ring.ids[p];
-      ring.finger_row.push_back(ring.finger_row.back() + 64 -
-                                static_cast<std::uint32_t>(std::bit_width(gap)));
-    }
-    ring.fingers.assign(ring.finger_row.back(), kUnfilled);
-  }
-  // The last alive node before the key. A finger's alive successor lies
+  // Every route ends at the last alive node before the key, the owner's
+  // predecessor: from there the Chord delivery rule takes one final hop
+  // to the owner, counted up front. A finger's alive successor lies
   // strictly within (current, key) exactly when the finger is at most as
-  // far as this node, so the finger rule below takes the largest power of
-  // two within that distance.
-  const std::uint64_t last_id = ring.ids[owner == 0 ? alive_total - 1 : owner - 1];
-
-  RouteResult result;
-  std::size_t current = ring.pos[from];
-  while (current != owner) {
-    const std::size_t next = current + 1 == alive_total ? 0 : current + 1;
-    // Chord delivery rule: when the key falls between current and its
-    // alive successor, that successor owns it — one final hop.
-    if (next == owner) {
-      ++result.hops;
-      break;
-    }
-    // Finger rule: the farthest power-of-two finger whose alive successor
-    // still lies strictly within (current, key).
-    const std::uint64_t cur_id = ring.ids[current];
-    const auto b = static_cast<std::uint32_t>(std::bit_width(ring_clockwise(cur_id, last_id))) - 1;
-    const std::uint32_t row = ring.finger_row[current];
-    const std::uint32_t first_b = 64 - (ring.finger_row[current + 1] - row);
-    if (b < first_b) {
-      current = next;  // 2^b is within the gap to the alive successor
-    } else {
-      std::uint32_t& finger = ring.fingers[row + b - first_b];
-      if (finger == kUnfilled) {
-        finger = static_cast<std::uint32_t>(successor_pos(ring, cur_id + (std::uint64_t{1} << b)));
-      }
-      current = finger;
-    }
-    ++result.hops;
-    if (result.hops > ring_ids_.size()) return result;  // safety net
+  // far as that node, so the finger rule takes the largest power of two
+  // within that distance, and never passes it.
+  const std::size_t last = (owner == 0 ? ring.nodes.size() : owner) - 1;
+  const std::uint64_t last_id = ring.ids[last];
+  ring.flight_route.resize(from.size());
+  ring.flight_at.resize(from.size());
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    const std::uint32_t at = ring.pos[from[i]];
+    out[i] = RouteResult{true, ring.nodes[owner], at == owner ? 0u : 1u};
+    ring.flight_route[live] = static_cast<std::uint32_t>(i);
+    ring.flight_at[live] = at;
+    live += at != owner && at != last;
   }
-  result.delivered = true;
-  result.owner = ring.nodes[owner];
-  return result;
+  // Advance every route in flight one hop per round, and keep those that
+  // have not reached `last`.
+  const std::uint64_t* ids = ring.ids.data();
+  const std::uint32_t* base = ring.finger_base.data();
+  const std::uint32_t* fingers = ring.fingers.data();
+  std::uint32_t* route_of = ring.flight_route.data();
+  std::uint32_t* at_of = ring.flight_at.data();
+  for (std::size_t round = 1; live > 0; ++round) {
+    if (round > ring_ids_.size()) {  // safety net
+      for (std::size_t k = 0; k < live; ++k) out[route_of[k]].delivered = false;
+      return;
+    }
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < live; ++k) {
+      const std::uint32_t at = at_of[k];
+      const std::uint32_t i = route_of[k];
+      const auto b = static_cast<std::uint32_t>(std::bit_width(ring_clockwise(ids[at], last_id))) - 1;
+      const std::uint32_t next = fingers[static_cast<std::uint32_t>(base[at] + b)];
+      ++out[i].hops;
+      route_of[kept] = i;
+      at_of[kept] = next;
+      kept += next != last;
+    }
+    live = kept;
+  }
 }
 
 }  // namespace prlc::net

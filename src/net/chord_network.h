@@ -11,15 +11,20 @@
 // churn — the standard assumption for persistence analysis.
 //
 // Lookups run against a cache of the alive ring (alive nodes in ring
-// order) with memos of location owners and fingers, filled as lookups use
-// them. The cache is rebuilt on the first lookup after membership_epoch()
-// moves, so between membership changes a route hop and a location's owner
-// cost O(1), and the successor of an arbitrary key one binary search over
-// the alive nodes. The cache makes const lookups mutate the object: like
-// fail_node(), they must not run concurrently on one instance (every
-// experiment builds one overlay per trial).
+// order), rebuilt on the first lookup after membership_epoch() moves. It
+// holds a memo of location owners, filled as lookups ask for them, and
+// the whole finger table, built by the first route after each rebuild in
+// one sweep per finger bit. Between membership changes a route hop and a
+// location's owner cost O(1), and the successor of an arbitrary key one
+// binary search over the alive nodes. The routes of one call, all bound
+// for one location, advance in lockstep, one hop per round, so their hop
+// chains overlap instead of running one after another. The cache makes
+// const lookups mutate the object: like fail_node(), they must not run
+// concurrently on one instance (every experiment builds one overlay per
+// trial).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/geometry.h"
@@ -41,7 +46,9 @@ class ChordNetwork final : public Overlay {
   std::size_t locations() const override { return location_keys_.size(); }
   NodeId owner_of(LocationId loc) const override;
   std::vector<NodeId> owner_candidates(LocationId loc, std::size_t count) const override;
-  RouteResult route(NodeId from, LocationId loc) const override;
+  using Overlay::route;
+  void route(std::span<const NodeId> from, LocationId loc,
+             std::span<RouteResult> out) const override;
 
   /// Ring identifier of a node.
   std::uint64_t ring_id(NodeId node) const;
@@ -63,22 +70,29 @@ class ChordNetwork final : public Overlay {
     std::vector<NodeId> nodes;          ///< alive nodes in ring order
     std::vector<std::uint64_t> ids;     ///< their ring ids, ascending
     std::vector<std::uint32_t> pos;     ///< by NodeId: index into nodes (alive only)
-    /// By LocationId: index of the location's owner. The memos below are
-    /// empty until first used after a rebuild and hold kUnfilled until
-    /// an entry is first needed.
+    /// By LocationId: index of the location's owner. Empty until first
+    /// used after a rebuild, and kUnfilled until an entry is first needed.
     std::vector<std::uint32_t> owners;
-    /// Node p's fingers successor(ids[p] + 2^b) for the b whose 2^b
-    /// exceeds the gap to p's alive successor (smaller ones all resolve to
-    /// that successor): b = 64 - width + i at fingers[finger_row[p] + i],
-    /// width = finger_row[p + 1] - finger_row[p]. About log2(alive) + 2
-    /// entries per node instead of 64.
-    std::vector<std::uint32_t> finger_row;
+    /// The finger table, empty until the first route after a rebuild: node
+    /// p's finger successor(ids[p] + 2^b) is fingers[finger_base[p] + b]
+    /// (uint32 arithmetic, which may wrap) for b from floor(log2) of the
+    /// gap to p's alive successor, whose finger is that successor, to 63.
+    /// Smaller bits resolve to the successor too, and the finger rule never
+    /// asks for them. About log2(alive) + 3 entries per node instead of 64.
+    std::vector<std::uint32_t> finger_base;
     std::vector<std::uint32_t> fingers;
+    /// Route scratch: which route of the call each in-flight walk is, and
+    /// where it stands.
+    std::vector<std::uint32_t> flight_route;
+    std::vector<std::uint32_t> flight_at;
   };
   static constexpr std::uint32_t kUnfilled = ~std::uint32_t{0};
 
   /// The alive ring, rebuilt first if membership changed since it was built.
   AliveRing& alive_ring() const;
+
+  /// Fill the ring's finger table.
+  static void build_fingers(AliveRing& ring);
 
   /// Index into the alive ring of the successor of `key`; requires at least
   /// one alive node.

@@ -3,10 +3,12 @@
 //
 // An overlay owns W nodes in some geometric space and can (a) resolve the
 // node "in charge of" any of the M seed-derived random locations, and (b)
-// simulate routing a message from a node toward a location, counting
-// overlay hops. Node failures are first-class: after fail_node(), routing
-// and ownership resolve among the surviving nodes only, which is what the
-// persistence experiments exercise.
+// simulate routing messages from nodes toward a location, counting
+// overlay hops. Each overlay has one walker, which routes every message
+// bound for one location in one call; routing one message is that call
+// with one origin. Node failures are first-class: after fail_node(),
+// routing and ownership resolve among the surviving nodes only, which is
+// what the persistence experiments exercise.
 //
 // Ownership is resolved against the *current* alive set, so a location's
 // owner can change across failures; the pre-distribution layer records
@@ -16,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/types.h"
@@ -89,10 +92,21 @@ class Overlay {
   /// Returns fewer than `count` when the alive population is smaller.
   virtual std::vector<NodeId> owner_candidates(LocationId loc, std::size_t count) const = 0;
 
-  /// Route a message from `from` (must be alive) toward location `loc`;
-  /// returns the owner reached and the hop count, or delivered = false if
-  /// the overlay is partitioned between them.
-  virtual RouteResult route(NodeId from, LocationId loc) const = 0;
+  /// Route one message from each node of `from` (each must be alive)
+  /// toward location `loc`: out[i] is the owner reached and the hop count
+  /// of the message from from[i], or delivered = false if the overlay is
+  /// partitioned between them. Each result equals routing that message
+  /// alone; an origin may repeat. Requires out.size() == from.size().
+  virtual void route(std::span<const NodeId> from, LocationId loc,
+                     std::span<RouteResult> out) const = 0;
+
+  /// Route one message from `from` toward `loc`: the call above with one
+  /// origin.
+  RouteResult route(NodeId from, LocationId loc) const {
+    RouteResult result;
+    route(std::span<const NodeId>(&from, 1), loc, std::span<RouteResult>(&result, 1));
+    return result;
+  }
 
   /// Uniformly random alive node; requires at least one alive.
   NodeId random_alive_node(Rng& rng) const {

@@ -204,12 +204,20 @@ std::size_t SensorNetwork::bfs_hops(NodeId from, NodeId to) const {
   return std::numeric_limits<std::size_t>::max();
 }
 
-RouteResult SensorNetwork::route(NodeId from, LocationId loc) const {
-  PRLC_REQUIRE(from < positions_.size(), "node id out of range");
-  PRLC_REQUIRE(alive(from), "routing from a failed node");
+void SensorNetwork::route(std::span<const NodeId> from, LocationId loc,
+                          std::span<RouteResult> out) const {
+  PRLC_REQUIRE(out.size() == from.size(), "one route result per origin");
+  for (const NodeId v : from) {
+    PRLC_REQUIRE(v < positions_.size(), "node id out of range");
+    PRLC_REQUIRE(alive(v), "routing from a failed node");
+  }
   const Point2D target = location_point(loc);
+  if (from.empty()) return;
   const NodeId owner = owner_of(loc);
+  for (std::size_t i = 0; i < from.size(); ++i) out[i] = walk(from[i], target, owner);
+}
 
+RouteResult SensorNetwork::walk(NodeId from, const Point2D& target, NodeId owner) const {
   RouteResult result;
   NodeId current = from;
   while (current != owner) {

@@ -38,7 +38,9 @@ class SensorNetwork final : public Overlay {
   std::size_t locations() const override { return location_points_.size(); }
   NodeId owner_of(LocationId loc) const override;
   std::vector<NodeId> owner_candidates(LocationId loc, std::size_t count) const override;
-  RouteResult route(NodeId from, LocationId loc) const override;
+  using Overlay::route;
+  void route(std::span<const NodeId> from, LocationId loc,
+             std::span<RouteResult> out) const override;
 
   /// Geometric position of a node.
   const Point2D& position(NodeId node) const;
@@ -70,6 +72,10 @@ class SensorNetwork final : public Overlay {
   /// Shortest alive-graph path length from `from` to `to`; SIZE_MAX when
   /// disconnected.
   std::size_t bfs_hops(NodeId from, NodeId to) const;
+
+  /// The walker: greedy forwarding from `from` toward `target`, with a
+  /// shortest-path detour to `owner` at a local minimum.
+  RouteResult walk(NodeId from, const Point2D& target, NodeId owner) const;
 
   double radius_ = 0;
   std::vector<Point2D> positions_;

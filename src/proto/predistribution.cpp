@@ -125,9 +125,13 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
 
   // Per-location accumulation (step 4) in two passes. The first decides,
   // for each location, which source blocks of its support arrive (all of
-  // them, or the sparse O(ln .) selection), routes each arrival and draws
-  // its beta, in the protocol's order of draws: this fixes every
+  // them, or the sparse O(ln .) selection), routes them in one overlay
+  // call and draws the beta of each delivered arrival in selection order,
+  // the protocol's order of draws (routing draws none): this fixes every
   // coefficient of c = sum beta * x without touching a payload byte.
+  std::vector<std::size_t> selected;
+  std::vector<net::NodeId> from;
+  std::vector<net::RouteResult> routes;
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     if (!host[loc].has_value()) continue;  // dropped by capacity overflow
     const std::size_t level = location_level_[loc];
@@ -135,7 +139,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
     const std::size_t width = end - begin;
     PRLC_ASSERT(width > 0, "empty support for a location");
 
-    std::vector<std::size_t> selected;
+    selected.clear();
     if (!params_.sparse) {
       selected.resize(width);
       std::iota(selected.begin(), selected.end(), begin);
@@ -145,43 +149,43 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
         selected.push_back(begin + offset);
       }
     }
+    from.resize(selected.size());
+    routes.resize(selected.size());
+    for (std::size_t i = 0; i < selected.size(); ++i) from[i] = origin[selected[i]];
+    overlay_.route(from, at_[loc], routes);
+    stats.messages += selected.size();
 
-    StoredBlock entry;
+    std::size_t delivered = 0;
+    for (const net::RouteResult& route : routes) {
+      if (!route.delivered) continue;
+      ++delivered;
+      stats.total_hops += route.hops;
+    }
+    stats.failed_routes += selected.size() - delivered;
+    if (delivered == 0) continue;
+    StoredBlock& entry = storage_[loc].emplace();
+    entry.owner = *host[loc];
+    entry.owner_generation = overlay_.generation(entry.owner);
     entry.block.level = level;
     entry.block.coeffs.assign(spec_.total(), 0);
-
-    bool placed = false;
-    for (std::size_t j : selected) {
-      const auto route = overlay_.route(origin[j], at_[loc]);
-      ++stats.messages;
-      if (!route.delivered) {
-        ++stats.failed_routes;
-        continue;
-      }
-      stats.total_hops += route.hops;
-      if (!placed) {
-        entry.owner = *host[loc];
-        entry.owner_generation = overlay_.generation(entry.owner);
-        placed = true;
-      }
+    entry.arrivals = delivered;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      if (!routes[i].delivered) continue;
       // beta nonzero (a zero draw would waste the delivery; the paper's
       // footnote-1 field-size assumption).
       const auto beta = static_cast<Field::Symbol>(1 + rng.uniform(Field::order() - 1));
-      entry.block.coeffs[j] = Field::add(entry.block.coeffs[j], beta);
-      ++entry.arrivals;
+      Field::Symbol& c = entry.block.coeffs[selected[i]];
+      c = Field::add(c, beta);
     }
-    if (placed) {
-      if (obs::trace_enabled()) {
-        obs::TraceRecorder::global().instant(
-            "block_placed", "predist",
-            {{"location", static_cast<double>(at_[loc])},
-             {"owner", static_cast<double>(entry.owner)},
-             {"level", static_cast<double>(level)},
-             {"arrivals", static_cast<double>(entry.arrivals)}});
-      }
-      entry.block.payload.resize(params_.block_size);
-      storage_[loc] = std::move(entry);
+    if (obs::trace_enabled()) {
+      obs::TraceRecorder::global().instant(
+          "block_placed", "predist",
+          {{"location", static_cast<double>(at_[loc])},
+           {"owner", static_cast<double>(entry.owner)},
+           {"level", static_cast<double>(level)},
+           {"arrivals", static_cast<double>(entry.arrivals)}});
     }
+    entry.block.payload.resize(params_.block_size);
   }
   // The second pass computes every stored payload as one tile-major
   // product of the coefficient rows with the source blocks, so each tile

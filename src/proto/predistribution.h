@@ -110,8 +110,9 @@ class Predistribution {
   /// the dropped overlay locations, last first.
   std::vector<net::LocationId> shrink_to(std::size_t count);
 
-  /// Stored block at a location; nullopt when nothing ever arrived there
-  /// (possible under sparse mode) or dissemination has not run.
+  /// Stored block at a location; nullptr when the last dissemination
+  /// delivered nothing there (possible under sparse mode) or dropped it
+  /// by capacity overflow, or dissemination has not run.
   const StoredBlock* stored(net::LocationId loc) const;
 
   /// Locations whose placement-time owner is still alive — the blocks a

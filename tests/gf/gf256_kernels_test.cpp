@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gf/gf256.h"
@@ -90,6 +91,110 @@ TEST_P(Gf256KernelsTest, MulRegionMatchesReferenceIncludingAliased) {
   }
 }
 
+// Row supports per row count: 'A' rows share one support, 'B' is that
+// support plus one more column, 'O' holds one term of 1 in the last column
+// and 'Z' is all zero. Runs of A longer than the gfni tier's four-row
+// blocks, and runs broken by B, O or Z; a tier that blocked B with the A
+// rows before it would drop B's extra term.
+constexpr const char* kSupportPatterns[] = {"A", "ZOA", "AAAA", "AABAA", "AAAAABZAA"};
+
+TEST_P(Gf256KernelsTest, CombineBatchMatchesReferenceAxpys) {
+  // Each tier's combine, and gf256_combine_batch on the active tier's
+  // case, against reference axpys: source counts from none to the store's
+  // 64; lengths around a vector stride and past the tile boundary with a
+  // masked tail; misaligned sources; poisoned destinations whose every
+  // byte must be overwritten, with guard bytes on both sides.
+  const Gf256Kernel kernel = GetParam();
+  if (!gf256_kernel_runtime_ok(kernel)) {
+    GTEST_SKIP() << gf256_kernel_name(kernel) << " not supported on this CPU";
+  }
+  const Gf256KernelOps& ops = gf256_kernel_ops(kernel);
+  const Gf256KernelOps& ref = gf256_kernel_ops(Gf256Kernel::kReference);
+  const bool active = kernel == gf256_active_kernel();
+  constexpr std::size_t kGuard = 64;  // poisoned bytes past each destination
+  Rng rng(107);
+  for (const std::size_t k : {0, 1, 2, 17, 64}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+          std::size_t{127}, std::size_t{128}, std::size_t{129}, std::size_t{4097},
+          3 * kGf256TileBytes + 37}) {
+      for (const std::size_t offset : kOffsets) {
+        std::vector<std::vector<std::uint8_t>> sources;
+        std::vector<const std::uint8_t*> srcs;
+        for (std::size_t j = 0; j < k; ++j) {
+          sources.push_back(random_bytes(offset + n, rng));
+          srcs.push_back(sources.back().data() + offset);
+        }
+        // Support A: every column at offset 0 (a dense store's rows),
+        // otherwise about two thirds of them, leaving one out for B.
+        std::vector<bool> in_a(k, true);
+        if (offset != 0 && k > 1) {
+          for (std::size_t j = 0; j < k; ++j) in_a[j] = rng.uniform(3) != 0;
+          in_a[rng.uniform(k)] = false;
+        }
+        std::vector<bool> in_b = in_a;
+        for (std::size_t j = 0; j < k; ++j) {
+          if (!in_b[j]) {
+            in_b[j] = true;
+            break;
+          }
+        }
+        if (in_b == in_a && k > 0) in_b[0] = false;  // A is every column
+        for (const std::string pattern : kSupportPatterns) {
+          const std::size_t rows = pattern.size();
+          std::vector<std::vector<std::uint8_t>> coeffs(rows, std::vector<std::uint8_t>(k, 0));
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (pattern[r] == 'O' && k > 0) coeffs[r][k - 1] = 1;
+            for (std::size_t j = 0; j < k; ++j) {
+              const bool in = pattern[r] == 'A' ? in_a[j] : pattern[r] == 'B' && in_b[j];
+              if (in) coeffs[r][j] = static_cast<std::uint8_t>(1 + rng.uniform(255));
+            }
+          }
+          std::vector<const std::uint8_t*> coeff_rows;
+          std::vector<std::vector<std::uint8_t>> expect;
+          for (const auto& row : coeffs) {
+            coeff_rows.push_back(row.data());
+            std::vector<std::uint8_t>& want = expect.emplace_back(n, 0);
+            for (std::size_t j = 0; j < k; ++j) ref.axpy(want.data(), srcs[j], row[j], n);
+          }
+          for (const bool batch : {false, true}) {
+            if (batch && !active) continue;
+            std::vector<std::vector<std::uint8_t>> got;
+            std::vector<std::uint8_t*> dsts;
+            for (std::size_t r = 0; r < rows; ++r) {
+              got.emplace_back(offset + n + kGuard, 0xEE);
+              dsts.push_back(got.back().data() + offset);
+            }
+            if (batch) {
+              gf256_combine_batch(dsts.data(), coeff_rows.data(), rows, srcs.data(), k, n);
+            } else {
+              ops.combine(dsts.data(), coeff_rows.data(), rows, srcs.data(), k, n);
+            }
+            for (std::size_t r = 0; r < rows; ++r) {
+              const auto at = static_cast<std::ptrdiff_t>(offset);
+              const auto end = at + static_cast<std::ptrdiff_t>(n);
+              ASSERT_TRUE(
+                  std::equal(got[r].begin() + at, got[r].begin() + end, expect[r].begin()))
+                  << gf256_kernel_name(kernel) << (batch ? " batch" : "") << " k " << k << " n "
+                  << n << " offset " << offset << " pattern " << pattern << " row " << r;
+              ASSERT_TRUE(std::all_of(got[r].begin(), got[r].begin() + at,
+                                      [](std::uint8_t v) { return v == 0xEE; }) &&
+                          std::all_of(got[r].begin() + end, got[r].end(),
+                                      [](std::uint8_t v) { return v == 0xEE; }))
+                  << gf256_kernel_name(kernel) << (batch ? " batch" : "")
+                  << " wrote outside row " << r << " (k " << k << " n " << n << " pattern "
+                  << pattern << ")";
+            }
+          }
+        }
+        // No rows: nothing is written, and the null row arrays are never read.
+        ops.combine(nullptr, nullptr, 0, srcs.data(), k, n);
+        if (active) gf256_combine_batch(nullptr, nullptr, 0, srcs.data(), k, n);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllCompiledVariants, Gf256KernelsTest,
                          ::testing::ValuesIn(gf256_compiled_kernels()),
                          [](const ::testing::TestParamInfo<Gf256Kernel>& info) {
@@ -139,53 +244,6 @@ TEST(Gf256Kernels, AxpyBatchMatchesPerRowAxpy) {
                     std::span<const std::uint8_t>(coeffs),
                     std::span<const std::uint8_t>(x));
   for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(targets[r], expect[r]) << "row " << r;
-}
-
-TEST(Gf256Kernels, CombineBatchMatchesReferenceAxpys) {
-  const Gf256KernelOps& ref = gf256_kernel_ops(Gf256Kernel::kReference);
-  Rng rng(106);
-  // Source counts from none to the store's 64; lengths below, at and past
-  // a vector stride and past the tile boundary with an unaligned tail;
-  // misaligned sources; no rows at all, rows with no nonzero coefficient,
-  // a single term of 1, all terms nonzero and scattered zeros.
-  for (const std::size_t k : {0, 1, 2, 17, 64}) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{65},
-                                std::size_t{4097}, 3 * kGf256TileBytes + 37}) {
-      for (const std::size_t offset : kOffsets) {
-        std::vector<std::vector<std::uint8_t>> sources;
-        std::vector<const std::uint8_t*> srcs;
-        for (std::size_t j = 0; j < k; ++j) {
-          sources.push_back(random_bytes(offset + n, rng));
-          srcs.push_back(sources.back().data() + offset);
-        }
-        std::vector<std::vector<std::uint8_t>> coeffs(4, std::vector<std::uint8_t>(k, 0));
-        if (k > 0) coeffs[1][k - 1] = 1;
-        for (std::size_t j = 0; j < k; ++j) {
-          coeffs[2][j] = static_cast<std::uint8_t>(1 + rng.uniform(255));
-          coeffs[3][j] = j % 3 == 0 ? 0 : static_cast<std::uint8_t>(rng.uniform(256));
-        }
-        std::vector<const std::uint8_t*> coeff_rows;
-        std::vector<std::vector<std::uint8_t>> expect;
-        for (const auto& row : coeffs) {
-          coeff_rows.push_back(row.data());
-          std::vector<std::uint8_t>& want = expect.emplace_back(n, 0);
-          for (std::size_t j = 0; j < k; ++j) ref.axpy(want.data(), srcs[j], row[j], n);
-        }
-        // Poisoned destinations: every byte must be overwritten.
-        std::vector<std::vector<std::uint8_t>> got(coeffs.size(),
-                                                   std::vector<std::uint8_t>(n, 0xEE));
-        std::vector<std::uint8_t*> dsts;
-        for (auto& row : got) dsts.push_back(row.data());
-        gf256_combine_batch(dsts.data(), coeff_rows.data(), dsts.size(), srcs.data(), k, n);
-        for (std::size_t r = 0; r < got.size(); ++r) {
-          ASSERT_EQ(got[r], expect[r]) << "k " << k << " n " << n << " offset " << offset
-                                       << " row " << r;
-        }
-        // No rows: nothing is written, and the null row arrays are never read.
-        gf256_combine_batch(nullptr, nullptr, 0, srcs.data(), k, n);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -256,7 +256,9 @@ class UncachedChord {
 
 /// Every lookup of `net` against the uncached rules: owner_of and
 /// successors for every location, and route for every (from, loc) pair
-/// with an alive `from`.
+/// with an alive `from`, one message at a time and, per location, in one
+/// batched call over every alive origin, some of them twice, and the
+/// owner.
 void expect_lookups_match(const ChordNetwork& net, const UncachedChord& ref) {
   const std::size_t alive = net.alive_count();
   for (LocationId loc = 0; loc < net.locations(); ++loc) {
@@ -271,55 +273,93 @@ void expect_lookups_match(const ChordNetwork& net, const UncachedChord& ref) {
     }
     ASSERT_EQ(net.owner_of(loc), ref.successor(key)) << "W=" << net.nodes() << " loc " << loc;
   }
-  for (NodeId from = 0; from < net.nodes(); ++from) {
-    if (!net.alive(from)) continue;
-    for (LocationId loc = 0; loc < net.locations(); ++loc) {
-      const RouteResult got = net.route(from, loc);
-      const RouteResult want = ref.route(from, loc);
-      ASSERT_EQ(got.delivered, want.delivered) << "W=" << net.nodes() << " " << from << "->" << loc;
-      ASSERT_EQ(got.owner, want.owner) << "W=" << net.nodes() << " " << from << "->" << loc;
-      ASSERT_EQ(got.hops, want.hops) << "W=" << net.nodes() << " " << from << "->" << loc;
+  if (alive == 0) return;
+  std::vector<NodeId> origins;
+  for (NodeId v = 0; v < net.nodes(); ++v) {
+    if (net.alive(v)) origins.push_back(v);
+  }
+  for (std::size_t i = 0; i < alive; i += 3) origins.push_back(origins[i]);
+  std::vector<RouteResult> batch(origins.size() + 1);
+  for (LocationId loc = 0; loc < net.locations(); ++loc) {
+    std::vector<NodeId> from = origins;
+    from.push_back(net.owner_of(loc));
+    net.route(from, loc, batch);
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const RouteResult want = ref.route(from[i], loc);
+      const RouteResult got[] = {net.route(from[i], loc), batch[i]};
+      for (const int batched : {0, 1}) {
+        const RouteResult& result = got[batched];
+        ASSERT_EQ(result.delivered, want.delivered)
+            << "W=" << net.nodes() << " " << from[i] << "->" << loc << " batched " << batched;
+        ASSERT_EQ(result.owner, want.owner)
+            << "W=" << net.nodes() << " " << from[i] << "->" << loc << " batched " << batched;
+        ASSERT_EQ(result.hops, want.hops)
+            << "W=" << net.nodes() << " " << from[i] << "->" << loc << " batched " << batched;
+      }
     }
   }
 }
 
-TEST(ChordNetwork, CachedLookupsMatchUncachedRule) {
-  for (const std::size_t nodes : {2, 3, 257, 5000}) {
-    ChordNetwork net(make_params(nodes, nodes >= 5000 ? 6 : 40, 41 + nodes));
-    const UncachedChord ref(net);
-    Rng rng(85 + nodes);
-    expect_lookups_match(net, ref);
-    for (int round = 0; round < 8; ++round) {
-      // Flip a batch of nodes, one at a time, with a lookup in between so a
-      // stale cache would answer. Every real transition bumps the epoch.
-      const std::size_t flips = std::max<std::size_t>(1, nodes / 7);
-      for (std::size_t f = 0; f < flips; ++f) {
-        const auto v = static_cast<NodeId>(rng.uniform(nodes));
-        const std::uint64_t before = net.membership_epoch();
-        if (net.alive(v)) {
-          net.fail_node(v);
-        } else {
-          net.revive_node(v);
-        }
-        EXPECT_EQ(net.membership_epoch(), before + 1);
-        if (net.alive_count() > 0) {
-          const LocationId loc = static_cast<LocationId>(rng.uniform(net.locations()));
-          ASSERT_EQ(net.owner_of(loc), ref.successor(net.location_key(loc)));
-        }
-      }
-      // Failing a dead node or reviving a live one changes nothing.
+/// expect_lookups_match on a fresh ring, then after each of 8 rounds of
+/// churn.
+void expect_lookups_match_under_churn(const ChordParams& params) {
+  const std::size_t nodes = params.nodes;
+  ChordNetwork net(params);
+  const UncachedChord ref(net);
+  Rng rng(85 + nodes);
+  expect_lookups_match(net, ref);
+  for (int round = 0; round < 8; ++round) {
+    // Flip a batch of nodes, one at a time, with a lookup in between so a
+    // stale cache would answer. Every real transition bumps the epoch.
+    const std::size_t flips = std::max<std::size_t>(1, nodes / 7);
+    for (std::size_t f = 0; f < flips; ++f) {
+      const auto v = static_cast<NodeId>(rng.uniform(nodes));
       const std::uint64_t before = net.membership_epoch();
-      for (NodeId v = 0; v < net.nodes(); ++v) {
-        if (net.alive(v)) {
-          net.revive_node(v);
-        } else {
-          net.fail_node(v);
-        }
+      if (net.alive(v)) {
+        net.fail_node(v);
+      } else {
+        net.revive_node(v);
       }
-      EXPECT_EQ(net.membership_epoch(), before) << "W=" << nodes;
-      expect_lookups_match(net, ref);
+      EXPECT_EQ(net.membership_epoch(), before + 1);
+      if (net.alive_count() > 0) {
+        const LocationId loc = static_cast<LocationId>(rng.uniform(net.locations()));
+        ASSERT_EQ(net.owner_of(loc), ref.successor(net.location_key(loc)));
+      }
+    }
+    // Failing a dead node or reviving a live one changes nothing.
+    const std::uint64_t before = net.membership_epoch();
+    for (NodeId v = 0; v < net.nodes(); ++v) {
+      if (net.alive(v)) {
+        net.revive_node(v);
+      } else {
+        net.fail_node(v);
+      }
+    }
+    EXPECT_EQ(net.membership_epoch(), before) << "W=" << nodes;
+    expect_lookups_match(net, ref);
+  }
+}
+
+TEST(ChordNetwork, CachedLookupsMatchUncachedRule) {
+  for (const bool two_choices : {false, true}) {
+    for (const std::size_t nodes : {2, 3, 257, 5000}) {
+      ChordParams params = make_params(nodes, nodes >= 5000 ? 6 : 40, 41 + nodes);
+      params.two_choices = two_choices;
+      SCOPED_TRACE(two_choices ? "two choices" : "one choice");
+      expect_lookups_match_under_churn(params);
     }
   }
+}
+
+TEST(ChordNetwork, BatchedRouteChecksEveryOrigin) {
+  ChordNetwork net(make_params());
+  net.fail_node(3);
+  std::vector<RouteResult> out(2);
+  EXPECT_THROW(net.route(std::vector<NodeId>{0, 3}, 0, out), PreconditionError);
+  EXPECT_THROW(net.route(std::vector<NodeId>{0}, 0, out), PreconditionError);
+  // No origin: nothing to route, even on a ring with no alive node.
+  for (NodeId v = 0; v < net.nodes(); ++v) net.fail_node(v);
+  net.route(std::span<const NodeId>{}, 0, std::span<RouteResult>{});
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "util/check.h"
 
@@ -142,6 +143,34 @@ TEST(SensorNetwork, RoutingAvoidsFailedNodes) {
     EXPECT_TRUE(net.alive(result.owner));
     EXPECT_EQ(result.owner, net.owner_of(loc));
   }
+}
+
+TEST(SensorNetwork, BatchedRouteMatchesOneMessageAtATime) {
+  // Churned until the field partitions, so some routes fail: every result
+  // of one batched call, duplicate origins included, equals its message
+  // routed alone.
+  SensorNetwork net(make_params(200, 12, 29));
+  for (NodeId v = 0; v < net.nodes(); ++v) {
+    if (v % 4 != 3) net.fail_node(v);
+  }
+  std::size_t undelivered = 0;
+  std::vector<NodeId> from;
+  for (NodeId v = 0; v < net.nodes(); ++v) {
+    if (net.alive(v)) from.push_back(v);
+  }
+  from.push_back(from.front());
+  std::vector<RouteResult> out(from.size());
+  for (LocationId loc = 0; loc < net.locations(); ++loc) {
+    net.route(from, loc, out);
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const RouteResult alone = net.route(from[i], loc);
+      ASSERT_EQ(out[i].delivered, alone.delivered) << from[i] << "->" << loc;
+      ASSERT_EQ(out[i].owner, alone.owner) << from[i] << "->" << loc;
+      ASSERT_EQ(out[i].hops, alone.hops) << from[i] << "->" << loc;
+      undelivered += alone.delivered ? 0 : 1;
+    }
+  }
+  EXPECT_GT(undelivered, 0u);
 }
 
 TEST(SensorNetwork, RouteFromDeadNodeRejected) {

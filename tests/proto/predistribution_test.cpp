@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "gf/gf256_kernels.h"
 #include "net/chord_network.h"
@@ -164,6 +166,75 @@ TEST(Predistribution, SparseModeReducesMessages) {
     const auto target = std::min<std::size_t>(
         width, static_cast<std::size_t>(std::ceil(2.0 * std::log(std::max<double>(2.0, width)))));
     EXPECT_EQ(slot->arrivals, target);
+  }
+}
+
+/// Every stored block of `got` equals the one of `want` (both absent, or
+/// equal owner, owner generation, arrival count, level, coefficients and
+/// payload), and so do their dissemination stats.
+void expect_same_store(const Predistribution& got, const DisseminationStats& got_stats,
+                       const Predistribution& want, const DisseminationStats& want_stats) {
+  EXPECT_EQ(got_stats.messages, want_stats.messages);
+  EXPECT_EQ(got_stats.total_hops, want_stats.total_hops);
+  EXPECT_EQ(got_stats.failed_routes, want_stats.failed_routes);
+  EXPECT_EQ(got_stats.max_node_load, want_stats.max_node_load);
+  EXPECT_EQ(got_stats.mean_node_load, want_stats.mean_node_load);
+  EXPECT_EQ(got_stats.capacity_spills, want_stats.capacity_spills);
+  EXPECT_EQ(got_stats.capacity_overflows, want_stats.capacity_overflows);
+  for (net::LocationId loc = 0; loc < want.overlay_locations().size(); ++loc) {
+    const StoredBlock* a = got.stored(loc);
+    const StoredBlock* b = want.stored(loc);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "loc " << loc;
+    if (a == nullptr) continue;
+    EXPECT_EQ(a->owner, b->owner) << "loc " << loc;
+    EXPECT_EQ(a->owner_generation, b->owner_generation) << "loc " << loc;
+    EXPECT_EQ(a->arrivals, b->arrivals) << "loc " << loc;
+    EXPECT_EQ(a->block.level, b->block.level) << "loc " << loc;
+    EXPECT_EQ(a->block.coeffs, b->block.coeffs) << "loc " << loc;
+    EXPECT_EQ(a->block.payload, b->block.payload) << "loc " << loc;
+  }
+}
+
+TEST(Predistribution, DisseminatingAgainEqualsAFreshStore) {
+  // A second dissemination replaces the first: after heavy churn the store
+  // must equal a fresh store's from the same Rng state, locations left
+  // empty included. Dense PLC on a Chord ring; sparse PLC on a sensor
+  // field with room for one block per node, where churn empties locations
+  // (capacity overflow, partitioned routes).
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    Fixture f;
+    std::unique_ptr<net::Overlay> overlay;
+    if (sparse) {
+      net::SensorParams sp;
+      sp.nodes = 60;
+      sp.locations = 40;
+      sp.seed = 17;
+      overlay = std::make_unique<net::SensorNetwork>(sp);
+    } else {
+      overlay = std::make_unique<net::ChordNetwork>(f.net_params);
+    }
+    ProtocolParams params;
+    params.scheme = Scheme::kPlc;
+    params.block_size = 1000;
+    params.sparse = sparse;
+    params.node_capacity = sparse ? 1 : 0;
+    Predistribution store(*overlay, f.spec, f.dist, params);
+    Rng rng(111);
+    Rng churn(112);
+    const auto source = codes::SourceData<Field>::random(f.spec.total(), params.block_size, rng);
+    store.disseminate(source, rng);
+    const std::size_t stored_before = store.surviving_locations().size();
+    net::kill_uniform_fraction(*overlay, 0.7, churn);
+    Rng fresh_rng = rng;
+    const DisseminationStats stats = store.disseminate(source, rng);
+    Predistribution fresh(*overlay, f.spec, f.dist, params);
+    const DisseminationStats fresh_stats = fresh.disseminate(source, fresh_rng);
+    expect_same_store(store, stats, fresh, fresh_stats);
+    EXPECT_EQ(rng(), fresh_rng());  // the same draws, in the same order
+    if (sparse) {
+      EXPECT_LT(store.surviving_locations().size(), stored_before);
+    }
   }
 }
 
