@@ -49,14 +49,12 @@ sim::ClusterParams cluster_params(std::size_t nodes, std::size_t trials,
   return params;
 }
 
-/// Silent-only hazard: an empty wave schedule produces zero loud
-/// failures, so rot is the only way blocks die. Loud churn would mask
-/// the scrub-vs-no-scrub contrast — every host death reveals its rotten
-/// blocks for free and the repair path fixes them regardless of
-/// scrubbing.
+/// Silent-only hazard: no loud failures, so rot is the only way blocks
+/// die. Loud churn would mask the scrub-vs-no-scrub contrast — every host
+/// death reveals its rotten blocks for free and the repair path fixes them
+/// regardless of scrubbing.
 void silent_only(sim::ClusterParams* params) {
-  params->experiment.failure.kind = sim::FailureModelConfig::Kind::kWave;
-  params->experiment.failure.wave_fractions = {};
+  params->experiment.failure.kind = sim::FailureModelConfig::Kind::kNone;
 }
 
 void loud_churn(sim::ClusterParams* params, double churn_rate) {

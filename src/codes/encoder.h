@@ -12,8 +12,6 @@
 // Coefficients within the support are drawn per a CoefficientModel:
 //   kDenseUniform  — uniform over the field (zeros allowed; all-zero rows
 //                    are redrawn). The standard RLNC model.
-//   kDenseNonzero  — uniform over nonzero elements, as the paper states
-//                    for SLC.
 //   kSparse        — ceil(factor * ln(support)) random positions get
 //                    nonzero coefficients; the rest are zero. Models the
 //                    O(ln N) pre-distribution result of Dimakis et al.
@@ -34,7 +32,7 @@
 
 namespace prlc::codes {
 
-enum class CoefficientModel { kDenseUniform, kDenseNonzero, kSparse };
+enum class CoefficientModel { kDenseUniform, kSparse };
 
 struct EncoderOptions {
   CoefficientModel model = CoefficientModel::kDenseUniform;
@@ -169,16 +167,6 @@ class PriorityEncoder {
           }
         } while (idx.empty());
         PRLC_ASSERT(!idx.empty(), "dense-uniform draw produced an all-zero row");
-        return;
-      }
-      case CoefficientModel::kDenseNonzero: {
-        symbols_drawn.add(width);
-        idx.reserve(width);
-        val.reserve(width);
-        for (std::size_t j = begin; j < end; ++j) {
-          idx.push_back(static_cast<std::uint32_t>(j));
-          val.push_back(static_cast<Symbol>(1 + rng.uniform(F::order() - 1)));
-        }
         return;
       }
       case CoefficientModel::kSparse: {

@@ -184,13 +184,7 @@ class ProgressiveDecoder {
   Symbol row_coefficient(std::size_t pivot, std::size_t col) const {
     PRLC_REQUIRE(has_pivot(pivot), "no pivot row for this column");
     PRLC_REQUIRE(col < unknowns_, "column out of range");
-    const Row& r = *by_pivot_[pivot];
-    if (col < r.pivot || col >= r.end) return 0;
-    if (r.dense) return r.coef[col - r.pivot];
-    const auto it = std::lower_bound(r.idx.begin(), r.idx.end(),
-                                     static_cast<std::uint32_t>(col));
-    if (it == r.idx.end() || *it != col) return 0;
-    return r.val[static_cast<std::size_t>(it - r.idx.begin())];
+    return row_coefficient_of(*by_pivot_[pivot], col);
   }
 
   /// Exclusive support bound of pivot row `pivot` — kept tight: the

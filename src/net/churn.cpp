@@ -1,23 +1,56 @@
 #include "net/churn.h"
 
 #include <cmath>
+#include <span>
 
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/failure_process.h"
 #include "util/check.h"
 
 namespace prlc::net {
+namespace {
+
+/// The churn telemetry of one batch of deaths: the churn.nodes_killed and
+/// churn.waves counters, the churn.last_alive gauge, one trace instant
+/// named `model` plus one alive_nodes trace counter per batch, and one
+/// kNodeFailed journal event per death, in `killed` order.
+void record_churn(const char* model, std::span<const NodeId> killed, std::size_t alive_after) {
+  static obs::Counter& total = obs::counter("churn.nodes_killed");
+  static obs::Counter& waves = obs::counter("churn.waves");
+  total.add(killed.size());
+  waves.add();
+  obs::gauge("churn.last_alive").set(static_cast<std::int64_t>(alive_after));
+  if (obs::trace_enabled()) {
+    obs::TraceRecorder::global().instant(model, "churn",
+                                         {{"killed", static_cast<double>(killed.size())},
+                                          {"alive_after", static_cast<double>(alive_after)}});
+    obs::TraceRecorder::global().count("alive_nodes", "churn",
+                                       {{"alive", static_cast<double>(alive_after)}});
+  }
+  if (obs::telemetry_enabled()) {
+    for (const NodeId v : killed) {
+      obs::emit(obs::EventType::kNodeFailed, static_cast<double>(v));
+    }
+  }
+}
+
+}  // namespace
 
 std::vector<NodeId> kill_uniform_fraction(Overlay& overlay, double fraction, Rng& rng) {
   PRLC_REQUIRE(fraction >= 0.0 && fraction <= 1.0, "failure fraction must be in [0,1]");
-  // One single-wave FailureProcess behind the unified event-stream API
-  // (sim/failure_process.h). The process makes byte-identical Rng draws to
-  // the historical in-place implementation, and FailureDriver emits the
-  // same churn telemetry — committed experiment baselines are unchanged.
-  sim::WaveFailureProcess process({{0.0, fraction}});
-  sim::FailureDriver driver(process, overlay);
-  return driver.advance_to(0.0, rng);
+  // One sample_without_replacement of floor(fraction * alive) indices into
+  // the alive ids in id order; the victims die in sample order.
+  const std::vector<NodeId> alive = overlay.alive_nodes();
+  const auto kills = static_cast<std::size_t>(fraction * static_cast<double>(alive.size()));
+  std::vector<NodeId> killed;
+  killed.reserve(kills);
+  for (const std::size_t idx : rng.sample_without_replacement(alive.size(), kills)) {
+    overlay.fail_node(alive[idx]);
+    killed.push_back(alive[idx]);
+  }
+  record_churn("mass_failure", killed, overlay.alive_count());
+  return killed;
 }
 
 double exponential_death_probability(double mean_lifetime, double elapsed) {
@@ -36,7 +69,7 @@ std::vector<NodeId> apply_exponential_churn(Overlay& overlay, double mean_lifeti
       killed.push_back(v);
     }
   }
-  sim::record_churn("exponential_churn", killed, overlay.alive_count());
+  record_churn("exponential_churn", killed, overlay.alive_count());
   return killed;
 }
 
@@ -59,7 +92,7 @@ std::pair<std::size_t, std::size_t> apply_session_churn(Overlay& overlay, double
   }
   static obs::Counter& rejoin_counter = obs::counter("churn.nodes_rejoined");
   rejoin_counter.add(rejoined);
-  sim::record_churn("session_churn", left, overlay.alive_count());
+  record_churn("session_churn", left, overlay.alive_count());
   if (rejoined > 0 && obs::trace_enabled()) {
     obs::TraceRecorder::global().instant("node_join_wave", "churn",
                                          {{"rejoined", static_cast<double>(rejoined)}});

@@ -1,12 +1,15 @@
 // Node churn and failure models (Sec. 2: "all nodes in the network may
 // depart or fail unpredictably").
 //
-// Two standard models cover the persistence experiments:
+// Three models churn an overlay in place:
 //  * uniform mass failure — a fraction f of nodes dies simultaneously
 //    (battery exhaustion waves, correlated crashes, snapshot churn);
 //  * exponential lifetimes — each node dies independently by elapsed time
 //    t with probability 1 - exp(-t / mean_lifetime) (memoryless session
-//    lengths, the classic P2P churn model).
+//    lengths, the classic P2P churn model);
+//  * session churn — nodes leave and rejoin empty.
+// Each records its deaths the same way: the churn.* counters, one trace
+// instant per batch and one node_failed journal event per death.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +22,9 @@
 namespace prlc::net {
 
 /// Kill floor(fraction * alive_count) alive nodes chosen uniformly at
-/// random; returns the killed node ids. One wave of the unified
-/// sim::FailureProcess event-stream API — the continuous-churn cluster
-/// simulator consumes the same streams (see sim/failure_process.h).
+/// random without replacement; returns the killed node ids. This is the
+/// wave model of the persistence, fault and refresh sweeps; the cluster
+/// simulator's continuous churn is sim::PoissonFailureProcess.
 std::vector<NodeId> kill_uniform_fraction(Overlay& overlay, double fraction, Rng& rng);
 
 /// Kill each currently-alive node independently with probability

@@ -81,6 +81,16 @@ class Overlay {
 
   std::size_t alive_count() const { return alive_count_; }
 
+  /// The alive node ids, in id order.
+  std::vector<NodeId> alive_nodes() const {
+    std::vector<NodeId> out;
+    out.reserve(alive_count_);
+    for (NodeId v = 0; v < alive_.size(); ++v) {
+      if (alive_[v]) out.push_back(v);
+    }
+    return out;
+  }
+
   /// Node currently in charge of location `loc` (closest alive node /
   /// alive successor). Requires at least one alive node.
   virtual NodeId owner_of(LocationId loc) const = 0;

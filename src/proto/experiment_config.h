@@ -31,10 +31,10 @@ struct ExperimentConfig {
   codes::Scheme scheme = codes::Scheme::kPlc;
   std::vector<std::size_t> level_sizes;       ///< priority spec (required)
   std::vector<double> priority_distribution;  ///< empty = uniform
-  /// Churn model, as a value so trials can shard across threads: every
-  /// trial materializes its own sim::FailureProcess from this shared
-  /// description (wave churn and Poisson lifetimes are the two built-in
-  /// implementations — see sim/failure_process.h).
+  /// The cluster simulator's churn model, as a value so trials can shard
+  /// across threads: each trial builds its own Poisson stream from it (see
+  /// sim/failure_process.h). The wave sweeps over an overlay take their
+  /// kill fractions from their own params instead.
   sim::FailureModelConfig failure;
 
   /// Materialize the priority spec (throws if level_sizes is empty).

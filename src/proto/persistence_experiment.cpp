@@ -1,10 +1,10 @@
 #include "proto/persistence_experiment.h"
 
+#include "net/churn.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "proto/collector.h"
-#include "sim/failure_process.h"
 #include "util/check.h"
 
 namespace prlc::proto {
@@ -29,26 +29,21 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
   const codes::PrioritySpec spec = params.experiment.spec();
   const std::size_t points = params.failure_fractions.size();
 
-  // Translate the cumulative failure-fraction sweep into a wave schedule
-  // on the unified failure-stream API (sim/failure_process.h): to reach
-  // fraction f of the *original* nodes at point t, the wave at time t
-  // kills the increment relative to what previous waves already killed.
-  // The schedule is churn only — no randomness — so it is shared by every
-  // trial; each trial materializes its own process over it. Points whose
-  // fraction does not increase get no wave at all (not a zero-size one),
-  // preserving the historical Rng draw and telemetry sequence exactly.
-  std::vector<sim::WaveFailureProcess::Wave> waves;
-  std::vector<bool> wave_fires(points, false);
-  {
-    double killed_so_far = 0.0;
-    for (std::size_t point = 0; point < points; ++point) {
-      const double f = params.failure_fractions[point];
-      const double remaining = 1.0 - killed_so_far;
-      if (f > killed_so_far && remaining > 0) {
-        waves.push_back({static_cast<double>(point), (f - killed_so_far) / remaining});
-        wave_fires[point] = true;
-        killed_so_far = f;
-      }
+  // Translate the cumulative failure-fraction sweep into one wave per
+  // point: to reach fraction f of the *original* nodes at point t, the
+  // wave kills the increment relative to what earlier waves killed, as a
+  // fraction of the nodes still alive. The schedule holds no randomness,
+  // so every trial shares it. A point whose fraction does not rise gets 0
+  // and fires no wave at all (not a zero-size one): it draws nothing and
+  // records no churn.
+  std::vector<double> wave(points, 0.0);
+  double killed_so_far = 0.0;
+  for (std::size_t point = 0; point < points; ++point) {
+    const double f = params.failure_fractions[point];
+    const double remaining = 1.0 - killed_so_far;
+    if (f > killed_so_far && remaining > 0) {
+      wave[point] = (f - killed_so_far) / remaining;
+      killed_so_far = f;
     }
   }
 
@@ -87,15 +82,11 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
         Predistribution& predist = d.predist();
         SweepTable rows;
         rows.reserve(points);
-        sim::WaveFailureProcess churn(waves);
-        sim::FailureDriver churn_driver(churn, d.overlay());
         for (std::size_t point = 0; point < points; ++point) {
           // Logical time for telemetry = churn-point index of the sweep.
           obs::set_logical_time(point);
           const double f = params.failure_fractions[point];
-          if (wave_fires[point]) {
-            churn_driver.advance_to(static_cast<double>(point), rng);
-          }
+          if (wave[point] > 0) net::kill_uniform_fraction(d.overlay(), wave[point], rng);
           auto decoder = d.decoder();
           const auto result = collect(predist, decoder, {}, rng).result;
           survivors_gauge.set(static_cast<std::int64_t>(result.surviving_locations));

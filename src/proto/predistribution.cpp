@@ -89,9 +89,11 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
                         {"sources", static_cast<double>(spec_.total())}});
 
   // Step 3 origin assignment: each source block is "measured" at a random
-  // alive node.
+  // alive node (the draw Overlay::random_alive_node makes, over one list).
+  const std::vector<net::NodeId> alive = overlay_.alive_nodes();
+  PRLC_REQUIRE(!alive.empty(), "no alive nodes left in the overlay");
   std::vector<net::NodeId> origin(spec_.total());
-  for (auto& node : origin) node = overlay_.random_alive_node(rng);
+  for (auto& node : origin) node = alive[rng.uniform(alive.size())];
 
   // Capacity-aware placement: resolve each location's hosting node up
   // front, spilling past full nodes (paper: each node stores d blocks).

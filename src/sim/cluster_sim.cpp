@@ -5,6 +5,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -45,40 +46,14 @@ struct SimEvent {
   std::uint32_t generation = 0;  ///< kRot: blocks_[id].generation at schedule time
 };
 
-/// The simulator's own MembershipView: a flat alive bitmap. Node state
-/// beyond this byte is lazily materialized — only hosts actually holding
-/// blocks appear in the host map.
-class BitmapMembership final : public MembershipView {
- public:
-  explicit BitmapMembership(std::size_t nodes) : alive_(nodes, 1), alive_count_(nodes) {}
-
-  std::size_t nodes() const override { return alive_.size(); }
-  std::size_t alive_count() const override { return alive_count_; }
-  bool alive(net::NodeId node) const override { return alive_[node] != 0; }
-
-  void fail(net::NodeId node) {
-    PRLC_ASSERT(alive_[node] != 0, "failing a dead node");
-    alive_[node] = 0;
-    --alive_count_;
-  }
-  void join(net::NodeId node) {
-    PRLC_ASSERT(alive_[node] == 0, "joining an alive node");
-    alive_[node] = 1;
-    ++alive_count_;
-  }
-
- private:
-  std::vector<std::uint8_t> alive_;
-  std::size_t alive_count_;
-};
-
 /// All mutable state of one cluster lifetime.
 class ClusterTrial {
  public:
   ClusterTrial(const ClusterParams& params, Rng& rng)
       : params_(params),
         spec_(params.experiment.spec()),
-        membership_(params.nodes),
+        alive_(params.nodes, 1),
+        alive_count_(params.nodes),
         rng_(rng),
         counts_(spec_.levels(), 0),
         zero_sources_(spec_.levels(), 0),
@@ -87,6 +62,9 @@ class ClusterTrial {
     outcome_.first_loss.assign(spec_.levels(), params.max_time);
     outcome_.lost.assign(spec_.levels(), 0);
     outcome_.levels_at.assign(params.sample_times.size(), 0);
+    if (params.experiment.failure.kind == FailureModelConfig::Kind::kPoisson) {
+      churn_.emplace(params.experiment.failure.churn_rate);
+    }
   }
 
   LifetimeOutcome run();
@@ -114,9 +92,12 @@ class ClusterTrial {
 
   const ClusterParams& params_;
   codes::PrioritySpec spec_;
-  BitmapMembership membership_;
+  /// One byte of liveness per node slot. Node state beyond this byte is
+  /// lazily materialized: only hosts holding blocks appear in host_blocks_.
+  std::vector<std::uint8_t> alive_;
+  std::size_t alive_count_;
   Rng& rng_;
-  std::unique_ptr<FailureProcess> process_;
+  std::optional<PoissonFailureProcess> churn_;  ///< none: no loud failures
 
   std::vector<Block> blocks_;
   /// Lazily materialized node storage: host id -> indices into blocks_.
@@ -283,12 +264,14 @@ void ClusterTrial::lose_block(std::uint32_t block, double now) {
 }
 
 void ClusterTrial::on_failure(const FailureEvent& event) {
-  membership_.fail(event.node);
+  PRLC_ASSERT(alive_[event.node] != 0, "failing a dead node");
+  alive_[event.node] = 0;
+  --alive_count_;
   ++outcome_.failures;
   obs::emit(obs::EventType::kNodeFailed, static_cast<double>(event.node));
   queue_.push(event.time + params_.replacement_delay,
-              SimEvent{SimEvent::Kind::kJoin, static_cast<std::uint32_t>(event.node)});
-  const auto it = host_blocks_.find(static_cast<std::uint32_t>(event.node));
+              SimEvent{SimEvent::Kind::kJoin, event.node});
+  const auto it = host_blocks_.find(event.node);
   if (it == host_blocks_.end()) return;
   for (const std::uint32_t block : it->second) lose_block(block, event.time);
   host_blocks_.erase(it);
@@ -296,7 +279,9 @@ void ClusterTrial::on_failure(const FailureEvent& event) {
 }
 
 void ClusterTrial::on_join(std::uint32_t node) {
-  membership_.join(node);
+  PRLC_ASSERT(alive_[node] == 0, "joining an alive node");
+  alive_[node] = 1;
+  ++alive_count_;
   ++outcome_.joins;
 }
 
@@ -384,11 +369,11 @@ void ClusterTrial::on_repair_done(std::uint32_t block, double now) {
   // |quarantined| guarantees an eligible host; only when that fails count
   // the alive quarantined exactly (set iteration order doesn't matter for
   // a count).
-  bool placeable = membership_.alive_count() > quarantined_.size();
-  if (!placeable && membership_.alive_count() > 0) {
+  bool placeable = alive_count_ > quarantined_.size();
+  if (!placeable && alive_count_ > 0) {
     std::size_t alive_quarantined = 0;
-    for (const std::uint32_t q : quarantined_) alive_quarantined += membership_.alive(q);
-    placeable = membership_.alive_count() > alive_quarantined;
+    for (const std::uint32_t q : quarantined_) alive_quarantined += alive_[q];
+    placeable = alive_count_ > alive_quarantined;
   }
   // The level may have gone under while the repair was in flight; the
   // re-encode has nothing valid to draw on, so the work is abandoned.
@@ -399,7 +384,7 @@ void ClusterTrial::on_repair_done(std::uint32_t block, double now) {
   std::uint32_t host;
   do {
     host = static_cast<std::uint32_t>(rng_.uniform(params_.nodes));
-  } while (!membership_.alive(host) || quarantined_.contains(host));
+  } while (alive_[host] == 0 || quarantined_.contains(host));
   b.host = host;
   host_blocks_[host].push_back(block);
   ++outcome_.repairs_completed;
@@ -446,7 +431,6 @@ void ClusterTrial::finish(double final_time) {
 LifetimeOutcome ClusterTrial::run() {
   place_blocks();
   seed_integrity();
-  process_ = make_failure_process(params_.experiment.failure);
   // An undersized placement — or one forged hollow by Byzantine hosts —
   // is a loss at t = 0.
   record_losses(0.0);
@@ -457,10 +441,13 @@ LifetimeOutcome ClusterTrial::run() {
     // horizon: failures break (time) ties against scheduled events — a
     // node that dies the instant its repair lands dies holding the
     // repaired block. The horizon also fences randomness (see
-    // FailureProcess::next), keeping the trial's draw order reproducible.
+    // PoissonFailureProcess::next), keeping the trial's draw order
+    // reproducible.
     const double horizon = std::min(queue_time, params_.max_time);
+    const auto event = churn_ ? churn_->next(alive_, alive_count_, rng_, horizon)
+                              : std::optional<FailureEvent>();
     double now;
-    if (auto event = process_->next(membership_, rng_, horizon)) {
+    if (event) {
       now = event->time;
       drain_samples(now);
       ++outcome_.events;

@@ -5,8 +5,9 @@
 // One trial is one whole cluster lifetime: W nodes (lazily materialized —
 // only nodes holding blocks get any per-node storage beyond one byte of
 // liveness), M stored coded blocks partitioned over the priority levels,
-// a FailureProcess streaming (time, node) deaths, and five event kinds
-// on a deterministic (time, seq) queue:
+// a Poisson failure stream of (time, node) deaths over the alive bitmap
+// (sim/failure_process.h; none under FailureModelConfig::Kind::kNone), and
+// five event kinds on a deterministic (time, seq) queue:
 //
 //   * failure — the node dies, its blocks are lost, a replacement join is
 //     scheduled, and the lost blocks enter the repair scheduler;

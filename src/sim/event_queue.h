@@ -1,15 +1,17 @@
-// Deterministic discrete-event queue: a binary min-heap ordered by
-// (fire time, insertion sequence).
+// Deterministic discrete-event queue: a binary heap (std::push_heap /
+// std::pop_heap) with the earliest (fire time, insertion sequence) on top.
 //
 // std::priority_queue over doubles alone would leave simultaneous events
-// (every wave, every repair completing in lockstep) in unspecified
+// (repairs completing in lockstep) in unspecified
 // relative order — and the simulator's bit-identical-at-any-thread-count
 // contract cannot tolerate "unspecified". The tie-break by a per-queue
 // monotone sequence number makes the order total: two events never
-// compare equal, so pop order is a pure function of push order, and a
-// whole cluster lifetime replays identically from its seed.
+// compare equal, so pop order is a pure function of push order (every
+// valid heap pops the same sequence), and a whole cluster lifetime replays
+// identically from its seed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -46,49 +48,23 @@ class EventQueue {
 
   void push(double time, Payload payload) {
     heap_.push_back(Entry{time, next_seq_++, std::move(payload)});
-    sift_up(heap_.size() - 1);
+    std::push_heap(heap_.begin(), heap_.end(), later);
     if (heap_.size() > max_size_) max_size_ = heap_.size();
   }
 
   /// Pop the earliest entry; requires non-empty.
   Entry pop() {
     PRLC_REQUIRE(!heap_.empty(), "pop() on an empty event queue");
-    Entry out = std::move(heap_.front());
-    heap_.front() = std::move(heap_.back());
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Entry out = std::move(heap_.back());
     heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
     return out;
   }
 
-  void clear() {
-    heap_.clear();
-    // next_seq_ deliberately keeps counting: entries pushed after a clear
-    // still order after everything that came before.
-  }
-
  private:
-  void sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!heap_[i].before(heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    while (true) {
-      const std::size_t left = 2 * i + 1;
-      const std::size_t right = left + 1;
-      std::size_t best = i;
-      if (left < n && heap_[left].before(heap_[best])) best = left;
-      if (right < n && heap_[right].before(heap_[best])) best = right;
-      if (best == i) return;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
-  }
+  /// The std heap algorithms keep the greatest entry on top, so the
+  /// earliest entry must compare greatest.
+  static bool later(const Entry& a, const Entry& b) { return b.before(a); }
 
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;

@@ -65,18 +65,6 @@ TEST(Encoder, DenseUniformRedrawLeavesNoStaleValues) {
   }
 }
 
-TEST(Encoder, DenseNonzeroModelHasNoZerosInSupport) {
-  Rng rng(93);
-  EncoderOptions opt;
-  opt.model = CoefficientModel::kDenseNonzero;
-  const auto spec = small_spec();
-  const PriorityEncoder<F> enc(Scheme::kPlc, spec, opt);
-  for (int t = 0; t < 100; ++t) {
-    const auto block = enc.encode(2, rng);
-    for (std::size_t j = 0; j < spec.total(); ++j) EXPECT_NE(block.coeffs[j], 0);
-  }
-}
-
 TEST(Encoder, SparseModelRowWeight) {
   Rng rng(94);
   EncoderOptions opt;
@@ -160,7 +148,6 @@ TEST(Encoder, SparseEmitterMatchesDenseEmitter) {
   const auto source = SourceData<F>::random(spec.total(), 7, seed_rng);
   const EncoderOptions configs[] = {
       {CoefficientModel::kDenseUniform, 3.0, 0},
-      {CoefficientModel::kDenseNonzero, 3.0, 0},
       {CoefficientModel::kSparse, 1.5, 0},
       {CoefficientModel::kSparse, 1.5, 4},  // chunked
   };

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "net/chord_network.h"
 #include "net/sensor_network.h"
@@ -23,6 +24,36 @@ TEST(Churn, UniformFractionKillsExactCount) {
   EXPECT_EQ(killed.size(), 50u);
   EXPECT_EQ(net.alive_count(), 150u);
   for (NodeId v : killed) EXPECT_FALSE(net.alive(v));
+}
+
+TEST(Churn, UniformFractionDrawsOneSampleOverAliveIds) {
+  // The wave's draws: the alive ids in id order, then one
+  // sample_without_replacement of floor(fraction * alive) indices, with
+  // the victims killed in sample order. Every committed baseline of the
+  // wave sweeps depends on exactly these draws.
+  ChordParams p;
+  p.nodes = 40;
+  p.locations = 5;
+  p.seed = 6;
+  ChordNetwork net(p);
+  net.fail_node(3);
+  net.fail_node(17);  // 38 alive
+  std::vector<NodeId> alive;
+  for (NodeId v = 0; v < 40; ++v) {
+    if (net.alive(v)) alive.push_back(v);
+  }
+  EXPECT_EQ(net.alive_nodes(), alive);
+
+  Rng churn_rng(999), manual_rng(999);
+  const auto killed = kill_uniform_fraction(net, 0.25, churn_rng);
+  std::vector<NodeId> manual;
+  // floor(0.25 * 38) = 9 victims.
+  for (const std::size_t idx : manual_rng.sample_without_replacement(alive.size(), 9)) {
+    manual.push_back(alive[idx]);
+  }
+  EXPECT_EQ(killed, manual);
+  // Both Rngs must have consumed the same draws.
+  EXPECT_EQ(churn_rng(), manual_rng());
 }
 
 TEST(Churn, UniformFractionOnAlreadyChurnedNetwork) {

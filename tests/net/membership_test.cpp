@@ -95,8 +95,8 @@ std::vector<NodeId> journaled_failures() {
 }
 
 TEST(Membership, ChurnModelsJournalEveryDeathInOrder) {
-  // Session and exponential churn record through sim::record_churn, as the
-  // wave driver does: one node_failed event per death, in id order.
+  // Session and exponential churn record their deaths as the wave model
+  // does: one node_failed event per death, in id order.
   obs::reset_telemetry();
   obs::set_telemetry_enabled(true);
   auto net = make_ring(400);

@@ -166,8 +166,7 @@ TEST(ClusterSim, ScrubbingRecoversRottenBlocksUnscrubbedClustersDecay) {
   // with scrubbing every rotten block is detected and re-encoded while
   // the level still stands.
   ClusterParams params = small_cluster(8, 1313);
-  params.experiment.failure.kind = FailureModelConfig::Kind::kWave;
-  params.experiment.failure.wave_fractions = {};  // zero loud failures
+  params.experiment.failure.kind = FailureModelConfig::Kind::kNone;  // zero loud failures
   params.integrity.rot_rate = 0.05;
 
   params.integrity.scrub_interval = 0.0;  // silent decay
@@ -189,8 +188,7 @@ TEST(ClusterSim, ScrubbingRecoversRottenBlocksUnscrubbedClustersDecay) {
 TEST(ClusterSim, ByzantineHostsAreQuarantinedAndNeverRepairedInto) {
   ClusterParams params = small_cluster(1, 777);
   params.nodes = 400;
-  params.experiment.failure.kind = FailureModelConfig::Kind::kWave;
-  params.experiment.failure.wave_fractions = {};  // zero loud failures
+  params.experiment.failure.kind = FailureModelConfig::Kind::kNone;  // zero loud failures
   params.integrity.byzantine_fraction = 0.25;
   params.integrity.scrub_interval = 1.0;
   params.max_time = 20.0;

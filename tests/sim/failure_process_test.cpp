@@ -5,111 +5,39 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/check.h"
 #include "util/random.h"
 
 namespace prlc::sim {
 namespace {
 
-/// Minimal membership for driving processes without an overlay.
-class FlatMembership final : public MembershipView {
- public:
-  explicit FlatMembership(std::size_t nodes) : alive_(nodes, 1), alive_count_(nodes) {}
-
-  std::size_t nodes() const override { return alive_.size(); }
-  std::size_t alive_count() const override { return alive_count_; }
-  bool alive(net::NodeId node) const override { return alive_[node] != 0; }
-
-  void fail(net::NodeId node) {
-    alive_[node] = 0;
-    --alive_count_;
+/// An alive bitmap with its count, as the cluster simulator keeps them.
+struct Slots {
+  explicit Slots(std::size_t nodes) : alive(nodes, 1), count(nodes) {}
+  void fail(std::uint32_t node) {
+    alive[node] = 0;
+    --count;
   }
-
- private:
-  std::vector<std::uint8_t> alive_;
-  std::size_t alive_count_;
+  std::vector<std::uint8_t> alive;
+  std::size_t count;
 };
-
-TEST(WaveFailureProcess, MatchesHistoricalKillDraws) {
-  // The wave process must make exactly the draws kill_uniform_fraction has
-  // always made: alive ids in id order, one sample_without_replacement of
-  // floor(fraction * alive) indices.
-  FlatMembership view(40);
-  view.fail(3);
-  view.fail(17);  // 38 alive
-
-  Rng process_rng(999), manual_rng(999);
-  WaveFailureProcess process({{2.0, 0.25}});
-  std::vector<net::NodeId> from_process;
-  while (auto event = process.next(view, process_rng, 2.0)) {
-    EXPECT_DOUBLE_EQ(event->time, 2.0);
-    from_process.push_back(event->node);
-  }
-
-  std::vector<net::NodeId> alive_nodes;
-  for (net::NodeId v = 0; v < 40; ++v) {
-    if (view.alive(v)) alive_nodes.push_back(v);
-  }
-  const auto kills = static_cast<std::size_t>(0.25 * static_cast<double>(alive_nodes.size()));
-  std::vector<net::NodeId> manual;
-  for (std::size_t idx : manual_rng.sample_without_replacement(alive_nodes.size(), kills)) {
-    manual.push_back(alive_nodes[idx]);
-  }
-  EXPECT_EQ(from_process, manual);
-  // Both Rngs must have consumed the same draws.
-  EXPECT_EQ(process_rng(), manual_rng());
-}
-
-TEST(WaveFailureProcess, HorizonFencesRandomness) {
-  // Asking about a horizon before the wave consumes NO draws — the fence
-  // that keeps interleaved work (collects between churn points) on a
-  // reproducible draw stream.
-  FlatMembership view(30);
-  Rng rng(7), untouched(7);
-  WaveFailureProcess process({{5.0, 0.5}});
-  EXPECT_FALSE(process.next(view, rng, 4.999).has_value());
-  EXPECT_EQ(rng(), untouched());  // no draw happened
-
-  // Reaching the horizon releases the wave in full.
-  Rng rng2(7);
-  std::size_t killed = 0;
-  while (process.next(view, rng2, 5.0)) ++killed;
-  EXPECT_EQ(killed, 15u);
-}
-
-TEST(WaveFailureProcess, SequentialWavesSeeUpdatedMembership) {
-  FlatMembership view(100);
-  Rng rng(42);
-  WaveFailureProcess process({{0.0, 0.5}, {1.0, 0.5}});
-  std::size_t first = 0, second = 0;
-  while (auto event = process.next(view, rng, 0.0)) {
-    view.fail(event->node);
-    ++first;
-  }
-  EXPECT_EQ(first, 50u);
-  while (auto event = process.next(view, rng, 1.0)) {
-    view.fail(event->node);
-    ++second;
-  }
-  EXPECT_EQ(second, 25u);  // half of the 50 still alive
-  EXPECT_FALSE(process.next(view, rng, 1e9).has_value());  // stream exhausted
-}
 
 TEST(PoissonFailureProcess, EventsAreOrderedAliveAndRoughlyPoisson) {
   const double rate = 0.1;
   const std::size_t nodes = 500;
-  FlatMembership view(nodes);
+  Slots slots(nodes);
   Rng rng(2024);
   PoissonFailureProcess process(rate);
   double last = 0;
   std::size_t count = 0;
-  while (auto event = process.next(view, rng, 10.0)) {
+  while (auto event = process.next(slots.alive, slots.count, rng, 10.0)) {
     EXPECT_GE(event->time, last);
     EXPECT_LE(event->time, 10.0);
-    EXPECT_TRUE(view.alive(event->node));
-    view.fail(event->node);
+    EXPECT_EQ(slots.alive[event->node], 1);
+    slots.fail(event->node);
     last = event->time;
     ++count;
-    if (view.alive_count() == 0) break;
+    if (slots.count == 0) break;
   }
   // Pure-death process starting from 500 at per-node rate 0.1 over 10 time
   // units: E[deaths] = 500 * (1 - e^-1) ~ 316. Allow a wide band.
@@ -121,17 +49,17 @@ TEST(PoissonFailureProcess, HorizonKeepsCachedGapWithoutRedrawing) {
   // A gap drawn past the horizon is cached, not redrawn: probing with
   // small horizons then releasing gives the same first event as asking
   // for a big horizon outright on a fresh same-seeded process.
-  FlatMembership view(50);
+  Slots slots(50);
   PoissonFailureProcess probed(0.01);
   Rng probed_rng(77);
   for (double until = 0.0; until < 0.5; until += 0.1) {
-    (void)probed.next(view, probed_rng, until);  // likely nullopt; draws once
+    (void)probed.next(slots.alive, slots.count, probed_rng, until);  // likely nullopt; draws once
   }
-  const auto released = probed.next(view, probed_rng, 1e9);
+  const auto released = probed.next(slots.alive, slots.count, probed_rng, 1e9);
 
   PoissonFailureProcess direct(0.01);
   Rng direct_rng(77);
-  const auto straight = direct.next(view, direct_rng, 1e9);
+  const auto straight = direct.next(slots.alive, slots.count, direct_rng, 1e9);
   ASSERT_TRUE(released.has_value());
   ASSERT_TRUE(straight.has_value());
   EXPECT_DOUBLE_EQ(released->time, straight->time);
@@ -139,36 +67,32 @@ TEST(PoissonFailureProcess, HorizonKeepsCachedGapWithoutRedrawing) {
 }
 
 TEST(PoissonFailureProcess, EmptyClusterEndsTheStream) {
-  FlatMembership view(3);
-  view.fail(0);
-  view.fail(1);
-  view.fail(2);
+  Slots slots(3);
+  slots.fail(0);
+  slots.fail(1);
+  slots.fail(2);
   Rng rng(1);
   PoissonFailureProcess process(1.0);
-  EXPECT_FALSE(process.next(view, rng, 1e9).has_value());
+  EXPECT_FALSE(process.next(slots.alive, slots.count, rng, 1e9).has_value());
 }
 
 TEST(FailureModelConfig, ValidateRejectsBadConfigs) {
-  FailureModelConfig bad_wave;
-  bad_wave.kind = FailureModelConfig::Kind::kWave;
-  bad_wave.wave_fractions = {0.5, 1.5};
-  EXPECT_THROW(bad_wave.validate(), PreconditionError);
-
   FailureModelConfig bad_rate;
   bad_rate.kind = FailureModelConfig::Kind::kPoisson;
   bad_rate.churn_rate = 0.0;
   EXPECT_THROW(bad_rate.validate(), PreconditionError);
+  EXPECT_THROW(PoissonFailureProcess(0.0), PreconditionError);
 
   FailureModelConfig ok;
   ok.kind = FailureModelConfig::Kind::kPoisson;
   ok.churn_rate = 0.25;
   EXPECT_NO_THROW(ok.validate());
-  EXPECT_STREQ(make_failure_process(ok)->name(), "poisson_churn");
 
-  FailureModelConfig waves;
-  waves.kind = FailureModelConfig::Kind::kWave;
-  waves.wave_fractions = {0.1, 0.2};
-  EXPECT_STREQ(make_failure_process(waves)->name(), "mass_failure");
+  // No loud failures reads no rate.
+  FailureModelConfig none;
+  none.kind = FailureModelConfig::Kind::kNone;
+  none.churn_rate = 0.0;
+  EXPECT_NO_THROW(none.validate());
 }
 
 }  // namespace
