@@ -17,10 +17,14 @@ namespace prlc::gf {
 /// plus the bulk span operations every decoder hot path reduces to. The
 /// span operations are part of the concept (not derived from mul) so a
 /// policy can back them with vectorized kernels — see gf256_kernels.h.
+/// axpy_batch (ys[r] ^= coeffs[r] * x for every r) is the decoders'
+/// elimination step: Gf256 tiles it through the cache, Gf2m runs it one
+/// row at a time.
 template <typename F>
 concept FieldPolicy = requires(typename F::Symbol a, typename F::Symbol b,
                                std::span<typename F::Symbol> y,
-                               std::span<const typename F::Symbol> x) {
+                               std::span<const typename F::Symbol> x,
+                               std::span<typename F::Symbol* const> ys) {
   requires std::unsigned_integral<typename F::Symbol>;
   { F::add(a, b) } -> std::same_as<typename F::Symbol>;
   { F::sub(a, b) } -> std::same_as<typename F::Symbol>;
@@ -32,19 +36,7 @@ concept FieldPolicy = requires(typename F::Symbol a, typename F::Symbol b,
   { F::axpy(y, a, x) } -> std::same_as<void>;
   { F::scale(y, a) } -> std::same_as<void>;
   { F::dot(x, x) } -> std::same_as<typename F::Symbol>;
+  { F::axpy_batch(ys, x, x) } -> std::same_as<void>;
 };
-
-/// Extension of FieldPolicy for fields that also provide a batched
-/// multi-row axpy (ys[r] ^= coeffs[r] * x). Decoders use it for the
-/// back-elimination step when available and fall back to per-row axpy
-/// otherwise; Gf256 routes it through the cache-tiled kernel dispatch.
-template <typename F>
-concept BatchedFieldPolicy =
-    FieldPolicy<F> &&
-    requires(std::span<typename F::Symbol* const> ys,
-             std::span<const typename F::Symbol> coeffs,
-             std::span<const typename F::Symbol> x) {
-      { F::axpy_batch(ys, coeffs, x) } -> std::same_as<void>;
-    };
 
 }  // namespace prlc::gf

@@ -66,14 +66,6 @@ void Gf256::scale(std::span<Symbol> x, Symbol a) {
   gf256_active_ops().mul_region(x.data(), x.data(), a, x.size());
 }
 
-void Gf256::mul_region(std::span<Symbol> dst, Symbol a, std::span<const Symbol> src) {
-  PRLC_REQUIRE(dst.size() == src.size(), "mul_region spans must have equal length");
-  if (dst.empty()) return;
-  static obs::Counter& bytes = obs::counter("gf256.mul_region_bytes");
-  bytes.add(dst.size());
-  gf256_active_ops().mul_region(dst.data(), src.data(), a, dst.size());
-}
-
 Gf256::Symbol Gf256::dot(std::span<const Symbol> a, std::span<const Symbol> b) {
   PRLC_REQUIRE(a.size() == b.size(), "dot spans must have equal length");
   if (a.empty()) return 0;

@@ -4,11 +4,11 @@
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D, the classic Rijndael-
 // adjacent choice used by most RLNC implementations), plus a full
 // 256x256 product table for scalar lookups. The payload span operations
-// (axpy, scale, mul_region, axpy_batch) route through the vectorized
-// kernel table in gf256_kernels.h, which is dispatched once at runtime to
-// the widest SIMD unit the CPU offers; dot, which only ever sees
-// coefficient vectors, is a product-table loop. Tables are built once at
-// first use and are immutable afterwards.
+// (axpy, scale, axpy_batch) call the active tier of gf256_kernels.h,
+// picked once at runtime by the rule in util/kernel_tiers.h: the widest
+// SIMD unit the CPU offers. dot, which only ever sees coefficient vectors,
+// is a product-table loop. Tables are built once at first use and are
+// immutable afterwards.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +58,6 @@ class Gf256 {
 
   /// x *= a element-wise.
   static void scale(std::span<Symbol> x, Symbol a);
-
-  /// dst = a * src element-wise; dst may equal src (then this is scale).
-  static void mul_region(std::span<Symbol> dst, Symbol a, std::span<const Symbol> src);
 
   /// Dot product sum_i a[i]*b[i].
   static Symbol dot(std::span<const Symbol> a, std::span<const Symbol> b);

@@ -7,7 +7,7 @@
 
 #include "gf/gf256.h"
 #include "obs/metrics.h"
-#include "util/check.h"
+#include "util/kernel_tiers.h"
 
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
 #define PRLC_GF256_X86 1
@@ -382,98 +382,44 @@ __attribute__((target(PRLC_GF256_GFNI))) void combine_gfni(
 #endif  // PRLC_GF256_X86
 
 // ---------------------------------------------------------------------------
-// Tier registry + one-time dispatch.
+// The tier table (util/kernel_tiers.h picks from it).
 // ---------------------------------------------------------------------------
 
-constexpr Gf256KernelOps kReferenceOps = {
-    "reference", axpy_reference, mul_region_reference,
-    combine_chain<axpy_reference, mul_region_reference>};
+constexpr KernelTier<Gf256KernelOps> kTiers[] = {
+    {{"reference", axpy_reference, mul_region_reference,
+      combine_chain<axpy_reference, mul_region_reference>}},
 #if PRLC_GF256_X86
-constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2,
-                                     combine_chain<axpy_avx2, mul_region_avx2>};
-constexpr Gf256KernelOps kGfniOps = {"gfni", axpy_gfni, mul_region_gfni, combine_gfni};
-#endif
-
-constexpr Gf256Kernel kCompiledKernels[] = {
-    Gf256Kernel::kReference,
-#if PRLC_GF256_X86
-    Gf256Kernel::kAvx2,
-    Gf256Kernel::kGfni,
+    {{"avx2", axpy_avx2, mul_region_avx2, combine_chain<axpy_avx2, mul_region_avx2>},
+     [] { return __builtin_cpu_supports("avx2") != 0; }},
+    {{"gfni", axpy_gfni, mul_region_gfni, combine_gfni},
+     [] {
+       return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+              __builtin_cpu_supports("gfni");
+     }},
 #endif
 };
-
-/// The best runtime-supported tier; records the dispatch gauges.
-Gf256Kernel pick_kernel() {
-  Gf256Kernel k = Gf256Kernel::kReference;
-  for (const Gf256Kernel candidate : kCompiledKernels) {
-    if (gf256_kernel_runtime_ok(candidate)) k = candidate;
-  }
-  obs::gauge(std::string("gf256.dispatch.") + gf256_kernel_name(k)).set(1);
-  obs::gauge("gf256.dispatch_variant").set(static_cast<int>(k));
-  return k;
-}
+#if PRLC_GF256_X86
+static_assert(std::size(kTiers) == static_cast<std::size_t>(Gf256Kernel::kGfni) + 1);
+#endif
+constexpr KernelTable<Gf256Kernel, Gf256KernelOps> kTable{kTiers};
 
 }  // namespace
 
-const char* gf256_kernel_name(Gf256Kernel k) {
-  switch (k) {
-    case Gf256Kernel::kReference:
-      return "reference";
-    case Gf256Kernel::kAvx2:
-      return "avx2";
-    case Gf256Kernel::kGfni:
-      return "gfni";
-  }
-  PRLC_ASSERT(false, "unknown GF(256) kernel variant");
-}
+const char* gf256_kernel_name(Gf256Kernel k) { return kTable.ops(k).name; }
 
-std::vector<Gf256Kernel> gf256_compiled_kernels() {
-  return {std::begin(kCompiledKernels), std::end(kCompiledKernels)};
-}
+std::vector<Gf256Kernel> gf256_compiled_kernels() { return kTable.compiled(); }
 
-bool gf256_kernel_runtime_ok(Gf256Kernel k) {
-  switch (k) {
-    case Gf256Kernel::kReference:
-      return true;
-    case Gf256Kernel::kAvx2:
-#if PRLC_GF256_X86
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case Gf256Kernel::kGfni:
-#if PRLC_GF256_X86
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("gfni");
-#else
-      return false;
-#endif
-  }
-  PRLC_ASSERT(false, "unknown GF(256) kernel variant");
-}
+bool gf256_kernel_runtime_ok(Gf256Kernel k) { return kTable.runtime_ok(k); }
 
-const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k) {
-  switch (k) {
-    case Gf256Kernel::kReference:
-      return kReferenceOps;
-    case Gf256Kernel::kAvx2:
-#if PRLC_GF256_X86
-      return kAvx2Ops;
-#else
-      break;
-#endif
-    case Gf256Kernel::kGfni:
-#if PRLC_GF256_X86
-      return kGfniOps;
-#else
-      break;
-#endif
-  }
-  PRLC_REQUIRE(false, "GF(256) kernel variant not compiled in");
-}
+const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k) { return kTable.ops(k); }
 
 Gf256Kernel gf256_active_kernel() {
-  static const Gf256Kernel active = pick_kernel();
+  static const Gf256Kernel active = [] {
+    const Gf256Kernel k = kTable.best();
+    obs::gauge(std::string("gf256.dispatch.") + gf256_kernel_name(k)).set(1);
+    obs::gauge("gf256.dispatch_variant").set(static_cast<int>(k));
+    return k;
+  }();
   return active;
 }
 

@@ -30,10 +30,11 @@
 // active tier's combine.
 //
 // The vector tiers are compiled behind __x86_64__/__i386__ guards using
-// GCC/Clang `target` attributes (no special -m flags needed) and chosen
-// with __builtin_cpu_supports, so one binary runs everywhere; a host
-// without AVX-512BW+GFNI runs the AVX2 tier. There is no override knob:
-// tests and benchmarks reach a tier through gf256_kernel_ops(k).
+// GCC/Clang `target` attributes (no special -m flags needed); each carries
+// a __builtin_cpu_supports check in the family's tier table, and the rule
+// in util/kernel_tiers.h picks from it, so one binary runs everywhere; a
+// host without AVX-512BW+GFNI runs the AVX2 tier. There is no override
+// knob: tests and benchmarks reach a tier through gf256_kernel_ops(k).
 #pragma once
 
 #include <cstddef>
@@ -68,7 +69,7 @@ struct Gf256KernelOps {
                   std::size_t n);
 };
 
-/// Tier name ("reference", "avx2", "gfni").
+/// Name of a compiled tier ("reference", "avx2", "gfni").
 const char* gf256_kernel_name(Gf256Kernel k);
 
 /// Every tier compiled into this binary, in ascending preference order.
@@ -77,8 +78,9 @@ std::vector<Gf256Kernel> gf256_compiled_kernels();
 /// True when the tier is compiled in AND the running CPU can execute it.
 bool gf256_kernel_runtime_ok(Gf256Kernel k);
 
-/// Ops of a specific tier (tests, benchmarks). Requires
-/// gf256_kernel_runtime_ok(k) before calling through the result.
+/// Ops of a specific tier (tests, benchmarks); throws PreconditionError
+/// when it is not compiled in. Requires gf256_kernel_runtime_ok(k) before
+/// calling through the result.
 const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k);
 
 /// The tier the Gf256 span ops use: the best runtime-supported one, fixed

@@ -75,6 +75,16 @@ class Gf2m {
     for (Symbol& v : x) v = mul(a, v);
   }
 
+  /// ys[r] ^= coeffs[r] * x for every r, all rows x.size() symbols long:
+  /// one axpy per row (zero coefficients skip it).
+  static void axpy_batch(std::span<Symbol* const> ys, std::span<const Symbol> coeffs,
+                         std::span<const Symbol> x) {
+    PRLC_REQUIRE(ys.size() == coeffs.size(), "axpy_batch needs one coefficient per row");
+    for (std::size_t r = 0; r < ys.size(); ++r) {
+      axpy(std::span<Symbol>(ys[r], x.size()), coeffs[r], x);
+    }
+  }
+
   static Symbol dot(std::span<const Symbol> a, std::span<const Symbol> b) {
     PRLC_REQUIRE(a.size() == b.size(), "dot spans must have equal length");
     Symbol acc = 0;

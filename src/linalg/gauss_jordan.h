@@ -62,39 +62,28 @@ RrefInfo rref(Matrix<F>& m, Matrix<F>* rhs = nullptr) {
       F::scale(m.row(pivot_row), piv_inv);
       if (rhs != nullptr) F::scale(rhs->row(pivot_row), piv_inv);
     }
-    // Eliminate the column everywhere else (above and below: Jordan step).
-    // For batched fields the whole step is two multi-row axpy calls, so
-    // the pivot row streams through cache once for all targets.
-    if constexpr (gf::BatchedFieldPolicy<F>) {
-      std::vector<Symbol*> targets;
-      std::vector<Symbol*> rhs_targets;
-      std::vector<Symbol> factors;
-      targets.reserve(m.rows());
-      factors.reserve(m.rows());
-      for (std::size_t r = 0; r < m.rows(); ++r) {
-        if (r == pivot_row) continue;
-        const Symbol factor = m.at(r, col);
-        if (factor == 0) continue;
-        targets.push_back(m.row(r).data());
-        if (rhs != nullptr) rhs_targets.push_back(rhs->row(r).data());
-        factors.push_back(factor);
-      }
-      eliminated.add(factors.size());
-      F::axpy_batch(std::span<Symbol* const>(targets), std::span<const Symbol>(factors),
-                    m.row(pivot_row));
-      if (rhs != nullptr) {
-        F::axpy_batch(std::span<Symbol* const>(rhs_targets),
-                      std::span<const Symbol>(factors), rhs->row(pivot_row));
-      }
-    } else {
-      for (std::size_t r = 0; r < m.rows(); ++r) {
-        if (r == pivot_row) continue;
-        const Symbol factor = m.at(r, col);
-        if (factor == 0) continue;
-        eliminated.add();
-        F::axpy(m.row(r), factor, m.row(pivot_row));
-        if (rhs != nullptr) F::axpy(rhs->row(r), factor, rhs->row(pivot_row));
-      }
+    // Eliminate the column everywhere else (above and below: Jordan step)
+    // in two multi-row axpy calls, so the pivot row streams through cache
+    // once for all targets.
+    std::vector<Symbol*> targets;
+    std::vector<Symbol*> rhs_targets;
+    std::vector<Symbol> factors;
+    targets.reserve(m.rows());
+    factors.reserve(m.rows());
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      if (r == pivot_row) continue;
+      const Symbol factor = m.at(r, col);
+      if (factor == 0) continue;
+      targets.push_back(m.row(r).data());
+      if (rhs != nullptr) rhs_targets.push_back(rhs->row(r).data());
+      factors.push_back(factor);
+    }
+    eliminated.add(factors.size());
+    F::axpy_batch(std::span<Symbol* const>(targets), std::span<const Symbol>(factors),
+                  m.row(pivot_row));
+    if (rhs != nullptr) {
+      F::axpy_batch(std::span<Symbol* const>(rhs_targets), std::span<const Symbol>(factors),
+                    rhs->row(pivot_row));
     }
     info.pivot_cols.push_back(col);
     ++pivot_row;

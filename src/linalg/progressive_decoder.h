@@ -597,16 +597,9 @@ class ProgressiveDecoder {
       }
     }
     if (!batch_coef_targets_.empty()) {
-      if constexpr (gf::BatchedFieldPolicy<F>) {
-        F::axpy_batch(std::span<Symbol* const>(batch_coef_targets_),
-                      std::span<const Symbol>(batch_coef_factors_),
-                      std::span<const Symbol>(row.coef));
-      } else {
-        for (std::size_t t = 0; t < batch_coef_targets_.size(); ++t) {
-          F::axpy(std::span<Symbol>(batch_coef_targets_[t], row.end - pivot),
-                  batch_coef_factors_[t], std::span<const Symbol>(row.coef));
-        }
-      }
+      F::axpy_batch(std::span<Symbol* const>(batch_coef_targets_),
+                    std::span<const Symbol>(batch_coef_factors_),
+                    std::span<const Symbol>(row.coef));
       // Re-tighten the deferred dense-on-dense targets.
       for (const std::uint32_t id : targets_) {
         Row& r = *by_pivot_[id];
@@ -614,16 +607,9 @@ class ProgressiveDecoder {
       }
     }
     if (payload_size_ > 0) {
-      if constexpr (gf::BatchedFieldPolicy<F>) {
-        F::axpy_batch(std::span<Symbol* const>(batch_payload_targets_),
-                      std::span<const Symbol>(batch_factors_),
-                      std::span<const Symbol>(row.payload));
-      } else {
-        for (std::size_t t = 0; t < batch_payload_targets_.size(); ++t) {
-          F::axpy(std::span<Symbol>(batch_payload_targets_[t], payload_size_),
-                  batch_factors_[t], std::span<const Symbol>(row.payload));
-        }
-      }
+      F::axpy_batch(std::span<Symbol* const>(batch_payload_targets_),
+                    std::span<const Symbol>(batch_factors_),
+                    std::span<const Symbol>(row.payload));
     }
   }
 

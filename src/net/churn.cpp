@@ -12,15 +12,14 @@ namespace prlc::net {
 namespace {
 
 /// The churn telemetry of one batch of deaths: the churn.nodes_killed and
-/// churn.waves counters, the churn.last_alive gauge, one trace instant
-/// named `model` plus one alive_nodes trace counter per batch, and one
-/// kNodeFailed journal event per death, in `killed` order.
+/// churn.waves counters, one trace instant named `model` plus one
+/// alive_nodes trace counter per batch, and one kNodeFailed journal event
+/// per death, in `killed` order.
 void record_churn(const char* model, std::span<const NodeId> killed, std::size_t alive_after) {
   static obs::Counter& total = obs::counter("churn.nodes_killed");
   static obs::Counter& waves = obs::counter("churn.waves");
   total.add(killed.size());
   waves.add();
-  obs::gauge("churn.last_alive").set(static_cast<std::int64_t>(alive_after));
   if (obs::trace_enabled()) {
     obs::TraceRecorder::global().instant(model, "churn",
                                          {{"killed", static_cast<double>(killed.size())},

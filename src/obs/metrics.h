@@ -63,8 +63,10 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-value metric (survivor counts, watermark levels). Signed so it
-/// can also track deltas via add().
+/// Last-value metric (dispatch tier, thread count, watermark high-water
+/// mark). Signed so it can also track deltas via add(). Trial threads
+/// share one registry, so a gauge that trials set() reads whichever trial
+/// wrote last; per-trial values belong in a histogram or a time series.
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {

@@ -47,7 +47,6 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
     }
   }
 
-  static obs::Gauge& survivors_gauge = obs::gauge("persistence.last_survivors");
   static obs::LatencyHistogram& survivors_hist = obs::histogram("persistence.survivors");
 
   // Time-series handles, resolved once outside the trial loop (resolution
@@ -89,7 +88,6 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
           if (wave[point] > 0) net::kill_uniform_fraction(d.overlay(), wave[point], rng);
           auto decoder = d.decoder();
           const auto result = collect(predist, decoder, {}, rng).result;
-          survivors_gauge.set(static_cast<std::int64_t>(result.surviving_locations));
           survivors_hist.record(result.surviving_locations);
           if (obs::trace_enabled()) {
             obs::TraceRecorder::global().instant(

@@ -12,6 +12,9 @@ namespace prlc::proto {
 
 namespace {
 
+/// Sparse mode's row weight is ceil(kSparsityFactor * ln(support size)).
+constexpr double kSparsityFactor = 3.0;
+
 std::vector<net::LocationId> all_locations(const net::Overlay& overlay) {
   std::vector<net::LocationId> at(overlay.locations());
   std::iota(at.begin(), at.end(), net::LocationId{0});
@@ -36,7 +39,6 @@ Predistribution::Predistribution(net::Overlay& overlay, codes::PrioritySpec spec
   PRLC_REQUIRE(spec_.levels() == dist_.levels(), "spec/distribution level mismatch");
   PRLC_REQUIRE(at_.size() >= spec_.levels(),
                "need at least one storage location per priority level");
-  PRLC_REQUIRE(params_.sparsity_factor > 0, "sparsity factor must be positive");
   for (net::LocationId loc : at_) {
     PRLC_REQUIRE(loc < overlay_.locations(), "location outside the overlay");
   }
@@ -146,7 +148,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
       selected.resize(width);
       std::iota(selected.begin(), selected.end(), begin);
     } else {
-      const std::size_t take = codes::sparse_row_weight(params_.sparsity_factor, width);
+      const std::size_t take = codes::sparse_row_weight(kSparsityFactor, width);
       for (std::size_t offset : rng.sample_without_replacement(width, take)) {
         selected.push_back(begin + offset);
       }

@@ -18,7 +18,7 @@
 //
 // Sparse mode implements the O(ln N) row-weight result cited from
 // Dimakis et al.: a location's coded block combines only
-// ceil(factor * ln(support)) randomly chosen source blocks of its support
+// ceil(3 ln(support)) randomly chosen source blocks of its support
 // set, so each source block travels to only O(ln N) locations instead of
 // all of them. (We sample the selection location-side; the per-source
 // destination lists of the paper's narration are the same bipartite graph
@@ -44,8 +44,7 @@ using Field = gf::Gf256;
 struct ProtocolParams {
   codes::Scheme scheme = codes::Scheme::kPlc;
   std::size_t block_size = 16;  ///< payload symbols per source block
-  bool sparse = false;          ///< O(ln N) selections per coded block
-  double sparsity_factor = 3.0;
+  bool sparse = false;          ///< ceil(3 ln(support)) selections per coded block
   /// Max coded blocks a node will store (Sec. 2/4: "each node can store d
   /// coded blocks, M should be smaller than W d"). 0 = unlimited. When a
   /// location's primary owner is full, placement spills to the next owner

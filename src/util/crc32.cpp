@@ -3,7 +3,7 @@
 #include <array>
 #include <iterator>
 
-#include "util/check.h"
+#include "util/kernel_tiers.h"
 
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
 #define PRLC_CRC32_X86 1
@@ -232,88 +232,36 @@ __attribute__((target(PRLC_CRC32_AVX512))) std::uint32_t crc32_vpclmul(
 
 #endif  // PRLC_CRC32_X86
 
-constexpr Crc32KernelOps kReferenceOps = {"reference", crc32_reference};
-constexpr Crc32KernelOps kSlice8Ops = {"slice8", crc32_slice8};
+constexpr KernelTier<Crc32KernelOps> kTiers[] = {
+    {{"reference", crc32_reference}},
+    {{"slice8", crc32_slice8}},
 #if PRLC_CRC32_X86
-constexpr Crc32KernelOps kPclmulOps = {"pclmul", crc32_pclmul};
-constexpr Crc32KernelOps kVpclmulOps = {"vpclmul", crc32_vpclmul};
+    {{"pclmul", crc32_pclmul},
+     [] { return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1"); }},
+    {{"vpclmul", crc32_vpclmul},
+     [] {
+       return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1") &&
+              __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("vpclmulqdq");
+     }},
 #endif
-
-constexpr Crc32Kernel kAllKernels[] = {Crc32Kernel::kReference, Crc32Kernel::kSlice8,
-                                       Crc32Kernel::kPclmul, Crc32Kernel::kVpclmul};
-
-bool crc32_kernel_compiled(Crc32Kernel k) {
-  return k == Crc32Kernel::kReference || k == Crc32Kernel::kSlice8 || PRLC_CRC32_X86 != 0;
-}
-
-Crc32Kernel pick_kernel() {
-  for (auto it = std::rbegin(kAllKernels); it != std::rend(kAllKernels); ++it) {
-    if (crc32_kernel_runtime_ok(*it)) return *it;
-  }
-  return Crc32Kernel::kSlice8;
-}
+};
+#if PRLC_CRC32_X86
+static_assert(std::size(kTiers) == static_cast<std::size_t>(Crc32Kernel::kVpclmul) + 1);
+#endif
+constexpr KernelTable<Crc32Kernel, Crc32KernelOps> kTable{kTiers};
 
 }  // namespace
 
-const char* crc32_kernel_name(Crc32Kernel k) {
-  switch (k) {
-    case Crc32Kernel::kReference:
-      return "reference";
-    case Crc32Kernel::kSlice8:
-      return "slice8";
-    case Crc32Kernel::kPclmul:
-      return "pclmul";
-    case Crc32Kernel::kVpclmul:
-      return "vpclmul";
-  }
-  PRLC_ASSERT(false, "unknown CRC-32 kernel tier");
-}
+const char* crc32_kernel_name(Crc32Kernel k) { return kTable.ops(k).name; }
 
-std::vector<Crc32Kernel> crc32_compiled_kernels() {
-  std::vector<Crc32Kernel> out;
-  for (Crc32Kernel k : kAllKernels) {
-    if (crc32_kernel_compiled(k)) out.push_back(k);
-  }
-  return out;
-}
+std::vector<Crc32Kernel> crc32_compiled_kernels() { return kTable.compiled(); }
 
-bool crc32_kernel_runtime_ok(Crc32Kernel k) {
-  if (!crc32_kernel_compiled(k)) return false;
-#if PRLC_CRC32_X86
-  if (k == Crc32Kernel::kPclmul) {
-    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
-  }
-  if (k == Crc32Kernel::kVpclmul) {
-    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1") &&
-           __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("vpclmulqdq");
-  }
-#endif
-  return true;
-}
+bool crc32_kernel_runtime_ok(Crc32Kernel k) { return kTable.runtime_ok(k); }
 
-const Crc32KernelOps& crc32_kernel_ops(Crc32Kernel k) {
-  PRLC_REQUIRE(crc32_kernel_compiled(k), "CRC-32 kernel tier not compiled in");
-  switch (k) {
-    case Crc32Kernel::kReference:
-      return kReferenceOps;
-    case Crc32Kernel::kSlice8:
-      return kSlice8Ops;
-#if PRLC_CRC32_X86
-    case Crc32Kernel::kPclmul:
-      return kPclmulOps;
-    case Crc32Kernel::kVpclmul:
-      return kVpclmulOps;
-#else
-    case Crc32Kernel::kPclmul:
-    case Crc32Kernel::kVpclmul:
-      break;
-#endif
-  }
-  PRLC_ASSERT(false, "unknown CRC-32 kernel tier");
-}
+const Crc32KernelOps& crc32_kernel_ops(Crc32Kernel k) { return kTable.ops(k); }
 
 Crc32Kernel crc32_active_kernel() {
-  static const Crc32Kernel active = pick_kernel();
+  static const Crc32Kernel active = kTable.best();
   return active;
 }
 

@@ -19,8 +19,9 @@
 // The folding tiers reduce the message to one 128-bit remainder that is
 // congruent to it, and finish that remainder and any tail bytes with the
 // slicing-by-8 loop — no Barrett step. SIMD tiers are compiled with GCC/
-// Clang `target` attributes and chosen with __builtin_cpu_supports, so one
-// binary runs everywhere.
+// Clang `target` attributes and carry a __builtin_cpu_supports check in
+// the family's tier table, which the rule in util/kernel_tiers.h picks
+// from, so one binary runs everywhere.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +44,7 @@ struct Crc32KernelOps {
   std::uint32_t (*crc32)(std::span<const std::uint8_t> data, std::uint32_t seed);
 };
 
-/// Tier name ("reference", "slice8", "pclmul", "vpclmul").
+/// Name of a compiled tier ("reference", "slice8", "pclmul", "vpclmul").
 const char* crc32_kernel_name(Crc32Kernel k);
 
 /// Every tier compiled into this binary, in ascending preference order.
@@ -52,8 +53,9 @@ std::vector<Crc32Kernel> crc32_compiled_kernels();
 /// True when the tier is compiled in AND the running CPU can execute it.
 bool crc32_kernel_runtime_ok(Crc32Kernel k);
 
-/// Ops of a specific tier (tests, benchmarks). Requires
-/// crc32_kernel_runtime_ok(k) before calling through the result.
+/// Ops of a specific tier (tests, benchmarks); throws PreconditionError
+/// when it is not compiled in. Requires crc32_kernel_runtime_ok(k) before
+/// calling through the result.
 const Crc32KernelOps& crc32_kernel_ops(Crc32Kernel k);
 
 /// The tier crc32() uses: the best runtime-supported one, fixed at first use.

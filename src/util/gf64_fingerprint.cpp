@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "util/check.h"
+#include "util/kernel_tiers.h"
 #include "util/random.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -376,34 +377,12 @@ std::uint64_t combine_reference(std::span<const std::uint8_t> coeffs,
   return acc;
 }
 
-std::uint64_t combine_sparse_reference(std::span<const std::uint32_t> indices,
-                                       std::span<const std::uint8_t> values,
-                                       std::span<const std::uint64_t> fingerprints) {
-  std::uint64_t acc = 0;
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    if (values[k] == 0) continue;
-    acc ^= gf64_mul(gf64_embed(values[k]), fingerprints[indices[k]]);
-  }
-  return acc;
-}
-
 std::uint64_t combine_portable(std::span<const std::uint8_t> coeffs,
                                std::span<const std::uint64_t> fingerprints) {
   const std::array<std::uint64_t, 256>& embed = embed_table();
   unsigned __int128 acc = 0;
   for (std::size_t j = 0; j < coeffs.size(); ++j) {
     if (coeffs[j] != 0) acc ^= clmul_portable(embed[coeffs[j]], fingerprints[j]);
-  }
-  return reduce(acc);
-}
-
-std::uint64_t combine_sparse_portable(std::span<const std::uint32_t> indices,
-                                      std::span<const std::uint8_t> values,
-                                      std::span<const std::uint64_t> fingerprints) {
-  const std::array<std::uint64_t, 256>& embed = embed_table();
-  unsigned __int128 acc = 0;
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    if (values[k] != 0) acc ^= clmul_portable(embed[values[k]], fingerprints[indices[k]]);
   }
   return reduce(acc);
 }
@@ -420,50 +399,29 @@ __attribute__((target("pclmul,sse4.1"))) std::uint64_t combine_pclmul(
   return reduce_hw(acc);
 }
 
-__attribute__((target("pclmul,sse4.1"))) std::uint64_t combine_sparse_pclmul(
-    std::span<const std::uint32_t> indices, std::span<const std::uint8_t> values,
-    std::span<const std::uint64_t> fingerprints) {
-  const std::array<std::uint64_t, 256>& embed = embed_table();
-  __m128i acc = _mm_setzero_si128();
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    if (values[k] != 0) {
-      acc = _mm_xor_si128(acc, clmul_hw(embed[values[k]], fingerprints[indices[k]]));
-    }
-  }
-  return reduce_hw(acc);
-}
-
 #endif  // PRLC_FP_X86
 
-// --- tier registry + one-time dispatch ----------------------------------------
+// --- the tier table (util/kernel_tiers.h picks from it) ------------------------
 
-constexpr FingerprintKernelOps kReferenceOps = {"reference", FingerprintKernels::reference,
-                                                combine_reference, combine_sparse_reference};
-constexpr FingerprintKernelOps kSlice8Ops = {"slice8", FingerprintKernels::slice8,
-                                             combine_portable, combine_sparse_portable};
+constexpr KernelTier<FingerprintKernelOps> kTiers[] = {
+    {{"reference", FingerprintKernels::reference, combine_reference}},
+    {{"slice8", FingerprintKernels::slice8, combine_portable}},
 #if PRLC_FP_X86
-constexpr FingerprintKernelOps kPclmulOps = {"pclmul", FingerprintKernels::pclmul,
-                                             combine_pclmul, combine_sparse_pclmul};
-constexpr FingerprintKernelOps kAvx512Ops = {"avx512", FingerprintKernels::avx512,
-                                             combine_pclmul, combine_sparse_pclmul};
+    {{"pclmul", FingerprintKernels::pclmul, combine_pclmul},
+     [] { return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1"); }},
+    {{"avx512", FingerprintKernels::avx512, combine_pclmul},
+     [] {
+       return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1") &&
+              __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+              __builtin_cpu_supports("avx512vbmi") && __builtin_cpu_supports("gfni") &&
+              __builtin_cpu_supports("vpclmulqdq");
+     }},
 #endif
-
-constexpr FingerprintKernel kAllKernels[] = {FingerprintKernel::kReference,
-                                             FingerprintKernel::kSlice8,
-                                             FingerprintKernel::kPclmul,
-                                             FingerprintKernel::kAvx512};
-
-bool fingerprint_kernel_compiled(FingerprintKernel k) {
-  return k == FingerprintKernel::kReference || k == FingerprintKernel::kSlice8 ||
-         PRLC_FP_X86 != 0;
-}
-
-FingerprintKernel pick_kernel() {
-  for (auto it = std::rbegin(kAllKernels); it != std::rend(kAllKernels); ++it) {
-    if (fingerprint_kernel_runtime_ok(*it)) return *it;
-  }
-  return FingerprintKernel::kSlice8;
-}
+};
+#if PRLC_FP_X86
+static_assert(std::size(kTiers) == static_cast<std::size_t>(FingerprintKernel::kAvx512) + 1);
+#endif
+constexpr KernelTable<FingerprintKernel, FingerprintKernelOps> kTable{kTiers};
 
 const FingerprintKernelOps& active_ops() {
   static const FingerprintKernelOps& ops = fingerprint_kernel_ops(fingerprint_active_kernel());
@@ -472,66 +430,16 @@ const FingerprintKernelOps& active_ops() {
 
 }  // namespace
 
-const char* fingerprint_kernel_name(FingerprintKernel k) {
-  switch (k) {
-    case FingerprintKernel::kReference:
-      return "reference";
-    case FingerprintKernel::kSlice8:
-      return "slice8";
-    case FingerprintKernel::kPclmul:
-      return "pclmul";
-    case FingerprintKernel::kAvx512:
-      return "avx512";
-  }
-  PRLC_ASSERT(false, "unknown fingerprint kernel tier");
-}
+const char* fingerprint_kernel_name(FingerprintKernel k) { return kTable.ops(k).name; }
 
-std::vector<FingerprintKernel> fingerprint_compiled_kernels() {
-  std::vector<FingerprintKernel> out;
-  for (FingerprintKernel k : kAllKernels) {
-    if (fingerprint_kernel_compiled(k)) out.push_back(k);
-  }
-  return out;
-}
+std::vector<FingerprintKernel> fingerprint_compiled_kernels() { return kTable.compiled(); }
 
-bool fingerprint_kernel_runtime_ok(FingerprintKernel k) {
-  if (!fingerprint_kernel_compiled(k)) return false;
-#if PRLC_FP_X86
-  if (k == FingerprintKernel::kPclmul || k == FingerprintKernel::kAvx512) {
-    if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("sse4.1")) return false;
-  }
-  if (k == FingerprintKernel::kAvx512) {
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512vbmi") && __builtin_cpu_supports("gfni") &&
-           __builtin_cpu_supports("vpclmulqdq");
-  }
-#endif
-  return true;
-}
+bool fingerprint_kernel_runtime_ok(FingerprintKernel k) { return kTable.runtime_ok(k); }
 
-const FingerprintKernelOps& fingerprint_kernel_ops(FingerprintKernel k) {
-  PRLC_REQUIRE(fingerprint_kernel_compiled(k), "fingerprint kernel tier not compiled in");
-  switch (k) {
-    case FingerprintKernel::kReference:
-      return kReferenceOps;
-    case FingerprintKernel::kSlice8:
-      return kSlice8Ops;
-#if PRLC_FP_X86
-    case FingerprintKernel::kPclmul:
-      return kPclmulOps;
-    case FingerprintKernel::kAvx512:
-      return kAvx512Ops;
-#else
-    case FingerprintKernel::kPclmul:
-    case FingerprintKernel::kAvx512:
-      break;
-#endif
-  }
-  PRLC_ASSERT(false, "unknown fingerprint kernel tier");
-}
+const FingerprintKernelOps& fingerprint_kernel_ops(FingerprintKernel k) { return kTable.ops(k); }
 
 FingerprintKernel fingerprint_active_kernel() {
-  static const FingerprintKernel active = pick_kernel();
+  static const FingerprintKernel active = kTable.best();
   return active;
 }
 
@@ -544,17 +452,6 @@ std::uint64_t Fingerprinter::combine(std::span<const std::uint8_t> coeffs,
   PRLC_REQUIRE(coeffs.size() == fingerprints.size(),
                "combine needs one fingerprint per coefficient");
   return active_ops().combine(coeffs, fingerprints);
-}
-
-std::uint64_t Fingerprinter::combine_sparse(
-    std::span<const std::uint32_t> indices, std::span<const std::uint8_t> values,
-    std::span<const std::uint64_t> fingerprints) const {
-  PRLC_REQUIRE(indices.size() == values.size(),
-               "sparse combine needs matching index/value spans");
-  for (const std::uint32_t index : indices) {
-    PRLC_REQUIRE(index < fingerprints.size(), "sparse index outside the manifest");
-  }
-  return active_ops().combine_sparse(indices, values, fingerprints);
 }
 
 FingerprintManifest build_manifest(std::uint64_t seed,

@@ -28,7 +28,8 @@
 // GF(2)-linear too, so the constructor builds each one by XOR from the
 // images of its bits (three 16 KiB tables, no bitwise multiplies). The
 // tiers differ in how they evaluate E and the multiply by a power of r;
-// the fastest one the CPU supports is picked once, at first use:
+// the rule in util/kernel_tiers.h picks the fastest one the CPU supports
+// from the family's tier table, once, at first use:
 //
 //   kReference — byte at a time, acc <- acc * r ^ embed(b), the multiply
 //                by r through byte-sliced tables; the seed loop, kept as
@@ -43,8 +44,8 @@
 //                lane accumulators then advance by r^64 with VPCLMULQDQ.
 //
 // Tail bytes that do not fill a step take the slice8 word step and the
-// reference byte step. combine() and combine_sparse() multiply with the
-// carry-less instruction (or its portable emulation) and reduce once.
+// reference byte step. combine() multiplies with the carry-less
+// instruction (or its portable emulation) and reduces once.
 #pragma once
 
 #include <array>
@@ -85,13 +86,9 @@ struct FingerprintKernelOps {
   /// Fingerprinter::combine, sizes already checked equal.
   std::uint64_t (*combine)(std::span<const std::uint8_t> coeffs,
                            std::span<const std::uint64_t> fingerprints);
-  /// Fingerprinter::combine_sparse, sizes and indices already checked.
-  std::uint64_t (*combine_sparse)(std::span<const std::uint32_t> indices,
-                                  std::span<const std::uint8_t> values,
-                                  std::span<const std::uint64_t> fingerprints);
 };
 
-/// Tier name ("reference", "slice8", "pclmul", "avx512").
+/// Name of a compiled tier ("reference", "slice8", "pclmul", "avx512").
 const char* fingerprint_kernel_name(FingerprintKernel k);
 
 /// Every tier compiled into this binary, in ascending preference order.
@@ -100,8 +97,9 @@ std::vector<FingerprintKernel> fingerprint_compiled_kernels();
 /// True when the tier is compiled in AND the running CPU can execute it.
 bool fingerprint_kernel_runtime_ok(FingerprintKernel k);
 
-/// Ops of a specific tier (tests, benchmarks). Requires
-/// fingerprint_kernel_runtime_ok(k) before calling through the result.
+/// Ops of a specific tier (tests, benchmarks); throws PreconditionError
+/// when it is not compiled in. Requires fingerprint_kernel_runtime_ok(k)
+/// before calling through the result.
 const FingerprintKernelOps& fingerprint_kernel_ops(FingerprintKernel k);
 
 /// The tier Fingerprinter uses: the best runtime-supported one, fixed at
@@ -128,12 +126,6 @@ class Fingerprinter {
   /// payload really is that linear combination of the source blocks.
   std::uint64_t combine(std::span<const std::uint8_t> coeffs,
                         std::span<const std::uint64_t> fingerprints) const;
-
-  /// Support-only combine for sparse coefficient vectors:
-  /// sum_k embed(values[k]) * fingerprints[indices[k]].
-  std::uint64_t combine_sparse(std::span<const std::uint32_t> indices,
-                               std::span<const std::uint8_t> values,
-                               std::span<const std::uint64_t> fingerprints) const;
 
  private:
   friend struct FingerprintKernels;

@@ -39,7 +39,6 @@ class EndToEnd : public ::testing::TestWithParam<E2eCase> {
     params.scheme = GetParam().scheme;
     params.block_size = 6;
     params.sparse = GetParam().sparse;
-    params.sparsity_factor = 4.0;
     params.node_capacity = GetParam().capacity;
     return params;
   }

@@ -76,7 +76,6 @@ TEST(Integration, SparseProtocolStillDecodesWithOverprovisioning) {
   ProtocolParams params;
   params.scheme = Scheme::kPlc;
   params.sparse = true;
-  params.sparsity_factor = 4.0;
   Predistribution pd(overlay, spec, dist, params);
   Rng rng(48);
   const auto source = codes::SourceData<Field>::random(spec.total(), params.block_size, rng);

@@ -150,7 +150,6 @@ TEST(Predistribution, SparseModeReducesMessages) {
   dense.scheme = Scheme::kPlc;
   ProtocolParams sparse = dense;
   sparse.sparse = true;
-  sparse.sparsity_factor = 2.0;
   Rng rng(104);
   const auto source = codes::SourceData<Field>::random(f.spec.total(), dense.block_size, rng);
   Predistribution pd_dense(overlay, f.spec, f.dist, dense);
@@ -158,13 +157,13 @@ TEST(Predistribution, SparseModeReducesMessages) {
   const auto s1 = pd_dense.disseminate(source, rng);
   const auto s2 = pd_sparse.disseminate(source, rng);
   EXPECT_LT(s2.messages, s1.messages);
-  // Sparse row weight: ceil(2 ln(width)), clamped.
+  // Sparse row weight: ceil(3 ln(width)), clamped.
   for (net::LocationId loc = 0; loc < overlay.locations(); ++loc) {
     const StoredBlock* slot = pd_sparse.stored(loc);
     ASSERT_NE(slot, nullptr);
     const std::size_t width = f.spec.level_end(pd_sparse.level_of_location(loc));
     const auto target = std::min<std::size_t>(
-        width, static_cast<std::size_t>(std::ceil(2.0 * std::log(std::max<double>(2.0, width)))));
+        width, static_cast<std::size_t>(std::ceil(3.0 * std::log(std::max<double>(2.0, width)))));
     EXPECT_EQ(slot->arrivals, target);
   }
 }

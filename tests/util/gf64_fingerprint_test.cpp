@@ -104,25 +104,6 @@ TEST(Gf64Fingerprint, DetectsSingleBitFlips) {
   }
 }
 
-TEST(Gf64Fingerprint, SparseCombineMatchesDense) {
-  Rng rng(21);
-  const Fingerprinter fp(77);
-  const std::size_t n = 40;
-  std::vector<std::uint64_t> fps(n);
-  for (auto& f : fps) f = rng();
-  std::vector<std::uint8_t> dense(n, 0);
-  std::vector<std::uint32_t> indices;
-  std::vector<std::uint8_t> values;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!rng.bernoulli(0.2)) continue;
-    const auto v = static_cast<std::uint8_t>(1 + rng.uniform(255));
-    dense[j] = v;
-    indices.push_back(static_cast<std::uint32_t>(j));
-    values.push_back(v);
-  }
-  EXPECT_EQ(fp.combine_sparse(indices, values, fps), fp.combine(dense, fps));
-}
-
 TEST(Gf64Fingerprint, BuildManifestCoversEveryBlock) {
   Rng rng(8);
   const std::size_t blocks = 7, size = 13;
@@ -218,19 +199,8 @@ TEST_P(FingerprintTierTest, CombineMatchesReferenceMultiply) {
     std::vector<std::uint64_t> fps(n);
     for (auto& f : fps) f = rng() | (rng.bernoulli(0.5) ? std::uint64_t{1} << 63 : 0);
     std::vector<std::uint8_t> coeffs(n);
-    std::vector<std::uint32_t> indices;
-    std::vector<std::uint8_t> values;
-    for (std::size_t j = 0; j < n; ++j) {
-      coeffs[j] = rng.bernoulli(0.3) ? 0 : static_cast<std::uint8_t>(rng());
-      if (rng.bernoulli(0.25)) {
-        indices.push_back(static_cast<std::uint32_t>(j));
-        values.push_back(coeffs[j]);
-      }
-    }
+    for (auto& c : coeffs) c = rng.bernoulli(0.3) ? 0 : static_cast<std::uint8_t>(rng());
     ASSERT_EQ(ops().combine(coeffs, fps), reference().combine(coeffs, fps)) << "n=" << n;
-    ASSERT_EQ(ops().combine_sparse(indices, values, fps),
-              reference().combine_sparse(indices, values, fps))
-        << "n=" << n;
   }
 }
 
