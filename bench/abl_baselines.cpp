@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
   // Shared immutable encoders (stateless per call).
   const codes::PriorityEncoder<F> plc_enc(codes::Scheme::kPlc, spec);
   const codes::PriorityEncoder<F> rlc_enc(codes::Scheme::kRlc, spec);
-  const codes::ReplicationEncoder<F> repl_enc(spec);
+  const codes::ReplicationEncoder repl_enc(spec);
   const codes::GrowthEncoder growth_enc(spec.total());
 
   runtime::TrialRunner runner(bench::options().threads);
   const auto outcomes = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
     codes::PriorityDecoder<F> plc_dec(codes::Scheme::kPlc, spec);
     codes::PriorityDecoder<F> rlc_dec(codes::Scheme::kRlc, spec);
-    codes::ReplicationCollector<F> repl_col(spec);
+    codes::ReplicationCollector repl_col(spec);
     codes::PeelingDecoder growth_dec(spec.total());
 
     TrialOutcome outcome;

@@ -50,12 +50,12 @@ class PriorityDecoder {
     PRLC_REQUIRE(payload.size() == decoder_.payload_size(), "coded block payload mismatch");
     PRLC_REQUIRE(spec_.admits(scheme_, level, coeffs),
                  "coded block level out of range or support outside its level");
-    ++blocks_seen_;
     const auto [begin, end] = spec_.support(scheme_, level);
     return decoder_.add_window(begin, coeffs.subspan(begin, end - begin), payload);
   }
 
-  std::size_t blocks_seen() const { return blocks_seen_; }
+  /// Blocks fed through add(), innovative or not.
+  std::size_t blocks_seen() const { return decoder_.equations_seen(); }
 
   /// Total rank accumulated.
   std::size_t rank() const { return decoder_.rank(); }
@@ -97,7 +97,6 @@ class PriorityDecoder {
   Scheme scheme_;
   PrioritySpec spec_;
   linalg::ProgressiveDecoder<F> decoder_;
-  std::size_t blocks_seen_ = 0;
 };
 
 }  // namespace prlc::codes

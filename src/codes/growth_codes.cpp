@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.h"
+
 namespace prlc::codes {
 
-GrowthEncoder::GrowthEncoder(std::size_t total_blocks, const SourceData<gf::Gf256>* source)
-    : total_blocks_(total_blocks), source_(source) {
+GrowthEncoder::GrowthEncoder(std::size_t total_blocks) : total_blocks_(total_blocks) {
   PRLC_REQUIRE(total_blocks > 0, "need at least one source block");
-  if (source_ != nullptr) {
-    PRLC_REQUIRE(source_->blocks() == total_blocks_, "source data size mismatch");
-  }
 }
 
 std::size_t GrowthEncoder::degree_for(std::size_t recovered) const {
@@ -25,26 +23,7 @@ std::size_t GrowthEncoder::degree_for(std::size_t recovered) const {
 }
 
 GrowthSymbol GrowthEncoder::encode(std::size_t recovered, Rng& rng) const {
-  const std::size_t d = degree_for(recovered);
-  GrowthSymbol sym;
-  sym.indices = rng.sample_without_replacement(total_blocks_, d);
-  if (source_ != nullptr) {
-    sym.payload.assign(source_->block_size(), 0);
-    for (std::size_t i : sym.indices) {
-      const auto blk = source_->block(i);
-      for (std::size_t b = 0; b < blk.size(); ++b) sym.payload[b] ^= blk[b];
-    }
-  }
-  return sym;
-}
-
-GrowthSymbol GrowthEncoder::encode_auto(GrowthFeedback feedback, std::size_t true_recovered,
-                                        std::size_t emitted, Rng& rng) const {
-  if (feedback == GrowthFeedback::kOracle) return encode(true_recovered, rng);
-  const double n = static_cast<double>(total_blocks_);
-  const double r_hat = n * (1.0 - std::exp(-static_cast<double>(emitted) / n));
-  return encode(std::min<std::size_t>(static_cast<std::size_t>(r_hat), total_blocks_ - 1),
-                rng);
+  return GrowthSymbol{rng.sample_without_replacement(total_blocks_, degree_for(recovered))};
 }
 
 }  // namespace prlc::codes

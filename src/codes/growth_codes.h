@@ -10,14 +10,12 @@
 // maximized at d ~ N/(N - r) — the schedule used here (the continuous
 // relaxation of the paper's R_i switch points).
 //
-// Two feedback models:
-//  * kOracle — the encoder knows the sink's true recovery count (upper
-//    bound; in-network Growth Codes approximate this by symbol age).
-//  * kEstimate — feedback-free: r is estimated from the number of symbols
-//    already emitted via the coupon-coverage expectation
-//    r_hat = N (1 - e^{-m/N}).
+// The encoder is index-only, as the Sec.-6 comparison needs: a symbol
+// names the blocks it XORs, and the caller feeds it the sink's true
+// recovery count (the oracle-feedback upper bound; in-network Growth
+// Codes approximate it by symbol age).
 //
-// The bench (abl_growth_codes) reproduces the paper's qualitative claim:
+// The bench (abl_baselines) reproduces the paper's qualitative claim:
 // Growth Codes recover more *total* blocks early, but spread recovery
 // uniformly across priorities, so the critical prefix completes later
 // than under PLC.
@@ -25,44 +23,27 @@
 
 #include <vector>
 
-#include "codes/priority_spec.h"
-#include "codes/source_data.h"
-#include "gf/gf256.h"
-#include "util/check.h"
 #include "util/random.h"
 
 namespace prlc::codes {
 
-enum class GrowthFeedback { kOracle, kEstimate };
-
 /// One Growth-Codes symbol: XOR of the listed source blocks.
 struct GrowthSymbol {
   std::vector<std::size_t> indices;
-  std::vector<std::uint8_t> payload;  ///< empty in index-only mode
 };
 
 class GrowthEncoder {
  public:
-  /// `source` may be null for coverage-only simulations.
-  explicit GrowthEncoder(std::size_t total_blocks,
-                         const SourceData<gf::Gf256>* source = nullptr);
-
-  std::size_t total_blocks() const { return total_blocks_; }
+  explicit GrowthEncoder(std::size_t total_blocks);
 
   /// Degree the schedule picks when `recovered` blocks are known.
   std::size_t degree_for(std::size_t recovered) const;
 
-  /// Emit one symbol given the sink's (true or estimated) recovery count.
+  /// Emit one symbol given the sink's recovery count.
   GrowthSymbol encode(std::size_t recovered, Rng& rng) const;
-
-  /// Emit one symbol under the chosen feedback model; `emitted` is how
-  /// many symbols were produced before this one (drives kEstimate).
-  GrowthSymbol encode_auto(GrowthFeedback feedback, std::size_t true_recovered,
-                           std::size_t emitted, Rng& rng) const;
 
  private:
   std::size_t total_blocks_;
-  const SourceData<gf::Gf256>* source_;
 };
 
 }  // namespace prlc::codes

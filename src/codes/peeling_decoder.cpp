@@ -2,41 +2,18 @@
 
 #include <algorithm>
 #include <deque>
-#include <utility>
-
-#include "gf/gf256.h"
 
 namespace prlc::codes {
 
-PeelingDecoder::PeelingDecoder(std::size_t unknowns, std::size_t payload_size)
-    : payload_size_(payload_size),
-      decoded_(unknowns, false),
-      solutions_(unknowns),
-      waiters_(unknowns) {
+PeelingDecoder::PeelingDecoder(std::size_t unknowns)
+    : decoded_(unknowns, false), waiters_(unknowns) {
   PRLC_REQUIRE(unknowns > 0, "decoder needs at least one unknown");
 }
 
-std::size_t PeelingDecoder::add(std::span<const std::size_t> indices,
-                                std::span<const std::uint8_t> payload) {
-  return add_impl(indices, {}, payload);
-}
-
-std::size_t PeelingDecoder::add(std::span<const std::size_t> indices,
-                                std::span<const std::uint8_t> coefficients,
-                                std::span<const std::uint8_t> payload) {
-  PRLC_REQUIRE(coefficients.size() == indices.size(),
-               "coefficient count must match index count");
-  return add_impl(indices, coefficients, payload);
-}
-
-std::size_t PeelingDecoder::add_impl(std::span<const std::size_t> indices,
-                                     std::span<const std::uint8_t> coefficients,
-                                     std::span<const std::uint8_t> payload) {
+std::size_t PeelingDecoder::add(std::span<const std::size_t> indices) {
   PRLC_REQUIRE(!indices.empty(), "a symbol must cover at least one source block");
-  PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
-  // Validate the *raw* index span before splitting into decoded/pending:
-  // a duplicated index whose block is already decoded would otherwise be
-  // subtracted twice — cancelling silently — and corrupt the symbol.
+  // Validate the *raw* index span, before decoded blocks are dropped from
+  // it: a duplicate is rejected even when its block is already decoded.
   for (std::size_t i : indices) {
     PRLC_REQUIRE(i < decoded_.size(), "symbol index out of range");
   }
@@ -44,68 +21,41 @@ std::size_t PeelingDecoder::add_impl(std::span<const std::size_t> indices,
   std::sort(scratch_.begin(), scratch_.end());
   PRLC_REQUIRE(std::adjacent_find(scratch_.begin(), scratch_.end()) == scratch_.end(),
                "symbol indices must be distinct");
-  for (std::uint8_t c : coefficients) {
-    PRLC_REQUIRE(c != 0, "symbol coefficients must be nonzero");
-  }
   ++symbols_seen_;
 
-  // Coefficient of the k-th listed block (an XOR symbol is all ones).
-  const auto coef_at = [&](std::size_t k) -> std::uint8_t {
-    return coefficients.empty() ? std::uint8_t{1} : coefficients[k];
-  };
-
   Symbol sym;
-  sym.payload.assign(payload.begin(), payload.end());
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    const std::size_t i = indices[k];
-    if (decoded_[i]) {
-      // Subtract the known block immediately: payload -= c * solution.
-      gf::Gf256::axpy(std::span<std::uint8_t>(sym.payload), coef_at(k), solutions_[i]);
-    } else {
-      sym.pending.push_back(i);
-      sym.coef.push_back(coef_at(k));
-    }
+  for (std::size_t i : indices) {
+    if (!decoded_[i]) sym.pending.push_back(i);
   }
 
   std::size_t newly = 0;
   if (sym.pending.empty()) return 0;  // fully redundant
   if (sym.pending.size() == 1) {
-    // Degree one decodes directly: divide out the lone coefficient.
-    if (sym.coef[0] != 1) {
-      gf::Gf256::scale(std::span<std::uint8_t>(sym.payload), gf::Gf256::inv(sym.coef[0]));
-    }
-    resolve(sym.pending[0], std::move(sym.payload), newly);
+    resolve(sym.pending[0], newly);
     return newly;
   }
   const std::size_t id = symbols_.size();
   for (std::size_t i : sym.pending) waiters_[i].push_back(id);
   symbols_.push_back(std::move(sym));
   ++buffered_;
-  buffered_payload_bytes_ += payload_size_;
   return 0;
 }
 
 void PeelingDecoder::retire(Symbol& sym) {
   sym.retired = true;
   --buffered_;
-  buffered_payload_bytes_ -= payload_size_;
-  // Release the buffers outright (clear() keeps capacity): resident bytes
-  // stay bounded by the live symbol set.
+  // Release the buffer outright (clear() keeps capacity): resident memory
+  // stays bounded by the live symbol set.
   std::vector<std::size_t>().swap(sym.pending);
-  std::vector<std::uint8_t>().swap(sym.coef);
-  std::vector<std::uint8_t>().swap(sym.payload);
 }
 
-void PeelingDecoder::resolve(std::size_t first, std::vector<std::uint8_t> first_payload,
-                             std::size_t& newly) {
-  std::deque<std::pair<std::size_t, std::vector<std::uint8_t>>> queue;
-  queue.emplace_back(first, std::move(first_payload));
+void PeelingDecoder::resolve(std::size_t first, std::size_t& newly) {
+  std::deque<std::size_t> queue{first};
   while (!queue.empty()) {
-    auto [i, payload] = std::move(queue.front());
+    const std::size_t i = queue.front();
     queue.pop_front();
     if (decoded_[i]) continue;
     decoded_[i] = true;
-    solutions_[i] = std::move(payload);
     ++decoded_count_;
     ++newly;
     // Reduce every buffered symbol waiting on i.
@@ -114,22 +64,10 @@ void PeelingDecoder::resolve(std::size_t first, std::vector<std::uint8_t> first_
       if (sym.retired) continue;
       const auto it = std::find(sym.pending.begin(), sym.pending.end(), i);
       if (it == sym.pending.end()) continue;
-      const std::size_t pos = static_cast<std::size_t>(it - sym.pending.begin());
-      const std::uint8_t c = sym.coef[pos];
       sym.pending.erase(it);
-      sym.coef.erase(sym.coef.begin() + static_cast<std::ptrdiff_t>(pos));
-      gf::Gf256::axpy(std::span<std::uint8_t>(sym.payload), c, solutions_[i]);
       if (sym.pending.size() == 1) {
         const std::size_t last = sym.pending[0];
-        if (!decoded_[last]) {
-          if (sym.coef[0] != 1) {
-            gf::Gf256::scale(std::span<std::uint8_t>(sym.payload),
-                             gf::Gf256::inv(sym.coef[0]));
-          }
-          // Move — not copy — the retired symbol's payload into the work
-          // queue; retire() below releases whatever storage remains.
-          queue.emplace_back(last, std::move(sym.payload));
-        }
+        if (!decoded_[last]) queue.push_back(last);
         retire(sym);
       } else if (sym.pending.empty()) {
         retire(sym);
@@ -143,12 +81,6 @@ std::size_t PeelingDecoder::decoded_prefix() const {
   std::size_t k = 0;
   while (k < decoded_.size() && decoded_[k]) ++k;
   return k;
-}
-
-std::span<const std::uint8_t> PeelingDecoder::solution(std::size_t i) const {
-  PRLC_REQUIRE(payload_size_ > 0, "decoder was built without payloads");
-  PRLC_REQUIRE(is_decoded(i), "unknown is not decoded yet");
-  return solutions_[i];
 }
 
 }  // namespace prlc::codes

@@ -8,20 +8,18 @@
 // just wait — which is exactly the behaviour the Growth-Codes degree
 // schedule is designed around.
 //
-// Beyond plain XOR the decoder peels GF(256) combinations: a symbol of
-// degree 1 with coefficient c decodes its unknown as payload / c, and
-// cascade reductions subtract c_i * solution_i. This is the standalone
-// peeling pass the hybrid ProgressiveDecoder subsumes (see
-// linalg/progressive_decoder.h): singleton elimination there is exactly
-// the operation here, so the two agree wherever peeling alone suffices.
+// The decoder is index-only: Sec. 6 compares codes by *which* source
+// blocks a collector recovers, so a symbol is the set of blocks it XORs
+// and no payload is carried. Singleton elimination in the hybrid
+// ProgressiveDecoder (linalg/progressive_decoder.h) is the same peeling
+// step with payloads.
 //
-// Memory discipline: buffered (undecoded) symbols own their payload
-// buffers; a retired symbol's storage is released immediately, so
-// resident bytes are bounded by the *live* symbol set, not by everything
-// ever received (buffered_payload_bytes() exposes the watermark).
+// Memory discipline: a retired symbol's storage is released immediately,
+// so resident memory is bounded by the *live* symbol set, not by
+// everything ever received (buffered_symbols() counts it).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -31,24 +29,13 @@ namespace prlc::codes {
 
 class PeelingDecoder {
  public:
-  /// `payload_size` may be 0 for index-only (coverage) simulations.
-  explicit PeelingDecoder(std::size_t unknowns, std::size_t payload_size = 0);
-
-  std::size_t unknowns() const { return decoded_.size(); }
-  std::size_t payload_size() const { return payload_size_; }
+  explicit PeelingDecoder(std::size_t unknowns);
 
   /// Add an XOR symbol: the XOR of the source blocks listed in `indices`
   /// (distinct, in range — duplicates are rejected even when the
   /// duplicated block is already decoded). Returns the number of source
   /// blocks newly decoded by the resulting cascade (0 if none).
-  std::size_t add(std::span<const std::size_t> indices,
-                  std::span<const std::uint8_t> payload = {});
-
-  /// Add a GF(256) symbol: sum of coefficients[k] * block[indices[k]].
-  /// Coefficients must be nonzero and indices distinct/in range.
-  std::size_t add(std::span<const std::size_t> indices,
-                  std::span<const std::uint8_t> coefficients,
-                  std::span<const std::uint8_t> payload);
+  std::size_t add(std::span<const std::size_t> indices);
 
   std::size_t decoded_count() const { return decoded_count_; }
   bool is_decoded(std::size_t i) const {
@@ -59,44 +46,29 @@ class PeelingDecoder {
   /// Longest decoded prefix (for priority comparisons).
   std::size_t decoded_prefix() const;
 
-  /// Payload of a decoded unknown (payload mode only).
-  std::span<const std::uint8_t> solution(std::size_t i) const;
-
   std::size_t symbols_seen() const { return symbols_seen_; }
   /// Symbols currently buffered undecoded (memory the sink holds).
   std::size_t buffered_symbols() const { return buffered_; }
-  /// Payload bytes resident in buffered symbols. Retired symbols release
-  /// their storage, so this tracks live memory, not history.
-  std::size_t buffered_payload_bytes() const { return buffered_payload_bytes_; }
 
  private:
   struct Symbol {
-    std::vector<std::size_t> pending;     ///< still-undecoded indices
-    std::vector<std::uint8_t> coef;       ///< matching GF(256) coefficients
-    std::vector<std::uint8_t> payload;
+    std::vector<std::size_t> pending;  ///< still-undecoded indices
     bool retired = false;
   };
 
-  std::size_t add_impl(std::span<const std::size_t> indices,
-                       std::span<const std::uint8_t> coefficients,
-                       std::span<const std::uint8_t> payload);
-
-  /// Release a retired symbol's buffers (bounded-memory discipline).
+  /// Release a retired symbol's storage (bounded-memory discipline).
   void retire(Symbol& sym);
 
-  /// Mark unknown `i` decoded with `payload`; cascade through waiters.
-  void resolve(std::size_t i, std::vector<std::uint8_t> payload, std::size_t& newly);
+  /// Mark unknown `i` decoded; cascade through waiters.
+  void resolve(std::size_t i, std::size_t& newly);
 
-  std::size_t payload_size_;
   std::vector<bool> decoded_;
-  std::vector<std::vector<std::uint8_t>> solutions_;
   std::vector<Symbol> symbols_;
   std::vector<std::vector<std::size_t>> waiters_;  ///< unknown -> symbol ids
   std::vector<std::size_t> scratch_;               ///< add-time dup check
   std::size_t decoded_count_ = 0;
   std::size_t symbols_seen_ = 0;
   std::size_t buffered_ = 0;
-  std::size_t buffered_payload_bytes_ = 0;
 };
 
 }  // namespace prlc::codes

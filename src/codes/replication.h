@@ -5,56 +5,38 @@
 // needs ~ N ln N random blocks (coupon collector). This module makes the
 // baseline explicit so benches can plot it next to RLC/SLC/PLC: each
 // "coded" block is a verbatim copy of one source block; the collector
-// just tracks which originals it has seen.
+// just tracks which originals it has seen. Like the Sec.-6 comparison
+// itself, it is index-only: a replica names its source block and level.
 #pragma once
 
 #include <vector>
 
 #include "codes/priority_spec.h"
-#include "codes/source_data.h"
-#include "gf/field_concept.h"
 #include "util/check.h"
 #include "util/random.h"
 
 namespace prlc::codes {
 
 /// A replica: one source block stored verbatim.
-template <gf::FieldPolicy F>
 struct ReplicaBlock {
   std::size_t source_index = 0;
   std::size_t level = 0;
-  std::vector<typename F::Symbol> payload;  ///< empty in index-only mode
 };
 
 /// Emits replicas. The replica's level follows the priority distribution
 /// (like coded blocks); the source block is uniform within that level.
-template <gf::FieldPolicy F>
 class ReplicationEncoder {
  public:
-  ReplicationEncoder(PrioritySpec spec, const SourceData<F>* source = nullptr)
-      : spec_(std::move(spec)), source_(source) {
-    if (source_ != nullptr) {
-      PRLC_REQUIRE(source_->blocks() == spec_.total(),
-                   "source data size must match the priority spec");
-    }
-  }
+  explicit ReplicationEncoder(PrioritySpec spec) : spec_(std::move(spec)) {}
 
-  const PrioritySpec& spec() const { return spec_; }
-
-  ReplicaBlock<F> replicate(std::size_t level, Rng& rng) const {
+  ReplicaBlock replicate(std::size_t level, Rng& rng) const {
     PRLC_REQUIRE(level < spec_.levels(), "level out of range");
-    ReplicaBlock<F> block;
-    block.level = level;
-    block.source_index =
-        spec_.level_begin(level) + rng.uniform(spec_.level_size(level));
-    if (source_ != nullptr) {
-      const auto payload = source_->block(block.source_index);
-      block.payload.assign(payload.begin(), payload.end());
-    }
-    return block;
+    return ReplicaBlock{.source_index = spec_.level_begin(level) +
+                                        rng.uniform(spec_.level_size(level)),
+                        .level = level};
   }
 
-  ReplicaBlock<F> replicate_random(const PriorityDistribution& dist, Rng& rng) const {
+  ReplicaBlock replicate_random(const PriorityDistribution& dist, Rng& rng) const {
     PRLC_REQUIRE(dist.levels() == spec_.levels(),
                  "priority distribution and spec disagree on level count");
     return replicate(dist.sample_level(rng), rng);
@@ -62,20 +44,16 @@ class ReplicationEncoder {
 
  private:
   PrioritySpec spec_;
-  const SourceData<F>* source_;
 };
 
 /// Tracks collected replicas; same reporting surface as PriorityDecoder.
-template <gf::FieldPolicy F>
 class ReplicationCollector {
  public:
   explicit ReplicationCollector(PrioritySpec spec)
       : spec_(std::move(spec)), seen_(spec_.total(), false) {}
 
-  const PrioritySpec& spec() const { return spec_; }
-
   /// Returns true when this replica was new.
-  bool add(const ReplicaBlock<F>& block) {
+  bool add(const ReplicaBlock& block) {
     PRLC_REQUIRE(block.source_index < spec_.total(), "replica index out of range");
     ++blocks_seen_;
     if (seen_[block.source_index]) return false;

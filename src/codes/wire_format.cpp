@@ -23,11 +23,6 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -47,11 +42,6 @@ class Reader {
     return v;
   }
 
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | static_cast<std::uint64_t>(u32()) << 32;
-  }
-
   std::span<const std::uint8_t> raw(std::size_t n) {
     need(n);
     auto out = bytes_.subspan(pos_, n);
@@ -59,7 +49,6 @@ class Reader {
     return out;
   }
 
-  std::size_t position() const { return pos_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
@@ -228,53 +217,6 @@ WireBlock decode_wire(std::span<const std::uint8_t> bytes) {
   out.block.coeffs.resize(view.coeff_width);
   view.expand_coeffs(out.block.coeffs);
   out.block.payload.assign(view.payload.begin(), view.payload.end());
-  return out;
-}
-
-namespace {
-constexpr std::uint8_t kManifestMagic[4] = {'P', 'R', 'L', 'M'};
-constexpr std::uint8_t kManifestVersion = 1;
-}  // namespace
-
-std::vector<std::uint8_t> encode_manifest(const util::FingerprintManifest& manifest) {
-  PRLC_REQUIRE(manifest.block_size > 0, "manifest block size must be positive");
-  PRLC_REQUIRE(manifest.block_size <= kMaxU32, "manifest block size does not fit the u32 field");
-  PRLC_REQUIRE(manifest.fingerprints.size() <= kMaxU32,
-               "manifest block count does not fit the u32 field");
-  std::vector<std::uint8_t> out;
-  out.reserve(25 + manifest.fingerprints.size() * 8);
-  for (std::uint8_t m : kManifestMagic) out.push_back(m);
-  out.push_back(kManifestVersion);
-  put_u64(out, manifest.seed);
-  put_u32(out, static_cast<std::uint32_t>(manifest.block_size));
-  put_u32(out, static_cast<std::uint32_t>(manifest.fingerprints.size()));
-  for (const std::uint64_t fp : manifest.fingerprints) put_u64(out, fp);
-  put_u32(out, crc32(std::span<const std::uint8_t>(out)));
-  return out;
-}
-
-util::FingerprintManifest decode_manifest(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 25) throw WireFormatError("shorter than the minimal manifest");
-  const auto body = bytes.subspan(0, bytes.size() - 4);
-  Reader crc_reader(bytes.subspan(bytes.size() - 4));
-  if (crc32(body) != crc_reader.u32()) {
-    throw WireFormatError("manifest CRC mismatch (corrupt manifest)");
-  }
-  Reader r(body);
-  for (std::uint8_t m : kManifestMagic) {
-    if (r.u8() != m) throw WireFormatError("bad manifest magic");
-  }
-  if (r.u8() != kManifestVersion) throw WireFormatError("unsupported manifest version");
-  util::FingerprintManifest out;
-  out.seed = r.u64();
-  out.block_size = r.u32();
-  if (out.block_size == 0) throw WireFormatError("zero manifest block size");
-  const std::uint32_t count = r.u32();
-  if (static_cast<std::size_t>(count) * 8 != r.remaining()) {
-    throw WireFormatError("manifest fingerprint count disagrees with frame size");
-  }
-  out.fingerprints.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) out.fingerprints.push_back(r.u64());
   return out;
 }
 

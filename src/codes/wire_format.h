@@ -32,7 +32,6 @@
 #include "codes/coded_block.h"
 #include "codes/scheme.h"
 #include "gf/gf256.h"
-#include "util/gf64_fingerprint.h"
 
 namespace prlc::codes {
 
@@ -103,21 +102,5 @@ WireBlockView decode_wire_view(std::span<const std::uint8_t> bytes);
 
 /// Parse and validate; throws WireFormatError on malformed input.
 WireBlock decode_wire(std::span<const std::uint8_t> bytes);
-
-/// Wire encoding of the source-block fingerprint manifest
-/// (util/gf64_fingerprint.h) that travels beside the coded blocks, so a
-/// collector can verify each fetched frame with no decode. Layout (all
-/// little-endian): magic "PRLM", version 1, u64 fingerprint seed, u32
-/// block size, u32 source-block count, count x u64 fingerprints, and the
-/// same trailing CRC-32 the block frames carry. A manifest is tiny (8
-/// bytes per source block) and independent of how many coded blocks
-/// exist. Requires a positive block size and a block count that fit in
-/// 32 bits.
-std::vector<std::uint8_t> encode_manifest(const util::FingerprintManifest& manifest);
-
-/// Parse and validate a manifest frame; throws WireFormatError on any
-/// corruption (magic/version/CRC/bounds — same discipline as the block
-/// frames).
-util::FingerprintManifest decode_manifest(std::span<const std::uint8_t> bytes);
 
 }  // namespace prlc::codes

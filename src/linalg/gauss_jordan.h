@@ -1,4 +1,4 @@
-// Batch Gauss-Jordan elimination: reduced row-echelon form, rank, inverse.
+// Batch Gauss-Jordan elimination: reduced row-echelon form and rank.
 //
 // The paper (Sec. 3.2) uses Gauss-Jordan rather than plain Gaussian
 // elimination because the RREF exposes partial solutions of an
@@ -8,7 +8,6 @@
 // decodes; the online variant lives in progressive_decoder.h.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -97,17 +96,6 @@ template <gf::FieldPolicy F>
 std::size_t rank(const Matrix<F>& m) {
   Matrix<F> copy = m;
   return rref(copy).rank;
-}
-
-/// Inverse of a square matrix; std::nullopt when singular.
-template <gf::FieldPolicy F>
-std::optional<Matrix<F>> invert(const Matrix<F>& m) {
-  PRLC_REQUIRE(m.rows() == m.cols(), "only square matrices can be inverted");
-  Matrix<F> work = m;
-  Matrix<F> inv = Matrix<F>::identity(m.rows());
-  const RrefInfo info = rref(work, &inv);
-  if (info.rank != m.rows()) return std::nullopt;
-  return inv;
 }
 
 /// Length of the solved prefix exposed by an RREF: the largest k such that

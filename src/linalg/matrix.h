@@ -84,14 +84,6 @@ class Matrix {
     return out;
   }
 
-  /// y = this * x for a column vector x.
-  std::vector<Symbol> apply(std::span<const Symbol> x) const {
-    PRLC_REQUIRE(x.size() == cols_, "matrix-vector shape mismatch");
-    std::vector<Symbol> y(rows_, Symbol{0});
-    for (std::size_t i = 0; i < rows_; ++i) y[i] = F::dot(row(i), x);
-    return y;
-  }
-
   bool operator==(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_ && data_ == other.data_;
   }

@@ -27,8 +27,8 @@
 //     actually intersect the new pivot column. Eliminating against a
 //     *singleton* row (one nonzero == a decoded unknown) is the GF(2^q)
 //     generalization of XOR peeling: subtract value * solution, O(1) per
-//     reference (see codes/peeling_decoder.{h,cpp} for the standalone
-//     XOR/GF(256) peeling decoder this path subsumes).
+//     reference (codes/peeling_decoder.{h,cpp} is the standalone,
+//     index-only XOR peeling decoder of the Sec.-6 baselines).
 //   * dense rows — a contiguous coefficient window [pivot, end), used
 //     once a row's fill-in passes the density threshold (see
 //     `should_store_dense`). Dense rows are found through a coarse

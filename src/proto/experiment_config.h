@@ -19,7 +19,6 @@
 
 #include "codes/priority_spec.h"
 #include "codes/scheme.h"
-#include "sim/failure_process.h"
 #include "util/check.h"
 
 namespace prlc::proto {
@@ -31,11 +30,6 @@ struct ExperimentConfig {
   codes::Scheme scheme = codes::Scheme::kPlc;
   std::vector<std::size_t> level_sizes;       ///< priority spec (required)
   std::vector<double> priority_distribution;  ///< empty = uniform
-  /// The cluster simulator's churn model, as a value so trials can shard
-  /// across threads: each trial builds its own Poisson stream from it (see
-  /// sim/failure_process.h). The wave sweeps over an overlay take their
-  /// kill fractions from their own params instead.
-  sim::FailureModelConfig failure;
 
   /// Materialize the priority spec (throws if level_sizes is empty).
   codes::PrioritySpec spec() const {
@@ -57,7 +51,6 @@ struct ExperimentConfig {
     PRLC_REQUIRE(priority_distribution.empty() ||
                      priority_distribution.size() == level_sizes.size(),
                  "priority distribution must match the level count");
-    failure.validate();
   }
 };
 

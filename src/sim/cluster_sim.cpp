@@ -534,6 +534,7 @@ void ClusterParams::validate() const {
                "silent-corruption model needs coded storage; replication mode "
                "has no fingerprintable coded blocks");
   experiment.validate();
+  experiment.failure.validate();
   repair.validate();
 }
 

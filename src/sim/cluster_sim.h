@@ -98,6 +98,14 @@ struct IntegrityConfig {
   void validate() const;
 };
 
+/// The Monte-Carlo config plus the churn model, as a value so trials can
+/// shard across threads: each trial builds its own Poisson stream from
+/// `failure`. Only the simulator reads a churn model this way; the wave
+/// sweeps over an overlay take their kill fractions from their own params.
+struct ClusterExperiment : proto::ExperimentConfig {
+  FailureModelConfig failure;
+};
+
 struct ClusterParams {
   std::size_t nodes = 100000;  ///< cluster size W (10^6 is in budget)
   /// Stored coded blocks M; 0 = 2x the spec's source-block count. In
@@ -110,7 +118,7 @@ struct ClusterParams {
   std::vector<double> sample_times;    ///< ascending decoded-levels probe times
   /// Monte-Carlo execution (trials/root_seed/threads/scheme/spec) plus
   /// the churn model (experiment.failure).
-  proto::ExperimentConfig experiment;
+  ClusterExperiment experiment;
   RepairConfig repair;
   IntegrityConfig integrity;  ///< silent corruption + scrubbing (coded modes only)
 

@@ -59,8 +59,9 @@ class PoissonFailureProcess {
   std::optional<double> pending_time_;
 };
 
-/// The cluster simulator's churn model as a value, so ExperimentConfig can
-/// carry it across threads and trials (each trial builds its own process).
+/// The cluster simulator's churn model as a value, so ClusterExperiment
+/// (sim/cluster_sim.h) can carry it across threads and trials (each trial
+/// builds its own process).
 struct FailureModelConfig {
   enum class Kind {
     kNone,     ///< no loud failures: blocks die only by silent rot

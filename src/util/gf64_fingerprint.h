@@ -151,14 +151,12 @@ class Fingerprinter {
 
 /// The per-source-block fingerprint manifest a collection verifies
 /// against. Computed by whoever holds the source data (the disseminating
-/// node), shipped beside the coded blocks (codes/wire_format.h gives it a
-/// CRC-framed wire encoding), and valid for any number of coded blocks.
+/// node), handed to the collector beside the coded blocks, and valid for
+/// any number of coded blocks.
 struct FingerprintManifest {
   std::uint64_t seed = 0;                     ///< Fingerprinter seed
   std::size_t block_size = 0;                 ///< payload bytes per block
   std::vector<std::uint64_t> fingerprints;    ///< one per source block
-
-  bool operator==(const FingerprintManifest&) const = default;
 };
 
 /// Fingerprint every `block_size`-byte block of `source` (laid out

@@ -261,6 +261,12 @@ std::string Value::dump(int indent) const {
 
 namespace {
 
+/// Deepest nesting of arrays and objects the parser accepts. The parser
+/// recurses once per level, so without a bound a document of a few
+/// hundred thousand '[' overflows the stack; every report the repo writes
+/// nests fewer than ten levels.
+constexpr std::size_t kMaxParseDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -308,9 +314,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxParseDepth) {
+          fail("JSON nesting deeper than " + std::to_string(kMaxParseDepth) + " levels");
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -480,6 +491,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

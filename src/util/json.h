@@ -73,7 +73,8 @@ class Value {
   std::string dump(int indent = -1) const;
 
   /// Strict parse of a complete JSON document (trailing garbage rejected);
-  /// throws PreconditionError with an offset on malformed input.
+  /// throws PreconditionError with an offset on malformed input, and on
+  /// arrays and objects nested more than 512 deep.
   static Value parse(std::string_view text);
 
  private:

@@ -54,21 +54,6 @@ double LogFactorialTable::binomial_tail_ge(std::size_t n, double p, std::size_t 
   return tail;
 }
 
-double LogFactorialTable::poisson_pmf(double mu, std::size_t k) {
-  PRLC_REQUIRE(mu >= 0.0, "Poisson mean must be nonnegative");
-  if (mu == 0.0) return k == 0 ? 1.0 : 0.0;
-  const double log_pmf =
-      static_cast<double>(k) * std::log(mu) - mu - (*this)(k);
-  return std::exp(log_pmf);
-}
-
-double log_add(double log_a, double log_b) {
-  if (log_a == kNegInf) return log_b;
-  if (log_b == kNegInf) return log_a;
-  if (log_a < log_b) std::swap(log_a, log_b);
-  return log_a + std::log1p(std::exp(log_b - log_a));
-}
-
 void normalize(std::span<double> weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -36,16 +36,10 @@ class LogFactorialTable {
   /// Upper-tail Pr(Bin(n, p) >= k).
   double binomial_tail_ge(std::size_t n, double p, std::size_t k);
 
-  /// Poisson pmf Pr(Pois(mu) = k).
-  double poisson_pmf(double mu, std::size_t k);
-
  private:
   void grow(std::size_t n_max);
   std::vector<double> table_;
 };
-
-/// ln(a + b) given ln(a) and ln(b); handles -inf operands.
-double log_add(double log_a, double log_b);
 
 /// Normalize `weights` in place so they sum to 1. Requires a positive sum.
 void normalize(std::span<double> weights);

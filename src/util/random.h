@@ -78,13 +78,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in the inclusive range [lo, hi].
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) {
-    PRLC_REQUIRE(lo <= hi, "uniform_range requires lo <= hi");
-    const auto width = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(uniform(width));
-  }
-
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform_double() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -92,25 +85,6 @@ class Rng {
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) { return uniform_double() < p; }
-
-  /// Sample an index from a discrete distribution given by `weights`
-  /// (nonnegative, not all zero). O(n) inverse-CDF walk — fine for the
-  /// small level counts this library deals with; use AliasTable for bulk.
-  std::size_t discrete(std::span<const double> weights) {
-    PRLC_REQUIRE(!weights.empty(), "discrete() needs at least one weight");
-    double total = 0;
-    for (double w : weights) {
-      PRLC_REQUIRE(w >= 0.0, "discrete() weights must be nonnegative");
-      total += w;
-    }
-    PRLC_REQUIRE(total > 0.0, "discrete() weights must not all be zero");
-    double r = uniform_double() * total;
-    for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-      r -= weights[i];
-      if (r < 0) return i;
-    }
-    return weights.size() - 1;
-  }
 
   /// Fisher–Yates shuffle of a contiguous range.
   template <typename T>

@@ -1,25 +1,11 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <vector>
+
+#include "util/check.h"
 
 namespace prlc {
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double quantile(std::span<const double> sample, double q) {
   PRLC_REQUIRE(q >= 0.0 && q <= 1.0, "quantile order must be in [0,1]");
@@ -38,43 +24,6 @@ double quantile(std::span<const double> sample, double q) {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= sorted.size()) return sorted.back();
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  PRLC_REQUIRE(hi > lo, "Histogram range must be nonempty");
-  PRLC_REQUIRE(bins > 0, "Histogram needs at least one bin");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (std::isnan(x)) {
-    ++nan_;
-    return;
-  }
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // numeric edge
-  ++counts_[idx];
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  PRLC_REQUIRE(i < counts_.size(), "histogram bin out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  PRLC_REQUIRE(i < counts_.size(), "histogram bin out of range");
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
 }
 
 }  // namespace prlc

@@ -8,9 +8,6 @@
 #include <cmath>
 #include <cstddef>
 #include <span>
-#include <vector>
-
-#include "util/check.h"
 
 namespace prlc {
 
@@ -23,12 +20,7 @@ class RunningStats {
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (x - mean_);
-    if (count_ == 1 || x < min_) min_ = x;
-    if (count_ == 1 || x > max_) max_ = x;
   }
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   /// Sample mean; 0 when empty.
@@ -45,57 +37,16 @@ class RunningStats {
   /// Half-width of the 95% confidence interval for the mean
   /// (normal approximation, z = 1.96 — matches the paper's methodology).
   double ci95_halfwidth() const { return 1.96 * stderr_mean(); }
-  /// Extremes; precondition error when empty (there is no observation to
-  /// report, and silently returning 0 corrupted min/max-of-load plots).
-  double min() const {
-    PRLC_REQUIRE(count_ > 0, "min() of an empty RunningStats");
-    return min_;
-  }
-  double max() const {
-    PRLC_REQUIRE(count_ > 0, "max() of an empty RunningStats");
-    return max_;
-  }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Exact quantile of a sample (linear interpolation between order
 /// statistics). `q` in [0,1]. NaN entries are ignored; the sample must
 /// contain at least one non-NaN value. Copies and sorts: O(n log n).
 double quantile(std::span<const double> sample, double q);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus
-/// out-of-range counters; used for load-balance experiments.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// NaN samples count toward total() and nan() but land in no bin —
-  /// casting NaN to an index is undefined behavior, and dropping the
-  /// sample silently would skew total()-normalized frequencies.
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const;
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t nan() const { return nan_; }
-  std::size_t total() const { return total_; }
-  std::size_t bins() const { return counts_.size(); }
-  /// Inclusive lower edge of bin i.
-  double bin_lo(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t nan_ = 0;
-  std::size_t total_ = 0;
-};
 
 }  // namespace prlc

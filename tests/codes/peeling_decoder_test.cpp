@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -69,121 +68,46 @@ TEST(PeelingDecoder, CannotSolveCoupledSystems) {
   EXPECT_EQ(dec.buffered_symbols(), 3u);
 }
 
-TEST(PeelingDecoder, PayloadXorRecoversData) {
-  Rng rng(221);
-  const std::size_t n = 8;
-  const std::size_t width = 6;
-  std::vector<std::vector<std::uint8_t>> x(n, std::vector<std::uint8_t>(width));
-  for (auto& blk : x) {
-    for (auto& v : blk) v = static_cast<std::uint8_t>(rng.uniform(256));
-  }
-  auto payload_of = [&](std::span<const std::size_t> idx) {
-    std::vector<std::uint8_t> p(width, 0);
-    for (std::size_t i : idx) {
-      for (std::size_t b = 0; b < width; ++b) p[b] ^= x[i][b];
-    }
-    return p;
-  };
-  PeelingDecoder dec(n, width);
-  // Triangular chain guarantees full decode.
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::size_t> idx;
-    for (std::size_t j = 0; j <= i; ++j) idx.push_back(j);
-    dec.add(idx, payload_of(idx));
-  }
-  EXPECT_EQ(dec.decoded_count(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto got = dec.solution(i);
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), x[i].begin(), x[i].end())) << i;
-  }
-}
-
 TEST(PeelingDecoder, ValidatesInput) {
-  PeelingDecoder dec(3, 2);
+  PeelingDecoder dec(3);
   const std::vector<std::size_t> empty;
-  const std::vector<std::uint8_t> payload = {1, 2};
-  EXPECT_THROW(dec.add(empty, payload), PreconditionError);
+  EXPECT_THROW(dec.add(empty), PreconditionError);
   const std::size_t oob[] = {5};
-  EXPECT_THROW(dec.add(oob, payload), PreconditionError);
+  EXPECT_THROW(dec.add(oob), PreconditionError);
   const std::size_t dup[] = {1, 1};
-  EXPECT_THROW(dec.add(dup, payload), PreconditionError);
-  const std::size_t ok[] = {1};
-  const std::vector<std::uint8_t> short_payload = {1};
-  EXPECT_THROW(dec.add(ok, short_payload), PreconditionError);
-  EXPECT_THROW(dec.solution(1), PreconditionError);
+  EXPECT_THROW(dec.add(dup), PreconditionError);
   EXPECT_THROW(PeelingDecoder(0), PreconditionError);
 }
 
 TEST(PeelingDecoder, RejectsDuplicateOfDecodedIndex) {
   // Regression: duplicate validation used to run on the *pending* list
-  // only, after decoded blocks were split off — {0, 0} with block 0
-  // already decoded subtracted the solution twice (cancelling silently)
-  // and accepted the corrupted symbol.
-  PeelingDecoder dec(3, 2);
-  const std::vector<std::uint8_t> p0 = {9, 9};
+  // only, after decoded blocks were split off, so {0, 0, 1} with block 0
+  // already decoded was accepted.
+  PeelingDecoder dec(3);
   const std::size_t single[] = {0};
-  dec.add(single, p0);
+  dec.add(single);
   ASSERT_TRUE(dec.is_decoded(0));
   const std::size_t dup_decoded[] = {0, 0, 1};
-  const std::vector<std::uint8_t> payload = {1, 2};
-  EXPECT_THROW(dec.add(dup_decoded, payload), PreconditionError);
+  EXPECT_THROW(dec.add(dup_decoded), PreconditionError);
   // The rejected symbol must not count or buffer anything.
   EXPECT_EQ(dec.buffered_symbols(), 0u);
   EXPECT_EQ(dec.decoded_count(), 1u);
 }
 
-TEST(PeelingDecoder, Gf256CoefficientsDecodeByDivision) {
-  // y0 = 3*x0, y1 = 5*x0 + 7*x1: peeling must divide out the lone
-  // coefficient at each step to recover x0 then x1 exactly.
-  Rng rng(223);
-  const std::size_t width = 6;
-  std::vector<std::uint8_t> x0(width), x1(width);
-  for (auto& v : x0) v = static_cast<std::uint8_t>(rng.uniform(256));
-  for (auto& v : x1) v = static_cast<std::uint8_t>(rng.uniform(256));
-
-  auto combine = [&](std::uint8_t a, std::uint8_t b) {
-    std::vector<std::uint8_t> p(width, 0);
-    gf::Gf256::axpy(std::span<std::uint8_t>(p), a, x0);
-    gf::Gf256::axpy(std::span<std::uint8_t>(p), b, x1);
-    return p;
-  };
-
-  PeelingDecoder dec(2, width);
-  const std::size_t both[] = {0, 1};
-  const std::vector<std::uint8_t> c_both = {5, 7};
-  EXPECT_EQ(dec.add(both, c_both, combine(5, 7)), 0u);
-  const std::size_t first[] = {0};
-  const std::vector<std::uint8_t> c_first = {3};
-  EXPECT_EQ(dec.add(first, c_first, combine(3, 0)), 2u);
-  const auto got0 = dec.solution(0);
-  const auto got1 = dec.solution(1);
-  EXPECT_TRUE(std::equal(got0.begin(), got0.end(), x0.begin(), x0.end()));
-  EXPECT_TRUE(std::equal(got1.begin(), got1.end(), x1.begin(), x1.end()));
-
-  // Zero coefficients are not a valid sparse symbol.
-  PeelingDecoder fresh(2, width);
-  const std::vector<std::uint8_t> c_zero = {0, 7};
-  EXPECT_THROW(fresh.add(both, c_zero, combine(0, 7)), PreconditionError);
-}
-
-TEST(PeelingDecoder, RetiredSymbolsReleaseBufferedPayloads) {
-  // Regression: resolve() used to copy the payload into the cascade queue
-  // and retired symbols kept their buffers alive forever. Buffered bytes
-  // must track live symbols only and drop to zero after a full cascade.
+TEST(PeelingDecoder, RetiredSymbolsLeaveTheBuffer) {
+  // Regression: retired symbols used to stay buffered forever. The
+  // buffered count must track live symbols only and drop to zero after a
+  // full cascade.
   const std::size_t n = 16;
-  const std::size_t width = 32;
-  PeelingDecoder dec(n, width);
-  const std::vector<std::uint8_t> zeros(width, 0);
+  PeelingDecoder dec(n);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const std::size_t pair[] = {i, i + 1};
-    dec.add(pair, zeros);
+    dec.add(pair);
   }
   EXPECT_EQ(dec.buffered_symbols(), n - 1);
-  EXPECT_EQ(dec.buffered_payload_bytes(), (n - 1) * width);
   const std::size_t single[] = {0};
-  EXPECT_EQ(dec.add(single, zeros), n);
+  EXPECT_EQ(dec.add(single), n);
   EXPECT_EQ(dec.buffered_symbols(), 0u);
-  EXPECT_EQ(dec.buffered_payload_bytes(), 0u);
 }
 
 TEST(PeelingDecoder, RandomizedAgainstReachability) {

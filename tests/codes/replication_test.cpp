@@ -3,35 +3,29 @@
 #include <gtest/gtest.h>
 
 #include "analysis/coupon.h"
-#include "gf/gf256.h"
 #include "util/check.h"
 #include "util/stats.h"
 
 namespace prlc::codes {
 namespace {
 
-using F = gf::Gf256;
-
-TEST(Replication, ReplicaCarriesPayloadAndLevel) {
+TEST(Replication, ReplicaCarriesIndexAndLevel) {
   Rng rng(211);
   const PrioritySpec spec({2, 3});
-  const auto source = SourceData<F>::random(spec.total(), 4, rng);
-  const ReplicationEncoder<F> enc(spec, &source);
+  const ReplicationEncoder enc(spec);
   for (int t = 0; t < 50; ++t) {
     const auto r = enc.replicate(1, rng);
     EXPECT_EQ(r.level, 1u);
     EXPECT_GE(r.source_index, 2u);
     EXPECT_LT(r.source_index, 5u);
-    const auto want = source.block(r.source_index);
-    EXPECT_TRUE(std::equal(r.payload.begin(), r.payload.end(), want.begin(), want.end()));
   }
 }
 
 TEST(Replication, CollectorTracksPrefixAndDistinct) {
   const PrioritySpec spec({2, 3});
-  ReplicationCollector<F> col(spec);
+  ReplicationCollector col(spec);
   auto add = [&](std::size_t idx) {
-    ReplicaBlock<F> r;
+    ReplicaBlock r;
     r.source_index = idx;
     r.level = spec.level_of_block(idx);
     return col.add(r);
@@ -57,12 +51,12 @@ TEST(Replication, MatchesCouponCollectorExpectation) {
   Rng rng(212);
   const std::size_t n = 40;
   const PrioritySpec spec({n});
-  const ReplicationEncoder<F> enc(spec);
+  const ReplicationEncoder enc(spec);
   const auto dist = PriorityDistribution::uniform(1);
   const std::size_t draws = 50;
   RunningStats distinct;
   for (int t = 0; t < 400; ++t) {
-    ReplicationCollector<F> col(spec);
+    ReplicationCollector col(spec);
     for (std::size_t d = 0; d < draws; ++d) col.add(enc.replicate_random(dist, rng));
     distinct.add(static_cast<double>(col.distinct_blocks()));
   }
@@ -74,11 +68,11 @@ TEST(Replication, NeedsFarMoreBlocksThanCodingForFullRecovery) {
   Rng rng(213);
   const std::size_t n = 50;
   const PrioritySpec spec({n});
-  const ReplicationEncoder<F> enc(spec);
+  const ReplicationEncoder enc(spec);
   const auto dist = PriorityDistribution::uniform(1);
   RunningStats draws_needed;
   for (int t = 0; t < 100; ++t) {
-    ReplicationCollector<F> col(spec);
+    ReplicationCollector col(spec);
     std::size_t draws = 0;
     while (col.distinct_blocks() < n) {
       col.add(enc.replicate_random(dist, rng));
@@ -94,16 +88,14 @@ TEST(Replication, NeedsFarMoreBlocksThanCodingForFullRecovery) {
 TEST(Replication, ValidatesInputs) {
   const PrioritySpec spec({2, 3});
   Rng rng(214);
-  const ReplicationEncoder<F> enc(spec);
+  const ReplicationEncoder enc(spec);
   EXPECT_THROW(enc.replicate(2, rng), PreconditionError);
   EXPECT_THROW(enc.replicate_random(PriorityDistribution::uniform(3), rng),
                PreconditionError);
-  ReplicationCollector<F> col(spec);
-  ReplicaBlock<F> bad;
+  ReplicationCollector col(spec);
+  ReplicaBlock bad;
   bad.source_index = 5;
   EXPECT_THROW(col.add(bad), PreconditionError);
-  const auto wrong_source = SourceData<F>::random(4, 2, rng);
-  EXPECT_THROW(ReplicationEncoder<F>(spec, &wrong_source), PreconditionError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "codes/decoder.h"
 #include "codes/encoder.h"
+#include "util/gf64_fingerprint.h"
 #include "util/random.h"
 
 namespace prlc::codes {
@@ -111,8 +112,8 @@ TEST(WireFormat, RejectsEmptyBlock) {
   EXPECT_THROW(encode_wire(Scheme::kPlc, empty), PreconditionError);
 }
 
-// The encoders refuse exactly what decode_wire_view / decode_manifest
-// would reject or truncate, rather than emitting an unreadable frame.
+// The encoder refuses exactly what decode_wire_view would reject or
+// truncate, rather than emitting an unreadable frame.
 
 constexpr std::size_t kPastU32 = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
 
@@ -157,91 +158,6 @@ TEST(WireFormat, RefusesPayloadsOfFourGiBOrMore) {
   munmap(mem, kPastU32);
 }
 
-TEST(WireManifest, RefusesBlockSizesPastTheU32Field) {
-  util::FingerprintManifest manifest;
-  manifest.seed = 1;
-  manifest.block_size = kPastU32;
-  manifest.fingerprints = {5};
-  EXPECT_THROW(encode_manifest(manifest), PreconditionError);
-}
-
-TEST(WireManifest, RoundTrip) {
-  Rng rng(301);
-  util::FingerprintManifest manifest;
-  manifest.seed = 0xDEADBEEFCAFEF00DULL;
-  manifest.block_size = 16;
-  for (int j = 0; j < 20; ++j) manifest.fingerprints.push_back(rng());
-  const auto wire = encode_manifest(manifest);
-  EXPECT_EQ(decode_manifest(wire), manifest);
-}
-
-TEST(WireManifest, RoundTripEmptyAndSingle) {
-  util::FingerprintManifest manifest;
-  manifest.seed = 7;
-  manifest.block_size = 1;
-  EXPECT_EQ(decode_manifest(encode_manifest(manifest)), manifest);
-  manifest.fingerprints.push_back(0);  // zero fingerprints must survive
-  EXPECT_EQ(decode_manifest(encode_manifest(manifest)), manifest);
-}
-
-TEST(WireManifest, MatchesBuildManifest) {
-  Rng rng(302);
-  std::vector<std::uint8_t> source(10 * 16);
-  for (auto& b : source) b = static_cast<std::uint8_t>(rng());
-  const auto manifest = util::build_manifest(88, source, 16);
-  EXPECT_EQ(decode_manifest(encode_manifest(manifest)), manifest);
-}
-
-TEST(WireManifest, DetectsEveryByteFlip) {
-  Rng rng(303);
-  util::FingerprintManifest manifest;
-  manifest.seed = 99;
-  manifest.block_size = 8;
-  for (int j = 0; j < 5; ++j) manifest.fingerprints.push_back(rng());
-  const auto wire = encode_manifest(manifest);
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    auto corrupt = wire;
-    corrupt[i] ^= 0x20;
-    EXPECT_THROW(decode_manifest(corrupt), WireFormatError) << "byte " << i;
-  }
-}
-
-TEST(WireManifest, DetectsTruncationAndTrailingGarbage) {
-  util::FingerprintManifest manifest;
-  manifest.seed = 4;
-  manifest.block_size = 8;
-  manifest.fingerprints = {1, 2, 3};
-  auto wire = encode_manifest(manifest);
-  for (std::size_t keep : {0u, 10u, 24u}) {
-    const std::vector<std::uint8_t> cut(wire.begin(), wire.begin() + keep);
-    EXPECT_THROW(decode_manifest(cut), WireFormatError) << keep;
-  }
-  const std::vector<std::uint8_t> cut(wire.begin(), wire.end() - 5);
-  EXPECT_THROW(decode_manifest(cut), WireFormatError);
-  wire.push_back(0x55);
-  EXPECT_THROW(decode_manifest(wire), WireFormatError);
-}
-
-TEST(WireManifest, RejectsZeroBlockSize) {
-  util::FingerprintManifest manifest;
-  manifest.seed = 1;
-  manifest.block_size = 0;
-  EXPECT_THROW(encode_manifest(manifest), PreconditionError);
-}
-
-TEST(WireManifest, NotConfusableWithBlockFrames) {
-  // A manifest frame must not parse as a coded block and vice versa:
-  // distinct magics guarantee mutual rejection.
-  Rng rng(304);
-  util::FingerprintManifest manifest;
-  manifest.seed = 12;
-  manifest.block_size = 16;
-  for (int j = 0; j < 6; ++j) manifest.fingerprints.push_back(rng());
-  EXPECT_THROW(decode_wire(encode_manifest(manifest)), WireFormatError);
-  const auto block = make_block(Scheme::kPlc, 1, true, rng);
-  EXPECT_THROW(decode_manifest(encode_wire(Scheme::kPlc, block)), WireFormatError);
-}
-
 TEST(WireManifest, VerifiesCodedFramesWithoutDecode) {
   // The point of the manifest: a collector holding only the manifest can
   // check any coded frame it fetches — and catches a forged payload that
@@ -254,7 +170,7 @@ TEST(WireManifest, VerifiesCodedFramesWithoutDecode) {
     const auto row = source.block(j);
     flat.insert(flat.end(), row.begin(), row.end());
   }
-  const auto manifest = decode_manifest(encode_manifest(util::build_manifest(777, flat, 16)));
+  const auto manifest = util::build_manifest(777, flat, 16);
   const util::Fingerprinter fp(manifest.seed);
   const PriorityEncoder<F> enc(Scheme::kPlc, spec, {}, &source);
   for (int i = 0; i < 30; ++i) {

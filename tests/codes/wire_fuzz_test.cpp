@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 
@@ -130,31 +129,16 @@ void parse_block(const std::vector<std::uint8_t>& frame, Outcomes& out) {
   }
 }
 
-void parse_manifest(const std::vector<std::uint8_t>& frame, Outcomes& out) {
-  const std::vector<std::uint8_t> exact(frame.begin(), frame.end());
-  try {
-    const util::FingerprintManifest m = decode_manifest(exact);
-    ASSERT_GT(m.block_size, 0u);
-    ASSERT_EQ(25 + 8 * m.fingerprints.size(), exact.size());
-    ++out.parsed;
-  } catch (const WireFormatError&) {
-    ++out.rejected;
-  }
-}
-
-using Parser = std::function<void(const std::vector<std::uint8_t>&, Outcomes&)>;
-
 /// Every truncation, random byte flips, and extreme values in each u32
 /// size field — all resealed. Returns the outcome tally.
 Outcomes resealed_battery(const std::vector<std::uint8_t>& frame,
-                          std::span<const std::size_t> u32_fields, const Parser& parse,
-                          Rng& rng) {
+                          std::span<const std::size_t> u32_fields, Rng& rng) {
   Outcomes out;
   for (std::size_t keep = 0; keep < frame.size(); ++keep) {
     std::vector<std::uint8_t> cut(frame.begin(),
                                   frame.begin() + static_cast<std::ptrdiff_t>(keep));
     reseal(cut);
-    parse(cut, out);
+    parse_block(cut, out);
   }
   for (int t = 0; t < 1500; ++t) {
     auto mutant = frame;
@@ -163,7 +147,7 @@ Outcomes resealed_battery(const std::vector<std::uint8_t>& frame,
       mutant[rng.uniform(mutant.size() - 4)] ^= static_cast<std::uint8_t>(1 + rng.uniform(255));
     }
     reseal(mutant);
-    parse(mutant, out);
+    parse_block(mutant, out);
   }
   const std::uint32_t extremes[] = {0u,
                                     1u,
@@ -178,13 +162,13 @@ Outcomes resealed_battery(const std::vector<std::uint8_t>& frame,
       auto mutant = frame;
       put_u32(mutant, at, v);
       reseal(mutant);
-      parse(mutant, out);
+      parse_block(mutant, out);
     }
     for (int t = 0; t < 50; ++t) {
       auto mutant = frame;
       put_u32(mutant, at, static_cast<std::uint32_t>(rng()));
       reseal(mutant);
-      parse(mutant, out);
+      parse_block(mutant, out);
     }
   }
   return out;
@@ -206,19 +190,9 @@ TEST(WireFuzz, ResealedBlockFramesParseOrThrowWireFormatError) {
   for (const auto& [frame, fields] :
        {std::pair{dense, std::span<const std::size_t>(dense_fields)},
         std::pair{sparse, std::span<const std::size_t>(sparse_fields)}}) {
-    const Outcomes out = resealed_battery(frame, fields, parse_block, rng);
+    const Outcomes out = resealed_battery(frame, fields, rng);
     EXPECT_GT(out.rejected, 0u);
   }
-}
-
-TEST(WireFuzz, ResealedManifestsParseOrThrowWireFormatError) {
-  Rng rng(306);
-  std::vector<std::uint8_t> source(40 * 64);
-  for (auto& b : source) b = static_cast<std::uint8_t>(rng());
-  const auto frame = encode_manifest(util::build_manifest(rng(), source, 64));
-  const std::size_t fields[] = {13, 17};  // block size, block count
-  const Outcomes out = resealed_battery(frame, fields, parse_manifest, rng);
-  EXPECT_GT(out.rejected, 0u);
 }
 
 TEST(WireFuzz, ResealedRandomFramesParseOrThrowWireFormatError) {
@@ -226,19 +200,17 @@ TEST(WireFuzz, ResealedRandomFramesParseOrThrowWireFormatError) {
   // header checks alone decide.
   Rng rng(307);
   Outcomes blocks;
-  Outcomes manifests;
-  for (int t = 0; t < 3000; ++t) {
+  for (int t = 0; t < 1500; ++t) {
     std::vector<std::uint8_t> frame(rng.uniform(120));
     for (auto& b : frame) b = static_cast<std::uint8_t>(rng());
-    const bool manifest = (t & 1) != 0;
-    const std::uint8_t magic[4] = {'P', 'R', 'L', manifest ? std::uint8_t{'M'} : std::uint8_t{'C'}};
+    const std::uint8_t magic[4] = {'P', 'R', 'L', 'C'};
     for (std::size_t i = 0; i < 4 && i < frame.size(); ++i) frame[i] = magic[i];
     if (frame.size() > 4) frame[4] = 1;
-    if (!manifest && frame.size() > 5) frame[5] = static_cast<std::uint8_t>(rng.uniform(3));
+    if (frame.size() > 5) frame[5] = static_cast<std::uint8_t>(rng.uniform(3));
     reseal(frame);
-    manifest ? parse_manifest(frame, manifests) : parse_block(frame, blocks);
+    parse_block(frame, blocks);
   }
-  EXPECT_GT(blocks.rejected + manifests.rejected, 0u);
+  EXPECT_GT(blocks.rejected, 0u);
 }
 
 }  // namespace

@@ -104,29 +104,6 @@ TEST(GaussJordan, RankOfZeroMatrixIsZero) {
   EXPECT_EQ(rank(z), 0u);
 }
 
-TEST(GaussJordan, InvertRoundTrip) {
-  Rng rng(66);
-  for (int t = 0; t < 20; ++t) {
-    const M a = M::random(10, 10, rng);
-    const auto inv = invert(a);
-    if (!inv.has_value()) continue;  // rare singular draw
-    EXPECT_EQ(a.multiply(*inv), M::identity(10));
-    EXPECT_EQ(inv->multiply(a), M::identity(10));
-  }
-}
-
-TEST(GaussJordan, InvertSingularReturnsNullopt) {
-  M s(3, 3);
-  s.at(0, 0) = 1;
-  s.at(1, 0) = 1;  // rows 0 and 1 identical in column 0, zero elsewhere
-  EXPECT_EQ(invert(s), std::nullopt);
-}
-
-TEST(GaussJordan, InvertRequiresSquare) {
-  M r(2, 3);
-  EXPECT_THROW(invert(r), PreconditionError);
-}
-
 TEST(GaussJordan, RhsTracksRowOperations) {
   // Solving A X = I via rhs gives the inverse.
   Rng rng(67);

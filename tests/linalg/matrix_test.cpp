@@ -82,19 +82,6 @@ TEST(Matrix, MultiplyAssociativeSampled) {
   EXPECT_EQ(a.multiply(b).multiply(c), a.multiply(b.multiply(c)));
 }
 
-TEST(Matrix, ApplyMatchesMultiply) {
-  Rng rng(53);
-  const M a = M::random(4, 6, rng);
-  std::vector<std::uint8_t> x(6);
-  for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform(256));
-  const auto y = a.apply(x);
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint8_t expect = 0;
-    for (std::size_t j = 0; j < 6; ++j) expect ^= F::mul(a.at(i, j), x[j]);
-    EXPECT_EQ(y[i], expect);
-  }
-}
-
 TEST(Matrix, AppendRowGrowsAndChecksWidth) {
   M m;
   const std::vector<std::uint8_t> r1 = {1, 2, 3};

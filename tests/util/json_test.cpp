@@ -104,6 +104,18 @@ TEST(JsonValue, ParseRejectsMalformedInput) {
   EXPECT_THROW(Value::parse("nul"), PreconditionError);
 }
 
+TEST(JsonValue, ParseBoundsNestingDepth) {
+  // 512 nested arrays parse; one level more is malformed input, not a
+  // stack overflow. Siblings do not add up: the depth unwinds on close.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(Value::parse(nested(512)).is_array());
+  EXPECT_NO_THROW(Value::parse("[" + nested(511) + "," + nested(511) + "]"));
+  EXPECT_THROW(Value::parse(nested(513)), PreconditionError);
+  EXPECT_THROW(Value::parse(R"({"a":)" + nested(512) + "}"), PreconditionError);
+}
+
 TEST(JsonValue, AccessorsRejectKindMismatch) {
   const Value v = Value(1.0);
   EXPECT_THROW(v.as_string(), PreconditionError);

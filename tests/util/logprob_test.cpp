@@ -66,35 +66,6 @@ TEST(BinomialTail, MatchesSummation) {
   }
 }
 
-TEST(PoissonPmf, SumsToOne) {
-  LogFactorialTable lf;
-  for (double mu : {0.001, 0.5, 3.0, 25.0}) {
-    double total = 0;
-    for (std::size_t k = 0; k < 200; ++k) total += lf.poisson_pmf(mu, k);
-    EXPECT_NEAR(total, 1.0, 1e-9) << "mu=" << mu;
-  }
-}
-
-TEST(PoissonPmf, ZeroMean) {
-  LogFactorialTable lf;
-  EXPECT_DOUBLE_EQ(lf.poisson_pmf(0.0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(lf.poisson_pmf(0.0, 3), 0.0);
-}
-
-TEST(PoissonPmf, LargeMeanStable) {
-  LogFactorialTable lf;
-  // Mode of Poisson(1000) is ~ 1/sqrt(2 pi 1000).
-  EXPECT_NEAR(lf.poisson_pmf(1000.0, 1000), 1.0 / std::sqrt(2 * M_PI * 1000.0), 1e-5);
-}
-
-TEST(LogAdd, BasicIdentities) {
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_DOUBLE_EQ(log_add(-inf, std::log(2.0)), std::log(2.0));
-  EXPECT_DOUBLE_EQ(log_add(std::log(3.0), -inf), std::log(3.0));
-  EXPECT_NEAR(log_add(std::log(2.0), std::log(3.0)), std::log(5.0), 1e-12);
-  EXPECT_NEAR(log_add(std::log(1e-300), std::log(1e-300)), std::log(2e-300), 1e-9);
-}
-
 TEST(Normalize, ScalesToUnitSum) {
   std::vector<double> w = {1.0, 3.0, 0.0, 4.0};
   normalize(w);

@@ -55,21 +55,6 @@ TEST(Rng, UniformRejectsZeroBound) {
   EXPECT_THROW(rng.uniform(0), PreconditionError);
 }
 
-TEST(Rng, UniformRangeInclusive) {
-  Rng rng(6);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_range(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo = saw_lo || v == -3;
-    saw_hi = saw_hi || v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformDoubleInUnitInterval) {
   Rng rng(8);
   double sum = 0;
@@ -87,27 +72,6 @@ TEST(Rng, BernoulliMatchesProbability) {
   int hits = 0;
   for (int i = 0; i < 20000; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / 20000, 0.3, 0.02);
-}
-
-TEST(Rng, DiscreteRespectsWeights) {
-  Rng rng(10);
-  const std::vector<double> w = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  for (int i = 0; i < 30000; ++i) ++counts[rng.discrete(w)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / 30000.0, 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / 30000.0, 0.3, 0.02);
-  EXPECT_NEAR(counts[3] / 30000.0, 0.6, 0.02);
-}
-
-TEST(Rng, DiscreteRejectsBadWeights) {
-  Rng rng(11);
-  const std::vector<double> empty;
-  EXPECT_THROW(rng.discrete(empty), PreconditionError);
-  const std::vector<double> zeros = {0.0, 0.0};
-  EXPECT_THROW(rng.discrete(zeros), PreconditionError);
-  const std::vector<double> negative = {0.5, -0.1};
-  EXPECT_THROW(rng.discrete(negative), PreconditionError);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

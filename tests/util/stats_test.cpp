@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/random.h"
 
 namespace prlc {
 namespace {
@@ -25,8 +24,6 @@ TEST(RunningStats, SingleValue) {
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 4.5);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.5);
-  EXPECT_DOUBLE_EQ(s.max(), 4.5);
 }
 
 TEST(RunningStats, MatchesDirectComputation) {
@@ -42,45 +39,12 @@ TEST(RunningStats, MatchesDirectComputation) {
   EXPECT_NEAR(s.mean(), mean, 1e-12);
   EXPECT_NEAR(s.variance(), var, 1e-12);
   EXPECT_NEAR(s.stddev(), std::sqrt(var), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 32.0);
 }
 
 TEST(RunningStats, Ci95Formula) {
   RunningStats s;
   for (int i = 0; i < 100; ++i) s.add(static_cast<double>(i % 10));
   EXPECT_NEAR(s.ci95_halfwidth(), 1.96 * s.stddev() / 10.0, 1e-12);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(21);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform_double() * 10 - 5;
-    whole.add(x);
-    (i < 200 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 TEST(Quantile, OrderStatistics) {
@@ -111,46 +75,6 @@ TEST(Quantile, IgnoresNaNs) {
   EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 5.0);
   const std::vector<double> all_nan = {nan, nan};
   EXPECT_THROW(quantile(all_nan, 0.5), PreconditionError);
-}
-
-TEST(RunningStats, EmptyExtremesThrow) {
-  const RunningStats s;
-  EXPECT_THROW(s.min(), PreconditionError);
-  EXPECT_THROW(s.max(), PreconditionError);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bin 0
-  h.add(1.99);  // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(10.0);  // overflow
-  h.add(-0.1);  // underflow
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-}
-
-TEST(Histogram, NanSamplesCountedSeparately) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(std::nan(""));
-  h.add(std::nan(""));
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.nan(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
 }
 
 }  // namespace
