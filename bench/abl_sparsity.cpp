@@ -1,24 +1,24 @@
-// Ablation — sparse encoding + hybrid peeling/GE decoding at N up to 1e5.
+// Ablation — sparse encoding + progressive decoding at N up to 1e5.
 //
 // Two claims are measured, both in machine-readable form (--json):
 //
-//  1. Dense regime (N = 500): the hybrid decoder's routing machinery is
-//     free when rows are dense — ns_per_equation for dense-model blocks
-//     fed as full-width spans is the legacy Gauss-Jordan cost, and for
-//     sparse-model blocks the sparse (index, value) feed is no slower
-//     than expanding the same equations to dense spans.
+//  1. Dense regime (N = 500): ns_per_equation for dense-model blocks fed
+//     as full-width spans, and for sparse-model blocks fed both as
+//     (index, value) pairs and as the same equations expanded to dense
+//     spans. Both feeds land in the same work row and the same forward
+//     scan, so the pairs cost no more than the spans.
 //
 //  2. Large N (1e4..1e5): with O(ln w)-sparse chunked coefficients
 //     (EncoderOptions.chunk_size, after "Expander Chunked Codes") the
-//     decode cost per equation stays near-flat as N grows 10x — fill-in
-//     is bounded by the chunk width, so total decode cost is near-linear
-//     in the number of equations. The decoded fraction and the decoder's
-//     storage statistics (sparse vs dense rows, peel operations,
-//     densifications, resident coefficient bytes) are reported per point.
+//     decode cost per equation stays near-flat as N grows 10x — every
+//     row window stays inside its block's chunk, so total decode cost is
+//     near-linear in the number of equations. The decoded fraction and
+//     the decoder's storage statistics (stored rows, peel operations,
+//     resident coefficient bytes) are reported per point.
 //
 // The curves themselves are unchanged by any of this: the sparse emitter
-// consumes the RNG exactly like the dense one and the hybrid decoder is
-// arithmetically identical to dense Gauss-Jordan (tests/linalg fuzz).
+// consumes the RNG exactly like the dense one, and the progressive decoder
+// solves exactly what batch Gauss-Jordan does (tests/linalg fuzz).
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -42,6 +42,7 @@ struct RunResult {
   double decode_ns = 0;           ///< wall time of the add loop only
   std::size_t decoded_prefix = 0;
   std::size_t decoded_levels = 0;
+  std::size_t rows = 0;           ///< stored pivot rows: the decoder's rank
   linalg::ProgressiveDecoder<F>::Stats stats;
 
   double ns_per_equation() const {
@@ -50,9 +51,9 @@ struct RunResult {
 };
 
 /// Generate `m` coded blocks up front, then time only the decode loop.
-/// `sparse_feed` routes blocks through add_sparse (the O(nnz) hybrid
-/// entry); otherwise they are expanded to full-width spans first — the
-/// legacy dense feed.
+/// `sparse_feed` feeds blocks as (index, value) pairs through add_sparse,
+/// which keeps generation memory at O(nnz) per block; otherwise they are
+/// expanded to full-width spans first.
 RunResult run_decode(codes::Scheme scheme, const codes::PrioritySpec& spec,
                      const codes::EncoderOptions& enc_opts, std::size_t m,
                      std::uint64_t seed, bool sparse_feed) {
@@ -88,6 +89,7 @@ RunResult run_decode(codes::Scheme scheme, const codes::PrioritySpec& spec,
   }
   out.decoded_prefix = decoder.decoded_prefix();
   out.decoded_levels = spec.levels_covered_by_prefix(out.decoded_prefix);
+  out.rows = decoder.rank();
   out.stats = decoder.stats();
   return out;
 }
@@ -97,13 +99,13 @@ RunResult run_decode(codes::Scheme scheme, const codes::PrioritySpec& spec,
 int main(int argc, char** argv) {
   bench::parse_args(argc, argv, bench::UnknownArgs::kReject,
                     {"--trials", "--seed", "--scheme", "--json"});
-  bench::banner("Ablation — sparse coding x hybrid peeling/GE decoder",
+  bench::banner("Ablation — sparse coding x progressive decoder",
                 "Decode cost per equation: dense regime (N=500) and chunked "
                 "sparse runs at N = 1e4..1e5.");
   const std::uint64_t seed = bench::options().seed_or(0);
   bench::BenchReport report("abl_sparsity");
 
-  // ---- 1. Dense regime: hybrid overhead at small N ------------------------
+  // ---- 1. Dense regime: feed overhead at small N --------------------------
   {
     const auto spec = codes::PrioritySpec::uniform(5, 100);  // N = 500
     const std::size_t m = bench::options().trials_or(625, 625);  // 1.25 N: decodes fully
@@ -158,7 +160,7 @@ int main(int argc, char** argv) {
     report.set_config("redundancy", redundancy);
 
     TablePrinter table({"scheme", "N", "c", "decode ms", "ns/equation", "decoded frac",
-                        "peel ops", "sparse rows", "dense rows", "coef MiB"});
+                        "peel ops", "rows", "coef MiB"});
     for (const auto scheme : {codes::Scheme::kRlc, codes::Scheme::kPlc}) {
       if (!bench::options().scheme_enabled(scheme)) continue;
       for (const std::size_t n : sizes) {
@@ -176,9 +178,7 @@ int main(int argc, char** argv) {
           table.add_row({std::string(codes::to_string(scheme)), std::to_string(n),
                          fmt_double(c, 1), fmt_double(r.decode_ns / 1e6, 1),
                          fmt_double(r.ns_per_equation(), 0), fmt_double(frac, 3),
-                         std::to_string(r.stats.peel_ops),
-                         std::to_string(r.stats.sparse_rows),
-                         std::to_string(r.stats.dense_rows),
+                         std::to_string(r.stats.peel_ops), std::to_string(r.rows),
                          fmt_double(static_cast<double>(r.stats.coef_bytes) / (1024.0 * 1024.0), 1)});
           report.add_point(
               std::string("hybrid_large_n/") + codes::to_string(scheme),
@@ -191,9 +191,7 @@ int main(int argc, char** argv) {
                {"decoded_fraction", frac},
                {"decoded_levels", static_cast<double>(r.decoded_levels)},
                {"peel_ops", static_cast<double>(r.stats.peel_ops)},
-               {"sparse_rows", static_cast<double>(r.stats.sparse_rows)},
-               {"dense_rows", static_cast<double>(r.stats.dense_rows)},
-               {"densifications", static_cast<double>(r.stats.densifications)},
+               {"rows", static_cast<double>(r.rows)},
                {"coef_bytes", static_cast<double>(r.stats.coef_bytes)}});
         }
       }
@@ -202,7 +200,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nExpected shape: ns/equation stays near-flat as N grows 10x\n"
-               "(chunked fill-in is bounded by the chunk width, so decode cost is\n"
+               "(every row window stays inside its block's chunk, so decode cost is\n"
                "near-linear in equations), and the sparse feed at small N costs no\n"
                "more than expanding the same equations to dense spans.\n";
   bench::finalize(&report);

@@ -24,10 +24,12 @@ struct CodedBlock {
 
 /// Sparse coded block: the same equation as CodedBlock, stored as sorted
 /// (index, value) pairs over the nonzero support only. This is the native
-/// currency of the O(ln N)-sparse encoders and the hybrid peeling/GE
-/// decoder path — at N = 10^5 a dense coefficient vector would dwarf the
-/// payload it describes. PriorityEncoder::encode_sparse() emits blocks
-/// whose expansion is bit-identical to encode()'s dense output.
+/// currency of the O(ln N)-sparse encoders, and ProgressiveDecoder::
+/// add_sparse takes it as is — at N = 10^5 a dense coefficient vector would
+/// dwarf the payload it describes, and a run that generates its blocks
+/// before decoding them only fits in memory this way.
+/// PriorityEncoder::encode_sparse() emits blocks whose expansion is
+/// bit-identical to encode()'s dense output.
 template <gf::FieldPolicy F>
 struct SparseCodedBlock {
   using Symbol = typename F::Symbol;

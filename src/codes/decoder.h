@@ -54,9 +54,6 @@ class PriorityDecoder {
     return decoder_.add_window(begin, coeffs.subspan(begin, end - begin), payload);
   }
 
-  /// Blocks fed through add(), innovative or not.
-  std::size_t blocks_seen() const { return decoder_.equations_seen(); }
-
   /// Total rank accumulated.
   std::size_t rank() const { return decoder_.rank(); }
 

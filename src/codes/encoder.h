@@ -41,9 +41,10 @@ struct EncoderOptions {
   double sparsity_factor = 3.0;
   /// When nonzero, each block's support is further restricted to one
   /// randomly chosen chunk_size-aligned slice of the scheme support.
-  /// Chunking bounds decoder fill-in by the chunk width — the structured
-  /// sparsity of "Expander Chunked Codes" (PAPERS.md) that keeps hybrid
-  /// decoding near-linear at N = 10^5 (bench/abl_sparsity). 0 disables.
+  /// Chunking keeps every decoder row window inside its block's chunk —
+  /// the structured sparsity of "Expander Chunked Codes" (PAPERS.md) that
+  /// keeps decoding near-linear at N = 10^5 (bench/abl_sparsity). 0
+  /// disables.
   std::size_t chunk_size = 0;
 };
 

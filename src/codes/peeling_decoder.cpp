@@ -21,7 +21,6 @@ std::size_t PeelingDecoder::add(std::span<const std::size_t> indices) {
   std::sort(scratch_.begin(), scratch_.end());
   PRLC_REQUIRE(std::adjacent_find(scratch_.begin(), scratch_.end()) == scratch_.end(),
                "symbol indices must be distinct");
-  ++symbols_seen_;
 
   Symbol sym;
   for (std::size_t i : indices) {
@@ -75,12 +74,6 @@ void PeelingDecoder::resolve(std::size_t first, std::size_t& newly) {
     }
     waiters_[i].clear();
   }
-}
-
-std::size_t PeelingDecoder::decoded_prefix() const {
-  std::size_t k = 0;
-  while (k < decoded_.size() && decoded_[k]) ++k;
-  return k;
 }
 
 }  // namespace prlc::codes

@@ -10,9 +10,9 @@
 //
 // The decoder is index-only: Sec. 6 compares codes by *which* source
 // blocks a collector recovers, so a symbol is the set of blocks it XORs
-// and no payload is carried. Singleton elimination in the hybrid
-// ProgressiveDecoder (linalg/progressive_decoder.h) is the same peeling
-// step with payloads.
+// and no payload is carried. In linalg::ProgressiveDecoder, eliminating
+// against a decoded unknown (a one-column row window) is the same peeling
+// step over GF(2^q), with payloads.
 //
 // Memory discipline: a retired symbol's storage is released immediately,
 // so resident memory is bounded by the *live* symbol set, not by
@@ -43,10 +43,6 @@ class PeelingDecoder {
     return decoded_[i];
   }
 
-  /// Longest decoded prefix (for priority comparisons).
-  std::size_t decoded_prefix() const;
-
-  std::size_t symbols_seen() const { return symbols_seen_; }
   /// Symbols currently buffered undecoded (memory the sink holds).
   std::size_t buffered_symbols() const { return buffered_; }
 
@@ -67,7 +63,6 @@ class PeelingDecoder {
   std::vector<std::vector<std::size_t>> waiters_;  ///< unknown -> symbol ids
   std::vector<std::size_t> scratch_;               ///< add-time dup check
   std::size_t decoded_count_ = 0;
-  std::size_t symbols_seen_ = 0;
   std::size_t buffered_ = 0;
 };
 

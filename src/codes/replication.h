@@ -46,7 +46,7 @@ class ReplicationEncoder {
   PrioritySpec spec_;
 };
 
-/// Tracks collected replicas; same reporting surface as PriorityDecoder.
+/// Tracks which source blocks the collected replicas name.
 class ReplicationCollector {
  public:
   explicit ReplicationCollector(PrioritySpec spec)
@@ -55,21 +55,14 @@ class ReplicationCollector {
   /// Returns true when this replica was new.
   bool add(const ReplicaBlock& block) {
     PRLC_REQUIRE(block.source_index < spec_.total(), "replica index out of range");
-    ++blocks_seen_;
     if (seen_[block.source_index]) return false;
     seen_[block.source_index] = true;
     ++distinct_;
-    while (prefix_ < spec_.total() && seen_[prefix_]) ++prefix_;
     return true;
   }
 
-  std::size_t blocks_seen() const { return blocks_seen_; }
   /// Number of distinct source blocks collected (any order).
   std::size_t distinct_blocks() const { return distinct_; }
-  /// Longest collected prefix of source blocks.
-  std::size_t decoded_prefix_blocks() const { return prefix_; }
-  /// Strict-priority decoded levels (whole-level prefix).
-  std::size_t decoded_levels() const { return spec_.levels_covered_by_prefix(prefix_); }
   bool is_block_decoded(std::size_t j) const {
     PRLC_REQUIRE(j < spec_.total(), "source block index out of range");
     return seen_[j];
@@ -78,9 +71,7 @@ class ReplicationCollector {
  private:
   PrioritySpec spec_;
   std::vector<bool> seen_;
-  std::size_t blocks_seen_ = 0;
   std::size_t distinct_ = 0;
-  std::size_t prefix_ = 0;
 };
 
 }  // namespace prlc::codes

@@ -1,5 +1,5 @@
 // Online Gauss-Jordan elimination with payload rows — the partial-decoding
-// engine of Sec. 3.2 — extended with a hybrid peeling/GE sparse path.
+// engine of Sec. 3.2.
 //
 // Coded blocks arrive one at a time at the data-collecting server. Each
 // block contributes one linear equation (coefficients over the source
@@ -15,39 +15,28 @@
 // codes::PriorityDecoder), and its per-arrival cost is the `decode_add`
 // layer of the pipeline ledger.
 //
-// Hybrid storage (the N >= 10^5 path). The paper leans on O(ln N)-sparse
-// coefficients (Dimakis et al., "Decentralized Erasure Codes"), and dense
-// full-width rows cap experiments near N = 1000: storing N rows of N
-// symbols is O(N^2) memory and every insertion scans all pivot rows.
-// This decoder therefore keeps two row representations behind one RREF
-// invariant:
+// One row shape. Every pivot row is a dense coefficient window
+// [pivot, end) with a tight bound (the coefficient at end-1 is nonzero),
+// plus its payload. Every equation — full width (add), a support window
+// (add_window) or (index, value) pairs (add_sparse) — is written into a
+// full-width scratch row and reduced by one left-to-right scan over its
+// window: each nonzero at a pivot column is cleared with an axpy of that
+// pivot's window, which can only fill columns to its right. The stored
+// rows are in RREF, so clearing one pivot column never changes another.
+// Eliminating against a decoded unknown (a one-column window) is the
+// GF(2^q) generalization of XOR peeling — codes/peeling_decoder.{h,cpp} is
+// the index-only XOR peeling decoder of the Sec.-6 baselines — and is
+// counted as a peel. Back-elimination finds the stored rows that carry the
+// new pivot column through a block-granular cover index and updates their
+// windows and payloads with the batched axpy kernel.
 //
-//   * sparse rows — sorted (column, value) pairs, indexed by a
-//     column -> rows map (`cols_`) so eliminations only touch rows that
-//     actually intersect the new pivot column. Eliminating against a
-//     *singleton* row (one nonzero == a decoded unknown) is the GF(2^q)
-//     generalization of XOR peeling: subtract value * solution, O(1) per
-//     reference (codes/peeling_decoder.{h,cpp} is the standalone,
-//     index-only XOR peeling decoder of the Sec.-6 baselines).
-//   * dense rows — a contiguous coefficient window [pivot, end), used
-//     once a row's fill-in passes the density threshold (see
-//     `should_store_dense`). Dense rows are found through a coarse
-//     block-granular cover index (`dense_cover_`) and are updated with
-//     the batched SIMD axpy path (PR 2 kernels) during back-elimination
-//     — the "dense residual" of the hybrid: only rows peeling could not
-//     keep sparse pay the SIMD-row cost.
-//
-// Both representations run the same elimination order over exact field
-// arithmetic, so results (rank, innovation verdicts, decoded set, and
-// recovered payload bytes) are identical to the legacy dense decoder —
-// the differential fuzz suite in tests/linalg asserts this byte for byte.
-//
-// Complexity: an equation that peels costs O(nnz); an innovative sparse
-// row costs O(fill-in); only densified rows pay O(window) SIMD work.
-// Priority codes keep windows small for high-priority rows (add_window
-// takes a block's support: the level prefix for PLC, the level for SLC),
-// and chunked sparsity (see EncoderOptions.chunk_size) bounds fill-in by
-// the chunk width: decoding curves at N = 10^5 (bench/abl_sparsity).
+// Complexity: an equation costs O(window) to scan plus one axpy per pivot
+// column it meets. Priority codes keep windows small for high-priority
+// rows (add_window takes a block's support: the level prefix for PLC, the
+// level for SLC), and chunked sparsity (EncoderOptions.chunk_size) keeps
+// every window inside its block's chunk, because elimination only mixes
+// rows whose supports overlap: decoding curves at N = 10^5 run in
+// O(chunk) memory per row (bench/abl_sparsity).
 #pragma once
 
 #include <algorithm>
@@ -75,10 +64,8 @@ class ProgressiveDecoder {
       : unknowns_(unknowns),
         payload_size_(payload_size),
         by_pivot_(unknowns),
-        cols_(unknowns),
-        dense_cover_((unknowns + kCoverBlock - 1) / kCoverBlock),
-        work_coef_(unknowns, Symbol{0}),
-        is_touched_(unknowns, 0) {
+        cover_((unknowns + kCoverBlock - 1) / kCoverBlock),
+        work_coef_(unknowns, Symbol{0}) {
     PRLC_REQUIRE(unknowns > 0, "decoder needs at least one unknown");
     PRLC_REQUIRE(unknowns <= 0xffffffffu, "decoder caps unknowns at 2^32-1");
   }
@@ -101,36 +88,19 @@ class ProgressiveDecoder {
 
   /// add() for an equation that is zero outside the support window
   /// [first, first + window.size()), given by the coefficients inside it:
-  /// O(window) instead of O(unknowns). Sparse content (few nonzeros for
-  /// the window) takes the peeling/sparse path, so dense callers — the
-  /// wire/collector path — still benefit from sparsity.
+  /// O(window) instead of O(unknowns).
   bool add_window(std::size_t first, std::span<const Symbol> window,
                   std::span<const Symbol> payload = {}) {
     PRLC_REQUIRE(first + window.size() <= unknowns_, "coefficient window out of range");
-    // Route through the sparse path when the row is sparse enough that
-    // gathering pays for itself; the two paths are exactly equivalent.
-    std::size_t nnz = 0;
-    for (const Symbol c : window) nnz += c != 0 ? 1 : 0;
-    if (nnz * kDensityDivisor <= window.size()) {
-      in_idx_.clear();
-      in_val_.clear();
-      in_idx_.reserve(nnz);
-      in_val_.reserve(nnz);
-      for (std::size_t j = 0; j < window.size(); ++j) {
-        if (window[j] != 0) {
-          in_idx_.push_back(static_cast<std::uint32_t>(first + j));
-          in_val_.push_back(window[j]);
-        }
-      }
-      return add_gathered(in_idx_, in_val_, payload);
-    }
-    return add_dense_scan(first, window, payload);
+    PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
+    std::copy(window.begin(), window.end(), work_coef_.data() + first);
+    return eliminate_work(first, first + window.size(), payload);
   }
 
   /// Insert one equation given in sparse form: strictly increasing
   /// in-range `indices` with matching nonzero `values`. Exactly
-  /// equivalent to add() on the expanded row; cost O(nnz + fill-in)
-  /// instead of O(unknowns).
+  /// equivalent to add() on the expanded row; the scan covers
+  /// [indices.front(), indices.back() + 1) instead of all unknowns.
   bool add_sparse(std::span<const std::uint32_t> indices, std::span<const Symbol> values,
                   std::span<const Symbol> payload = {}) {
     PRLC_REQUIRE(indices.size() == values.size(),
@@ -141,7 +111,10 @@ class ProgressiveDecoder {
                    "sparse row indices must be strictly increasing");
       PRLC_REQUIRE(values[k] != 0, "sparse row stores nonzero values only");
     }
-    return add_gathered(indices, values, payload);
+    PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
+    if (indices.empty()) return eliminate_work(0, 0, payload);
+    for (std::size_t k = 0; k < indices.size(); ++k) work_coef_[indices[k]] = values[k];
+    return eliminate_work(indices.front(), indices.back() + std::size_t{1}, payload);
   }
 
   /// True when unknown `i` is fully determined (e_i lies in the row space).
@@ -184,101 +157,65 @@ class ProgressiveDecoder {
   Symbol row_coefficient(std::size_t pivot, std::size_t col) const {
     PRLC_REQUIRE(has_pivot(pivot), "no pivot row for this column");
     PRLC_REQUIRE(col < unknowns_, "column out of range");
-    return row_coefficient_of(*by_pivot_[pivot], col);
+    const Row& r = *by_pivot_[pivot];
+    return col < r.pivot || col >= r.end ? Symbol{0} : r.coef[col - r.pivot];
   }
 
   /// Exclusive support bound of pivot row `pivot` — kept tight: the
-  /// coefficient at end-1 is always nonzero (the satellite fix for the
-  /// grow-only bound the dense decoder used to keep).
+  /// coefficient at end-1 is always nonzero.
   std::size_t row_support_end(std::size_t pivot) const {
     PRLC_REQUIRE(has_pivot(pivot), "no pivot row for this column");
     return by_pivot_[pivot]->end;
   }
 
-  /// Storage/behaviour statistics for benches and tests.
+  /// Storage/behaviour statistics for benches and tests (the number of
+  /// stored rows is rank()).
   struct Stats {
-    std::size_t sparse_rows = 0;   ///< rows stored as (index, value) pairs
-    std::size_t dense_rows = 0;    ///< rows stored as dense windows
-    std::size_t coef_bytes = 0;    ///< resident coefficient bytes (both kinds)
-    std::size_t peel_ops = 0;      ///< eliminations against singleton rows
-    std::size_t densifications = 0;  ///< sparse rows converted to dense
+    std::size_t coef_bytes = 0;  ///< resident coefficient bytes
+    std::size_t peel_ops = 0;    ///< eliminations against decoded unknowns
   };
   Stats stats() const {
     Stats s;
     s.peel_ops = peel_ops_;
-    s.densifications = densifications_;
-    for (std::size_t i = 0; i < unknowns_; ++i) {
-      const Row* r = by_pivot_[i].get();
-      if (r == nullptr) continue;
-      if (r->dense) {
-        ++s.dense_rows;
-        s.coef_bytes += r->coef.capacity() * sizeof(Symbol);
-      } else {
-        ++s.sparse_rows;
-        s.coef_bytes += r->idx.capacity() * sizeof(std::uint32_t) +
-                        r->val.capacity() * sizeof(Symbol);
-      }
+    for (const auto& r : by_pivot_) {
+      if (r != nullptr) s.coef_bytes += r->coef.capacity() * sizeof(Symbol);
     }
     return s;
   }
 
  private:
-  // Sparse storage costs ~(sizeof idx + sizeof val) per entry vs
-  // sizeof(Symbol) per window slot, and scalar scatter ops instead of
-  // SIMD; a row converts to a dense window once nnz exceeds 1/8 of its
-  // support window (see should_store_dense).
-  static constexpr std::size_t kDensityDivisor = 8;
-  // Dense rows are indexed at this column granularity (dense_cover_).
+  // Rows are indexed at this column granularity (cover_).
   static constexpr std::size_t kCoverBlock = 256;
 
   struct Row {
     std::size_t pivot = 0;
-    std::size_t end = 0;  ///< exclusive support bound, kept tight
-    bool dense = false;
-    std::vector<Symbol> coef;         ///< dense: window [pivot, end)
-    std::vector<std::uint32_t> idx;   ///< sparse: sorted support columns
-    std::vector<Symbol> val;          ///< sparse: values matching idx
+    std::size_t end = 0;                ///< exclusive support bound, kept tight
+    std::vector<Symbol> coef;           ///< window [pivot, end)
     gf::AlignedVector<Symbol> payload;  ///< cache-line aligned for the kernels
-    std::uint32_t cover_end_block = 0;  ///< dense_cover_ registration bound
+    std::uint32_t cover_end_block = 0;  ///< cover_ registration bound
   };
-
-  static bool should_store_dense(std::size_t nnz, std::size_t window) {
-    return nnz * kDensityDivisor >= window;
-  }
 
   /// O(1) check for a decoded row (support bounds are kept tight, so a
   /// one-column window means exactly the unit pivot).
-  static bool is_singleton(const Row& r) {
-    return r.dense ? r.end == r.pivot + 1 : r.idx.size() == 1;
-  }
+  static bool is_singleton(const Row& r) { return r.end == r.pivot + 1; }
 
-  // ---- shared elimination machinery -------------------------------------
-
-  /// work_payload_ -= factor * source payload.
-  void payload_axpy(Symbol factor, const Row& source) {
-    if (payload_size_ > 0) {
-      F::axpy(std::span<Symbol>(work_payload_), factor,
-              std::span<const Symbol>(source.payload));
-    }
-  }
-
-  /// Dense-scan forward elimination: the legacy path for rows that are
-  /// already dense. Scans columns left to right from the window's first.
-  bool add_dense_scan(std::size_t first, std::span<const Symbol> window,
-                      std::span<const Symbol> payload) {
-    PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
+  /// Forward elimination of the equation held in work_coef_[first, end)
+  /// (zero elsewhere): scan left to right, clearing each pivot column, and
+  /// store what is left as a new pivot row when it is nonzero. A pivot
+  /// row's window starts at its pivot, so when the scan reaches column j
+  /// the work row left of j is final; the new pivot is the first nonzero
+  /// free column, and the scan goes on to clear the pivot columns right
+  /// of it (the new row must be zero there too).
+  bool eliminate_work(std::size_t first, std::size_t end, std::span<const Symbol> payload) {
     ++seen_;
     static obs::Counter& rows_received = obs::counter("decoder.rows_received");
     static obs::Counter& rows_innovative = obs::counter("decoder.rows_innovative");
     static obs::Counter& rows_redundant = obs::counter("decoder.rows_redundant");
+    static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
     rows_received.add();
 
-    std::copy(window.begin(), window.end(), work_coef_.data() + first);
     work_payload_.assign(payload.begin(), payload.end());
-    std::size_t end = first + window.size();
     while (end > first && work_coef_[end - 1] == 0) --end;
-
-    static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
     std::size_t pivot = unknowns_;
     for (std::size_t j = first; j < end; ++j) {
       const Symbol v = work_coef_[j];
@@ -293,126 +230,28 @@ class ProgressiveDecoder {
         ++peel_ops_;
         obs::emit(obs::EventType::kPeel, static_cast<double>(j));
       }
-      eliminate_into_work(v, *existing);
+      F::axpy(std::span<Symbol>(work_coef_).subspan(j, existing->end - j), v,
+              std::span<const Symbol>(existing->coef));
+      if (payload_size_ > 0) {
+        F::axpy(std::span<Symbol>(work_payload_), v,
+                std::span<const Symbol>(existing->payload));
+      }
       if (existing->end > end) end = existing->end;
       PRLC_ASSERT(work_coef_[j] == 0, "forward elimination left a nonzero pivot");
     }
     if (pivot == unknowns_) {
-      // Restore the scratch row to all-zeros for the next call (forward
-      // elimination fills only columns right of `first`).
-      std::fill(work_coef_.data() + first, work_coef_.data() + end, Symbol{0});
+      // Every column was cleared; the scratch row is all-zero again.
       rows_redundant.add();
       return false;
     }
-    while (end > pivot && work_coef_[end - 1] == 0) --end;
+    while (work_coef_[end - 1] == 0) --end;
     normalize_work(pivot, end);
-    store_and_back_eliminate(pivot, end, /*from_sparse=*/false);
-    // store_and_back_eliminate consumed and re-zeroed the scratch window.
+    store_and_back_eliminate(pivot, end);
     rows_innovative.add();
     return true;
   }
 
-  /// Sparse forward elimination: touches only the input's nonzero columns
-  /// and the fill-in. The stored rows are in RREF, so each is zero at every
-  /// other pivot column: eliminating one never changes the work row at
-  /// another pivot column. The pivot columns to clear are therefore exactly
-  /// the input's own, visited in increasing order like the dense scan, and
-  /// fill-in lands on free columns only.
-  bool add_gathered(std::span<const std::uint32_t> indices, std::span<const Symbol> values,
-                    std::span<const Symbol> payload) {
-    PRLC_REQUIRE(payload.size() == payload_size_, "payload width mismatch");
-    ++seen_;
-    static obs::Counter& rows_received = obs::counter("decoder.rows_received");
-    static obs::Counter& rows_innovative = obs::counter("decoder.rows_innovative");
-    static obs::Counter& rows_redundant = obs::counter("decoder.rows_redundant");
-    rows_received.add();
-
-    work_payload_.assign(payload.begin(), payload.end());
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      work_coef_[indices[k]] = values[k];
-      touch(indices[k]);
-    }
-
-    static obs::Counter& pivot_ops = obs::counter("decoder.pivot_ops");
-    for (const std::uint32_t j : indices) {
-      const Row* existing = by_pivot_[j].get();
-      if (existing == nullptr) continue;
-      pivot_ops.add();
-      if (is_singleton(*existing)) {
-        ++peel_ops_;
-        obs::emit(obs::EventType::kPeel, static_cast<double>(j));
-      }
-      eliminate_into_work_tracked(work_coef_[j], *existing);
-      PRLC_ASSERT(work_coef_[j] == 0, "forward elimination left a nonzero pivot");
-    }
-    // Only free columns can still be nonzero; the smallest is the pivot.
-    std::size_t pivot = unknowns_;
-    std::size_t end = 0;
-    for (const std::uint32_t j : touched_) {
-      if (work_coef_[j] == 0) continue;
-      pivot = std::min<std::size_t>(pivot, j);
-      end = std::max<std::size_t>(end, j + 1);
-    }
-    if (pivot == unknowns_) {
-      clear_touched();
-      rows_redundant.add();
-      return false;
-    }
-    normalize_work_touched(pivot);
-    store_and_back_eliminate(pivot, end, /*from_sparse=*/true);
-    rows_innovative.add();
-    return true;
-  }
-
-  /// Subtract factor * source from the work row (dense-scan variant: no
-  /// fill-in tracking needed, the scan visits every column up to end).
-  void eliminate_into_work(Symbol factor, const Row& source) {
-    if (source.dense) {
-      F::axpy(std::span<Symbol>(work_coef_).subspan(source.pivot, source.end - source.pivot),
-              factor, std::span<const Symbol>(source.coef));
-    } else {
-      for (std::size_t k = 0; k < source.idx.size(); ++k) {
-        work_coef_[source.idx[k]] ^= F::mul(factor, source.val[k]);
-      }
-    }
-    payload_axpy(factor, source);
-  }
-
-  /// Same, but records every column the source may have filled in
-  /// (sparse variant).
-  void eliminate_into_work_tracked(Symbol factor, const Row& source) {
-    if (source.dense) {
-      F::axpy(std::span<Symbol>(work_coef_).subspan(source.pivot, source.end - source.pivot),
-              factor, std::span<const Symbol>(source.coef));
-      for (std::size_t j = source.pivot; j < source.end; ++j) {
-        touch(static_cast<std::uint32_t>(j));
-      }
-    } else {
-      for (std::size_t k = 0; k < source.idx.size(); ++k) {
-        const std::uint32_t col = source.idx[k];
-        work_coef_[col] ^= F::mul(factor, source.val[k]);
-        touch(col);
-      }
-    }
-    payload_axpy(factor, source);
-  }
-
-  void touch(std::uint32_t col) {
-    if (is_touched_[col] != 0) return;
-    is_touched_[col] = 1;
-    touched_.push_back(col);
-  }
-
-  /// Re-zero the scratch row and the touched flags for the next call.
-  void clear_touched() {
-    for (const std::uint32_t j : touched_) {
-      work_coef_[j] = 0;
-      is_touched_[j] = 0;
-    }
-    touched_.clear();
-  }
-
-  /// Normalize the work row (dense-scan variant) so the pivot is 1.
+  /// Normalize the work row so the pivot is 1.
   void normalize_work(std::size_t pivot, std::size_t end) {
     const Symbol piv = work_coef_[pivot];
     if (piv == 1) return;
@@ -421,71 +260,23 @@ class ProgressiveDecoder {
     if (payload_size_ > 0) F::scale(std::span<Symbol>(work_payload_), piv_inv);
   }
 
-  /// Normalize the work row (sparse variant): only touched columns.
-  void normalize_work_touched(std::size_t pivot) {
-    const Symbol piv = work_coef_[pivot];
-    if (piv == 1) return;
-    const Symbol piv_inv = F::inv(piv);
-    for (const std::uint32_t j : touched_) {
-      if (work_coef_[j] != 0) work_coef_[j] = F::mul(piv_inv, work_coef_[j]);
-    }
-    if (payload_size_ > 0) F::scale(std::span<Symbol>(work_payload_), piv_inv);
-  }
-
   /// Build the stored row from the work buffers (consuming and re-zeroing
-  /// them), back-eliminate every stored row that intersects the new pivot
+  /// them), back-eliminate every stored row that carries the new pivot
   /// column, and register the new row.
-  void store_and_back_eliminate(std::size_t pivot, std::size_t end, bool from_sparse) {
+  void store_and_back_eliminate(std::size_t pivot, std::size_t end) {
     auto row = std::make_unique<Row>();
     row->pivot = pivot;
     row->end = end;
-    std::size_t nnz = 0;
-    if (!from_sparse) {
-      // Dense-scan path: support is the contiguous window [pivot, end).
-      for (std::size_t j = pivot; j < end; ++j) nnz += work_coef_[j] != 0 ? 1 : 0;
-      if (should_store_dense(nnz, end - pivot)) {
-        row->dense = true;
-        row->coef.assign(work_coef_.begin() + static_cast<std::ptrdiff_t>(pivot),
-                         work_coef_.begin() + static_cast<std::ptrdiff_t>(end));
-      } else {
-        row->idx.reserve(nnz);
-        row->val.reserve(nnz);
-        for (std::size_t j = pivot; j < end; ++j) {
-          if (work_coef_[j] != 0) {
-            row->idx.push_back(static_cast<std::uint32_t>(j));
-            row->val.push_back(work_coef_[j]);
-          }
-        }
-      }
-      std::fill(work_coef_.begin() + static_cast<std::ptrdiff_t>(pivot),
-                work_coef_.begin() + static_cast<std::ptrdiff_t>(end), Symbol{0});
-    } else {
-      std::sort(touched_.begin(), touched_.end());
-      for (const std::uint32_t j : touched_) nnz += work_coef_[j] != 0 ? 1 : 0;
-      if (should_store_dense(nnz, end - pivot)) {
-        row->dense = true;
-        row->coef.assign(work_coef_.begin() + static_cast<std::ptrdiff_t>(pivot),
-                         work_coef_.begin() + static_cast<std::ptrdiff_t>(end));
-      } else {
-        row->idx.reserve(nnz);
-        row->val.reserve(nnz);
-        for (const std::uint32_t j : touched_) {
-          if (work_coef_[j] == 0) continue;
-          row->idx.push_back(j);
-          row->val.push_back(work_coef_[j]);
-        }
-      }
-      clear_touched();
-    }
+    const auto window_begin = work_coef_.begin() + static_cast<std::ptrdiff_t>(pivot);
+    const auto window_end = work_coef_.begin() + static_cast<std::ptrdiff_t>(end);
+    row->coef.assign(window_begin, window_end);
+    std::fill(window_begin, window_end, Symbol{0});
     row->payload = std::move(work_payload_);
     work_payload_.clear();
-    PRLC_ASSERT(row->end > row->pivot, "stored row has an empty support window");
-    PRLC_DASSERT(row_coefficient_of(*row, row->end - 1) != 0,
-                 "stored row support bound is not tight");
 
     back_eliminate(*row);
 
-    register_row(*row, static_cast<std::uint32_t>(pivot));
+    if (!is_singleton(*row)) register_cover(*row, static_cast<std::uint32_t>(pivot));
     by_pivot_[pivot] = std::move(row);
     ++rank_;
     const std::size_t prefix_before = decoded_prefix_;
@@ -498,73 +289,35 @@ class ProgressiveDecoder {
     watermark.set_max(static_cast<std::int64_t>(decoded_prefix_));
   }
 
-  Symbol row_coefficient_of(const Row& r, std::size_t col) const {
-    if (col < r.pivot || col >= r.end) return 0;
-    if (r.dense) return r.coef[col - r.pivot];
-    const auto it = std::lower_bound(r.idx.begin(), r.idx.end(),
-                                     static_cast<std::uint32_t>(col));
-    if (it == r.idx.end() || *it != col) return 0;
-    return r.val[static_cast<std::size_t>(it - r.idx.begin())];
-  }
-
-  /// Index a freshly stored (or densified) row so later back-eliminations
-  /// can find it. Singleton rows are skipped: their only nonzero is their
-  /// own pivot column, which no future row can carry after forward
-  /// elimination.
-  void register_row(Row& row, std::uint32_t pivot_id) {
-    if (is_singleton(row)) return;
-    if (row.dense) {
-      register_dense_cover(row, pivot_id);
-    } else {
-      for (const std::uint32_t col : row.idx) {
-        if (col != row.pivot) cols_[col].push_back(pivot_id);
-      }
-    }
-  }
-
-  void register_dense_cover(Row& row, std::uint32_t pivot_id) {
+  /// Index a row under every cover block its window reaches that it is
+  /// not registered in yet. A decoded row is never registered: its only
+  /// nonzero is its own pivot column, which no other row carries.
+  void register_cover(Row& row, std::uint32_t pivot_id) {
     const auto first = static_cast<std::uint32_t>(row.pivot / kCoverBlock);
     const auto last = static_cast<std::uint32_t>((row.end - 1) / kCoverBlock);
     const std::uint32_t from = std::max(first, row.cover_end_block);
-    for (std::uint32_t b = from; b <= last; ++b) dense_cover_[b].push_back(pivot_id);
+    for (std::uint32_t b = from; b <= last; ++b) cover_[b].push_back(pivot_id);
     if (last + 1 > row.cover_end_block) row.cover_end_block = last + 1;
   }
 
   /// Eliminate the new pivot column from every stored row that carries a
-  /// nonzero there. Sparse targets are found through the exact column
-  /// index; dense targets through the block cover. Payload updates for
-  /// *all* targets — and coefficient updates for dense-on-dense — share
-  /// the batched SIMD axpy when the field provides one (the PR 2 kernel
-  /// path): that is the "dense residual" of the hybrid.
-  void back_eliminate(Row& row) {
+  /// nonzero there, found through the cover block holding the column.
+  /// Coefficient windows and payloads each take one batched axpy over the
+  /// new row.
+  void back_eliminate(const Row& row) {
     static obs::Counter& back_rows = obs::counter("decoder.back_elim_rows");
     const std::size_t pivot = row.pivot;
 
-    // Gather targets: stored rows with a nonzero coefficient at `pivot`.
+    // Gather targets; entries of rows decoded since they registered are
+    // dropped on the way.
     targets_.clear();
-    auto& col_entries = cols_[pivot];
-    std::sort(col_entries.begin(), col_entries.end());
-    std::uint32_t prev = 0xffffffffu;
-    for (const std::uint32_t id : col_entries) {
-      if (id == prev) continue;  // duplicate registration (re-filled column)
-      prev = id;
-      const Row* r = by_pivot_[id].get();
-      if (r == nullptr || r->dense) continue;  // stale: densified since
-      if (row_coefficient_of(*r, pivot) != 0) targets_.push_back(id);
-    }
-    // After this elimination every stored row is zero at `pivot`, and no
-    // future merge can refill it (all sources are zero there too): the
-    // column's index can be dropped for good — bounded memory, the same
-    // trick the peeling decoder plays with its waiter lists.
-    col_entries.clear();
-    col_entries.shrink_to_fit();
-    auto& cover = dense_cover_[pivot / kCoverBlock];
+    auto& cover = cover_[pivot / kCoverBlock];
     std::size_t kept = 0;
     for (const std::uint32_t id : cover) {
-      Row* r = by_pivot_[id].get();
-      if (r == nullptr || !r->dense || is_singleton(*r)) continue;  // stale
+      const Row& r = *by_pivot_[id];
+      if (is_singleton(r)) continue;
       cover[kept++] = id;
-      if (pivot >= r->pivot && pivot < r->end && r->coef[pivot - r->pivot] != 0) {
+      if (pivot >= r.pivot && pivot < r.end && r.coef[pivot - r.pivot] != 0) {
         targets_.push_back(id);
       }
     }
@@ -573,39 +326,24 @@ class ProgressiveDecoder {
     back_rows.add(targets_.size());
     if (targets_.empty()) return;
 
-    batch_payload_targets_.clear();
     batch_coef_targets_.clear();
-    batch_coef_factors_.clear();
+    batch_payload_targets_.clear();
     batch_factors_.clear();
     for (const std::uint32_t id : targets_) {
       Row& r = *by_pivot_[id];
-      const Symbol factor = row_coefficient_of(r, pivot);
+      batch_factors_.push_back(r.coef[pivot - r.pivot]);
+      // Grow the window now; the axpy below is one pass over the source.
+      if (row.end > r.end) {
+        r.coef.resize(row.end - r.pivot, Symbol{0});
+        r.end = row.end;
+        register_cover(r, id);
+      }
+      batch_coef_targets_.push_back(r.coef.data() + (pivot - r.pivot));
       if (payload_size_ > 0) batch_payload_targets_.push_back(r.payload.data());
-      batch_factors_.push_back(factor);
-      if (row.dense && r.dense) {
-        // Dense-on-dense: grow the window now, defer the axpy to the
-        // batched kernel below (one cache-tiled pass over the source).
-        if (row.end > r.end) {
-          r.coef.resize(row.end - r.pivot, Symbol{0});
-          r.end = row.end;
-          register_dense_cover(r, id);
-        }
-        batch_coef_targets_.push_back(r.coef.data() + (pivot - r.pivot));
-        batch_coef_factors_.push_back(factor);
-      } else {
-        eliminate_stored(r, factor, row, id);
-      }
     }
-    if (!batch_coef_targets_.empty()) {
-      F::axpy_batch(std::span<Symbol* const>(batch_coef_targets_),
-                    std::span<const Symbol>(batch_coef_factors_),
-                    std::span<const Symbol>(row.coef));
-      // Re-tighten the deferred dense-on-dense targets.
-      for (const std::uint32_t id : targets_) {
-        Row& r = *by_pivot_[id];
-        if (row.dense && r.dense) tighten_dense(r);
-      }
-    }
+    F::axpy_batch(std::span<Symbol* const>(batch_coef_targets_),
+                  std::span<const Symbol>(batch_factors_), std::span<const Symbol>(row.coef));
+    for (const std::uint32_t id : targets_) tighten(*by_pivot_[id]);
     if (payload_size_ > 0) {
       F::axpy_batch(std::span<Symbol* const>(batch_payload_targets_),
                     std::span<const Symbol>(batch_factors_),
@@ -613,116 +351,11 @@ class ProgressiveDecoder {
     }
   }
 
-  /// Re-tighten a dense row's support bound after an elimination zeroed
-  /// trailing coefficients (the satellite fix for the grow-only bound the
-  /// dense decoder used to keep) and drop the now-dead tail storage.
-  void tighten_dense(Row& target) {
-    while (target.end > target.pivot + 1 && target.coef[target.end - target.pivot - 1] == 0) {
-      --target.end;
-    }
-    target.coef.resize(target.end - target.pivot);
-    PRLC_DASSERT(target.coef[target.end - target.pivot - 1] != 0,
-                 "dense row support bound is not tight");
-  }
-
-  /// target -= factor * source (coefficients only; payloads are batched by
-  /// the caller). Maintains representation invariants: window growth,
-  /// tight support bound, density threshold, and index registration.
-  void eliminate_stored(Row& target, Symbol factor, const Row& source,
-                        std::uint32_t target_id) {
-    if (target.dense) {
-      // Grow the window right if the source extends past it (the source's
-      // pivot is inside the target's window already — it held a nonzero).
-      if (source.end > target.end) {
-        target.coef.resize(source.end - target.pivot, Symbol{0});
-        target.end = source.end;
-        register_dense_cover(target, target_id);
-      }
-      const std::size_t off = source.pivot - target.pivot;
-      if (source.dense) {
-        F::axpy(std::span<Symbol>(target.coef).subspan(off, source.end - source.pivot),
-                factor, std::span<const Symbol>(source.coef));
-      } else {
-        for (std::size_t k = 0; k < source.idx.size(); ++k) {
-          target.coef[source.idx[k] - target.pivot] ^= F::mul(factor, source.val[k]);
-        }
-      }
-      tighten_dense(target);
-      return;
-    }
-
-    // Sparse target: merge the scaled source support into the sorted
-    // (idx, val) arrays, dropping cancellations and registering fill-in.
-    merge_idx_.clear();
-    merge_val_.clear();
-    fill_cols_.clear();
-    const auto emit = [&](std::uint32_t col, Symbol value) {
-      if (value == 0) return;
-      merge_idx_.push_back(col);
-      merge_val_.push_back(value);
-    };
-    std::size_t a = 0;  // cursor over target.idx
-    const auto source_at = [&](std::size_t k) -> std::pair<std::uint32_t, Symbol> {
-      if (source.dense) {
-        return {static_cast<std::uint32_t>(source.pivot + k), source.coef[k]};
-      }
-      return {source.idx[k], source.val[k]};
-    };
-    const std::size_t src_n = source.dense ? source.end - source.pivot : source.idx.size();
-    std::size_t b = 0;
-    while (a < target.idx.size() || b < src_n) {
-      // Advance past zero slots in a dense source window.
-      if (b < src_n && source_at(b).second == 0) {
-        ++b;
-        continue;
-      }
-      if (b >= src_n || (a < target.idx.size() && target.idx[a] < source_at(b).first)) {
-        emit(target.idx[a], target.val[a]);
-        ++a;
-      } else if (a >= target.idx.size() || source_at(b).first < target.idx[a]) {
-        // Fill-in: a column the target did not carry before. The product
-        // of two nonzero field elements is nonzero, so this always lands.
-        const auto [col, sval] = source_at(b);
-        emit(col, F::mul(factor, sval));
-        fill_cols_.push_back(col);
-        ++b;
-      } else {
-        const auto [col, sval] = source_at(b);
-        emit(col, static_cast<Symbol>(target.val[a] ^ F::mul(factor, sval)));
-        ++a;
-        ++b;
-      }
-    }
-    target.idx.swap(merge_idx_);
-    target.val.swap(merge_val_);
-    target.end = target.idx.empty() ? target.pivot + 1 : target.idx.back() + 1;
-    PRLC_ASSERT(!target.idx.empty() && target.idx.front() == target.pivot,
-                "sparse row lost its pivot during elimination");
-    if (should_store_dense(target.idx.size(), target.end - target.pivot)) {
-      densify(target, target_id);
-      return;
-    }
-    for (const std::uint32_t col : fill_cols_) cols_[col].push_back(target_id);
-  }
-
-  void densify(Row& target, std::uint32_t target_id) {
-    ++densifications_;
-    static obs::Counter& densified = obs::counter("decoder.rows_densified");
-    densified.add();
-    obs::emit(obs::EventType::kRowDensified, static_cast<double>(target.pivot),
-              static_cast<double>(target.end - target.pivot));
-    target.dense = true;
-    target.coef.assign(target.end - target.pivot, Symbol{0});
-    for (std::size_t k = 0; k < target.idx.size(); ++k) {
-      target.coef[target.idx[k] - target.pivot] = target.val[k];
-    }
-    target.idx.clear();
-    target.idx.shrink_to_fit();
-    target.val.clear();
-    target.val.shrink_to_fit();
-    // Old cols_ entries go stale and are dropped lazily; the cover index
-    // takes over.
-    register_dense_cover(target, target_id);
+  /// Re-tighten a row's support bound after an elimination zeroed trailing
+  /// coefficients, and drop the now-dead tail.
+  static void tighten(Row& r) {
+    while (r.end > r.pivot + 1 && r.coef[r.end - r.pivot - 1] == 0) --r.end;
+    r.coef.resize(r.end - r.pivot);
   }
 
   void advance_prefix() {
@@ -736,35 +369,21 @@ class ProgressiveDecoder {
   std::size_t unknowns_;
   std::size_t payload_size_;
   std::vector<std::unique_ptr<Row>> by_pivot_;
-  /// Exact column -> sparse-row index (pivot ids); entries may be stale
-  /// (cancelled or densified rows) and are dropped lazily.
-  std::vector<std::vector<std::uint32_t>> cols_;
-  /// Coarse block -> dense-row cover index (pivot ids), kCoverBlock wide.
-  std::vector<std::vector<std::uint32_t>> dense_cover_;
+  /// Block -> rows whose window reaches it (pivot ids), kCoverBlock wide;
+  /// entries of decoded rows are dropped lazily.
+  std::vector<std::vector<std::uint32_t>> cover_;
   std::size_t rank_ = 0;
   std::size_t seen_ = 0;
   std::size_t decoded_prefix_ = 0;
   std::size_t peel_ops_ = 0;
-  std::size_t densifications_ = 0;
   /// Full-width scratch row, all-zero between add() calls.
   std::vector<Symbol> work_coef_;
   gf::AlignedVector<Symbol> work_payload_;
-  // Sparse-path scratch: the columns the work row touched (input and
-  // fill-in, each once, flagged in is_touched_; all-zero between add()
-  // calls), and gathered input indices/values.
-  std::vector<std::uint32_t> touched_;
-  std::vector<std::uint8_t> is_touched_;
-  std::vector<std::uint32_t> in_idx_;
-  std::vector<Symbol> in_val_;
   // Back-elimination scratch (reused across add() calls).
   std::vector<std::uint32_t> targets_;
+  std::vector<Symbol*> batch_coef_targets_;
   std::vector<Symbol*> batch_payload_targets_;
   std::vector<Symbol> batch_factors_;
-  std::vector<Symbol*> batch_coef_targets_;
-  std::vector<Symbol> batch_coef_factors_;
-  std::vector<std::uint32_t> merge_idx_;
-  std::vector<Symbol> merge_val_;
-  std::vector<std::uint32_t> fill_cols_;
 };
 
 }  // namespace prlc::linalg

@@ -112,8 +112,6 @@ const char* to_string(EventType type) {
       return "budget_exhausted";
     case EventType::kWatermarkAdvance:
       return "watermark_advance";
-    case EventType::kRowDensified:
-      return "row_densified";
     case EventType::kPeel:
       return "peel";
     case EventType::kIntegrityViolation:
@@ -132,7 +130,6 @@ const EventArgNames& event_arg_names(EventType type) {
       /* kFetchHedged      */ {{"node", nullptr, nullptr}},
       /* kBudgetExhausted  */ {{"node", "faults", nullptr}},
       /* kWatermarkAdvance */ {{"prefix_blocks", "equations", nullptr}},
-      /* kRowDensified     */ {{"pivot", "width", nullptr}},
       /* kPeel             */ {{"pivot", nullptr, nullptr}},
       /* kIntegrityViolation */ {{"node", "location", nullptr}},
       /* kNodeQuarantined    */ {{"node", nullptr, nullptr}},

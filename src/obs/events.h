@@ -60,12 +60,11 @@ enum class EventType : std::uint8_t {
   kFetchHedged,       ///< collector issued a hedge fetch (node)
   kBudgetExhausted,   ///< node blacklisted by fault budget (node, faults)
   kWatermarkAdvance,  ///< decoder decoded-prefix grew    (prefix_blocks, equations)
-  kRowDensified,      ///< sparse row crossed the density threshold (pivot, width)
   kPeel,              ///< degree-1 elimination fast path (pivot)
   kIntegrityViolation,  ///< fingerprint caught a forged/rotten frame (node, location)
   kNodeQuarantined,     ///< node removed after an integrity violation (node)
 };
-inline constexpr std::size_t kEventTypeCount = 10;
+inline constexpr std::size_t kEventTypeCount = 9;
 
 /// Stable wire name ("node_failed", "fetch_retry", ...).
 const char* to_string(EventType type);

@@ -61,14 +61,3 @@ namespace detail {
       ::prlc::detail::throw_invariant(#expr, __FILE__, __LINE__, msg);  \
     }                                                                   \
   } while (0)
-
-/// Debug-build-only invariant (compiled out under NDEBUG). For checks on
-/// hot paths whose cost is *not* negligible next to the surrounding work —
-/// e.g. per-elimination support-bound tightness in the sparse decoder.
-#ifdef NDEBUG
-#define PRLC_DASSERT(expr, msg) \
-  do {                          \
-  } while (0)
-#else
-#define PRLC_DASSERT(expr, msg) PRLC_ASSERT(expr, msg)
-#endif

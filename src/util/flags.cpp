@@ -42,6 +42,16 @@ std::optional<double> try_parse_double(const std::string& text) {
   return value;
 }
 
+namespace {
+
+/// A bad flag value is a usage error: its message names the flag and the
+/// problem, nothing else.
+[[noreturn]] void bad_value(const std::string& name, const std::string& problem) {
+  throw PreconditionError("flag --" + name + " " + problem);
+}
+
+}  // namespace
+
 Flags Flags::parse(int argc, const char* const* argv) {
   Flags flags;
   for (int i = 0; i < argc; ++i) {
@@ -51,7 +61,7 @@ Flags Flags::parse(int argc, const char* const* argv) {
       continue;
     }
     const std::string body = arg.substr(2);
-    PRLC_REQUIRE(!body.empty(), "bare '--' is not a valid flag");
+    if (body.empty()) throw PreconditionError("bare '--' is not a valid flag");
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
       flags.values_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -81,8 +91,7 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) cons
   if (it == values_.end()) return fallback;
   read_[name] = true;
   const auto v = try_parse_i64(it->second);
-  PRLC_REQUIRE(v.has_value(),
-               "flag --" + name + " expects a 64-bit integer, got '" + it->second + "'");
+  if (!v) bad_value(name, "expects a 64-bit integer, got '" + it->second + "'");
   return *v;
 }
 
@@ -91,8 +100,7 @@ double Flags::get_double(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   read_[name] = true;
   const auto v = try_parse_double(it->second);
-  PRLC_REQUIRE(v.has_value(),
-               "flag --" + name + " expects a finite number, got '" + it->second + "'");
+  if (!v) bad_value(name, "expects a finite number, got '" + it->second + "'");
   return *v;
 }
 
@@ -103,7 +111,7 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  PRLC_REQUIRE(false, "flag --" + name + " expects a boolean, got '" + v + "'");
+  bad_value(name, "expects a boolean, got '" + v + "'");
 }
 
 std::vector<double> Flags::get_double_list(const std::string& name,
@@ -116,11 +124,10 @@ std::vector<double> Flags::get_double_list(const std::string& name,
   std::string item;
   while (std::getline(ss, item, ',')) {
     const auto v = try_parse_double(item);
-    PRLC_REQUIRE(v.has_value(),
-                 "flag --" + name + " has a non-numeric element '" + item + "'");
+    if (!v) bad_value(name, "has a non-numeric element '" + item + "'");
     out.push_back(*v);
   }
-  PRLC_REQUIRE(!out.empty(), "flag --" + name + " expects a nonempty list");
+  if (out.empty()) bad_value(name, "expects a nonempty list");
   return out;
 }
 

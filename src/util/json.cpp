@@ -274,15 +274,14 @@ class Parser {
   Value parse_document() {
     Value v = parse_value();
     skip_ws();
-    PRLC_REQUIRE(pos_ == text_.size(),
-                 "trailing characters after JSON document at offset " + std::to_string(pos_));
+    if (pos_ != text_.size()) fail("trailing characters after JSON document");
     return v;
   }
 
  private:
+  /// A parse error names the problem and where it is, nothing else.
   [[noreturn]] void fail(const std::string& what) {
-    PRLC_REQUIRE(false, what + " at offset " + std::to_string(pos_));
-    __builtin_unreachable();
+    throw PreconditionError(what + " at offset " + std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -352,8 +351,7 @@ class Parser {
       skip_ws();
       expect(':');
       Value v = parse_value();
-      PRLC_REQUIRE(!out.contains(key),
-                   "duplicate JSON object key '" + key + "' at offset " + std::to_string(pos_));
+      if (out.contains(key)) fail("duplicate JSON object key '" + key + "'");
       out.set(key, std::move(v));
       skip_ws();
       const char c = peek();

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "codes/encoder.h"
 #include "gf/gf2m.h"
 #include "gf/gf256.h"
 #include "linalg/gauss_jordan.h"
@@ -314,8 +315,42 @@ TEST(ProgressiveDecoder, StatsTrackPeelAndStorage) {
   EXPECT_TRUE(d.add_sparse(i1, v1));  // peels against the decoded x0
   const auto s = d.stats();
   EXPECT_GE(s.peel_ops, 1u);
-  EXPECT_EQ(s.sparse_rows + s.dense_rows, 2u);
+  EXPECT_EQ(d.rank(), 2u);
+  EXPECT_GT(s.coef_bytes, 0u);
   EXPECT_EQ(d.decoded_prefix(), 2u);
+}
+
+TEST(ProgressiveDecoder, ChunkedSupportsKeepWindowsInsideTheChunk) {
+  // Elimination only mixes rows whose supports overlap, so under chunked
+  // supports every pivot row's window stays inside its block's chunk. The
+  // memory bound of dense row windows at N = 10^5 rests on this. With 128
+  // blocks per level and 64-wide chunks, every scheme's chunks are
+  // 64-aligned in global columns.
+  constexpr std::size_t kChunk = 64;
+  const auto spec = codes::PrioritySpec::uniform(4, 128);
+  const auto dist = codes::PriorityDistribution::uniform(spec.levels());
+  for (const auto scheme : {codes::Scheme::kRlc, codes::Scheme::kSlc, codes::Scheme::kPlc}) {
+    for (const double c : {1.5, 3.0}) {
+      codes::EncoderOptions opts;
+      opts.model = codes::CoefficientModel::kSparse;
+      opts.sparsity_factor = c;
+      opts.chunk_size = kChunk;
+      const codes::PriorityEncoder<F> encoder(scheme, spec, opts);
+      Rng rng(80);
+      ProgressiveDecoder<F> d(spec.total());
+      for (int block = 0; block < 700; ++block) {
+        const auto b = encoder.encode_sparse_random(dist, rng);
+        d.add_sparse(b.indices, b.values);
+        for (std::size_t p = 0; p < spec.total(); ++p) {
+          if (!d.has_pivot(p)) continue;
+          ASSERT_EQ((d.row_support_end(p) - 1) / kChunk, p / kChunk)
+              << codes::to_string(scheme) << " c=" << c << " block " << block
+              << ": row " << p << " ends at " << d.row_support_end(p);
+        }
+      }
+      EXPECT_GT(d.rank(), spec.total() / 2) << codes::to_string(scheme) << " c=" << c;
+    }
+  }
 }
 
 TEST(ProgressiveDecoder, WorksOverGf16) {

@@ -32,7 +32,6 @@ TEST_F(JournalTest, WireNamesAndArgNamesAreStable) {
   EXPECT_STREQ(to_string(EventType::kFetchHedged), "fetch_hedged");
   EXPECT_STREQ(to_string(EventType::kBudgetExhausted), "budget_exhausted");
   EXPECT_STREQ(to_string(EventType::kWatermarkAdvance), "watermark_advance");
-  EXPECT_STREQ(to_string(EventType::kRowDensified), "row_densified");
   EXPECT_STREQ(to_string(EventType::kPeel), "peel");
   EXPECT_STREQ(event_arg_names(EventType::kFetchRetry).names[0], "node");
   EXPECT_STREQ(event_arg_names(EventType::kFetchRetry).names[1], "attempt");

@@ -95,5 +95,29 @@ TEST(Flags, BareDashesRejected) {
   EXPECT_THROW(make({"--"}), PreconditionError);
 }
 
+TEST(Flags, BadValueErrorNamesTheFlag) {
+  // The message is what `prlc` prints after "error: ": the flag and the
+  // problem, with no check expression or source location.
+  const auto message = [](const auto& read) {
+    try {
+      read();
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([] { make({"--sparse", "maybe"}).get_bool("sparse", false); }),
+            "flag --sparse expects a boolean, got 'maybe'");
+  EXPECT_EQ(message([] { make({"--n", "abc"}).get_int("n", 0); }),
+            "flag --n expects a 64-bit integer, got 'abc'");
+  EXPECT_EQ(message([] { make({"--d", "nan"}).get_double("d", 0); }),
+            "flag --d expects a finite number, got 'nan'");
+  EXPECT_EQ(message([] { make({"--l", "1,x"}).get_double_list("l", {}); }),
+            "flag --l has a non-numeric element 'x'");
+  EXPECT_EQ(message([] { make({"--l="}).get_double_list("l", {}); }),
+            "flag --l expects a nonempty list");
+  EXPECT_EQ(message([] { make({"--"}); }), "bare '--' is not a valid flag");
+}
+
 }  // namespace
 }  // namespace prlc

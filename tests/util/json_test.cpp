@@ -104,6 +104,22 @@ TEST(JsonValue, ParseRejectsMalformedInput) {
   EXPECT_THROW(Value::parse("nul"), PreconditionError);
 }
 
+TEST(JsonValue, ParseErrorNamesTheProblem) {
+  // The message is the problem and its offset; no check expression or
+  // source location rides along to the tools that print it.
+  const auto message = [](std::string_view text) {
+    try {
+      Value::parse(text);
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message("[1,2"), "unexpected end of JSON input at offset 4");
+  EXPECT_EQ(message("1 2"), "trailing characters after JSON document at offset 2");
+  EXPECT_EQ(message(R"({"a":1,"a":2})"), "duplicate JSON object key 'a' at offset 12");
+}
+
 TEST(JsonValue, ParseBoundsNestingDepth) {
   // 512 nested arrays parse; one level more is malformed input, not a
   // stack overflow. Siblings do not add up: the depth unwinds on close.

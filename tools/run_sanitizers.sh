@@ -4,8 +4,8 @@
 # The GF(2^8) SIMD kernels do unaligned vector loads and hand-rolled tail
 # handling — exactly the code where out-of-bounds reads hide — so CI (or a
 # developer, before touching src/gf) should run this script in addition to
-# the plain test suite. The hybrid peeling/GE decoder's differential fuzz
-# (test_linalg: sparse row merges, densification, batched window growth)
+# the plain test suite. The progressive decoder's differential fuzz
+# (test_linalg: window growth and tightening, batched back-elimination)
 # runs in this ASan/UBSan phase as part of the full suite.
 #
 #   tools/run_sanitizers.sh            # build into build-sanitize/ and test
